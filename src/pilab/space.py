@@ -3,13 +3,15 @@
 A space is a connected edge-weighted graph together with a positive vertex
 measure.  The metric is the shortest-path distance, so every space is
 graph-geodesic by construction.  Queries (balls, annuli, ball masses) are
-pure and cheap; distances are precomputed for small spaces and computed
-per-source on demand (with caching) for large ones.
+pure and cheap.  Distances are never materialized all-pairs: each source's
+row is computed on demand by Dijkstra and kept in a least-recently-used
+cache capped in bytes, so memory stays bounded however many rows are read.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +26,10 @@ from .errors import (
     NotAhlfors,
 )
 
-# Above this vertex count, all-pairs distances are not materialized and
-# per-source rows are cached instead.  Results are identical either way.
-FULL_DIST_LIMIT = 20_000
+# Byte cap of the per-source distance row cache; the least recently used
+# rows are evicted first.  The largest single check on the gallery reads
+# under 27 MB of rows, so this cap leaves room for reuse across checks.
+ROW_CACHE_BYTES = 256 * 2**20
 
 
 class FiniteMetricMeasureSpace:
@@ -60,10 +63,12 @@ class FiniteMetricMeasureSpace:
         vals = np.concatenate([self.lengths, self.lengths])
         self.adjacency = csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
+        # No dense distance matrix is ever built; perfbench's tracer is the
+        # only reader of _dist and counts its bytes when it is set.
         self._dist = None
-        self._dist_cache: dict[int, np.ndarray] = {}
-        if self.n <= FULL_DIST_LIMIT:
-            self._dist = csgraph.shortest_path(self.adjacency, method="D", directed=False)
+        self._dist_cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._cache_bytes = 0
+        self._diameter = None
         for arr in (self.edges, self.lengths, self.measure):
             arr.setflags(write=False)
         if self.coords is not None:
@@ -91,15 +96,30 @@ class FiniteMetricMeasureSpace:
     # -- metric queries ----------------------------------------------------
 
     def dist_from(self, x):
-        """Distance row from vertex x to every vertex."""
-        if self._dist is not None:
-            return self._dist[x]
+        """Distance row from vertex x to every vertex (read-only, cached)."""
         row = self._dist_cache.get(x)
-        if row is None:
-            row = csgraph.dijkstra(self.adjacency, directed=False, indices=x)
-            row.setflags(write=False)
-            self._dist_cache[x] = row
+        if row is not None:
+            self._dist_cache.move_to_end(x)
+            return row
+        row = csgraph.dijkstra(self.adjacency, directed=False, indices=x)
+        row.setflags(write=False)
+        while self._dist_cache and self._cache_bytes + row.nbytes > ROW_CACHE_BYTES:
+            _, old = self._dist_cache.popitem(last=False)
+            self._cache_bytes -= old.nbytes
+        self._dist_cache[x] = row
+        self._cache_bytes += row.nbytes
         return row
+
+    def dist_to_set(self, A, limit=np.inf):
+        """min_{x in A} d(x, .) from one multi-source Dijkstra, not cached.
+
+        Entries farther than `limit` from A are inf, and the search stops
+        there, so the cost scales with the limit-neighbourhood of A.
+        """
+        sources = np.asarray(A, dtype=np.int64)
+        return csgraph.dijkstra(
+            self.adjacency, directed=False, indices=sources, min_only=True, limit=limit
+        )
 
     def dist(self, x, y):
         return float(self.dist_from(x)[y])
@@ -108,12 +128,39 @@ class FiniteMetricMeasureSpace:
         return float(self.dist_from(x).max())
 
     def diameter(self):
-        """Exact when all-pairs distances are materialized, otherwise a
-        double-sweep lower bound (exact on all gallery spaces)."""
-        if self._dist is not None:
-            return float(self._dist.max())
-        far = int(np.argmax(self.dist_from(0)))
-        return self.eccentricity(far)
+        """Exact diameter (the largest eccentricity), computed once.
+
+        Bounding eccentricities (Takes & Kosters, CIKM 2011): each row read
+        from a vertex v bounds every eccentricity by
+        max(ecc(v) - d(v, w), d(v, w)) <= ecc(w) <= ecc(v) + d(v, w), and
+        vertices whose bounds can no longer move the diameter's bounds are
+        dropped.  Sources alternate between the candidate with the largest
+        upper bound and the one with the smallest lower bound.  Gallery
+        spaces settle after a handful of rows.  The result is the largest
+        entry of one computed row; as Dijkstra sums a path's lengths from
+        its source, d(x, y) and d(y, x) can differ in the last bits, and the
+        result may be the smaller of the two.
+        """
+        if self._diameter is None:
+            lo = np.zeros(self.n)
+            hi = np.full(self.n, np.inf)
+            live = np.ones(self.n, dtype=bool)
+            d_lo, d_hi = 0.0, np.inf
+            pick_high = True
+            while d_lo < d_hi and live.any():
+                cand = np.flatnonzero(live)
+                v = cand[np.argmax(hi[cand])] if pick_high else cand[np.argmin(lo[cand])]
+                pick_high = not pick_high
+                d = self.dist_from(v)
+                ecc = float(d.max())
+                d_lo, d_hi = max(d_lo, ecc), min(d_hi, 2.0 * ecc)
+                lo = np.maximum(lo, np.maximum(ecc - d, d))
+                hi = np.minimum(hi, ecc + d)
+                live &= ~(((hi <= d_lo) & (lo >= d_hi / 2.0)) | (lo == hi))
+                if live.any():
+                    d_hi = min(d_hi, float(hi[live].max()))
+            self._diameter = d_lo
+        return self._diameter
 
     def ball(self, x, r):
         """Open ball {y : d(x, y) < r} as an index array."""

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -118,3 +120,21 @@ def test_render_svg(tmp_path):
     run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
     assert run("render", "--space", str(space), "--kappa", "2.0", "--out", str(svg)) == 0
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("eta", ["12", "20"])
+def test_verify_nonfinite_constant_fails_with_flag(tmp_path, eta):
+    # At eta=12 the assembled constant is inf; at eta=20 it overflows.
+    space = tmp_path / "r.json"
+    rep = tmp_path / "rep.csv"
+    run("gen", "--kind", "radial_profile", "--n", "256", "--eta", eta, "-o", str(space))
+    code = run(
+        "verify", "--space", str(space), "--ineq", "weighted-sobolev", "--s", "1",
+        "--t", "2", "--seed", "1", "--deterministic-output", "--out", str(rep),
+    )
+    assert code == 2
+    with open(rep, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["pass"] == "False"
+    assert not math.isfinite(float(row["theoretical"]))
+    assert "constant_nonfinite" in row["hypotheses_violated"].split(";")

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
+
+import pilab.space as space_module
 
 from pilab.errors import (
     DisconnectedGraph,
@@ -11,7 +14,13 @@ from pilab.errors import (
     NonPositiveMass,
     NotAhlfors,
 )
-from pilab.gallery import grid_quadrant, path_space, radial_profile
+from pilab.gallery import (
+    cone_grid,
+    grid_quadrant,
+    path_space,
+    radial_profile,
+    sector_union,
+)
 from pilab.space import (
     ahlfors_fit,
     build_space,
@@ -126,3 +135,126 @@ def test_arrays_read_only():
     sp = path_space(4)
     with pytest.raises(ValueError):
         sp.measure[0] = 5.0
+
+
+# -- exact diameter ----------------------------------------------------------
+
+
+def _dense_diameter(sp):
+    return float(csgraph.shortest_path(sp.adjacency, method="D", directed=False).max())
+
+
+def test_diameter_exact_where_double_sweep_is_not():
+    sp = sector_union(1.0, r_max=20.0)
+    assert sp.n == 660
+    row0 = csgraph.dijkstra(sp.adjacency, directed=False, indices=0)
+    far = int(np.argmax(row0))
+    double_sweep = csgraph.dijkstra(sp.adjacency, directed=False, indices=far).max()
+    assert double_sweep == 65.0
+    assert sp.diameter() == _dense_diameter(sp) == 67.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: grid_quadrant(12),
+        lambda: sector_union(0.5, r_max=6.0),
+        lambda: radial_profile(40, 2.0),
+        lambda: cone_grid(12, 2.0),
+        lambda: path_space(9, step=0.3),
+    ],
+    ids=["grid_quadrant", "sector_union", "radial_profile", "cone_grid", "path"],
+)
+def test_diameter_exact_gallery(make):
+    sp = make()
+    dense = _dense_diameter(sp)
+    assert sp.diameter() == dense
+    # computed once
+    rows = len(sp._dist_cache)
+    assert sp.diameter() == dense
+    assert len(sp._dist_cache) == rows
+
+
+@st.composite
+def connected_graphs(draw, max_n=24):
+    """Random connected weighted graph: a random tree plus extra edges."""
+    n = draw(st.integers(2, max_n))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    pairs = sorted(pairs)
+    lengths = draw(st.lists(st.floats(0.01, 10.0), min_size=len(pairs), max_size=len(pairs)))
+    return build_space(n, [(u, v, l) for (u, v), l in zip(pairs, lengths)], np.ones(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_diameter_exact_random_graphs(sp):
+    dense = csgraph.shortest_path(sp.adjacency, method="D", directed=False)
+    diam = sp.diameter()
+    # The diameter is the largest entry of some row, bit for bit.
+    assert diam in set(dense.max(axis=1).tolist())
+    # Rows from the two ends of a path sum its < n lengths in opposite
+    # orders, so d(x, y) and d(y, x) may differ by that many roundings.
+    assert diam == pytest.approx(dense.max(), rel=2 * sp.n * np.finfo(float).eps, abs=0)
+
+
+# -- multi-source fattening --------------------------------------------------
+
+
+def _union_of_balls(sp, A, rho):
+    rows = csgraph.dijkstra(sp.adjacency, directed=False, indices=np.asarray(A))
+    return np.flatnonzero((np.atleast_2d(rows) < rho).any(axis=0))
+
+
+def test_fattening_cone_matches_union_of_balls():
+    sp = cone_grid(12, 2.0)
+    d = csgraph.dijkstra(sp.adjacency, directed=False, indices=0)
+    A = np.flatnonzero((d >= 4.0) & (d < 8.0))
+    full = sp.dist_to_set(A)
+    attained = np.unique(full[full > 0])
+    for rho in (0.5, 2.0, float(attained[3]), float(attained[-1]), np.inf):
+        fat = np.flatnonzero(sp.dist_to_set(A, limit=rho) < rho)
+        assert np.array_equal(fat, _union_of_balls(sp, A, rho)), rho
+    # balls are open: vertices at exactly rho from A stay out
+    rho = float(attained[3])
+    at_rho = np.flatnonzero(full == rho)
+    fat = np.flatnonzero(sp.dist_to_set(A, limit=rho) < rho)
+    assert len(at_rho) and not np.isin(at_rho, fat).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.data())
+def test_fattening_random_graph_matches_union_of_balls(sp, data):
+    A = data.draw(st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=sp.n, unique=True))
+    full = sp.dist_to_set(A)
+    assert np.array_equal(full, np.atleast_2d(
+        csgraph.dijkstra(sp.adjacency, directed=False, indices=np.asarray(A))).min(axis=0))
+    rho = data.draw(st.sampled_from(sorted(set(full.tolist())) + [0.5, 3.0]))
+    fat = np.flatnonzero(sp.dist_to_set(A, limit=rho) < rho)
+    assert np.array_equal(fat, _union_of_balls(sp, A, rho))
+
+
+# -- bounded row cache ---------------------------------------------------------
+
+
+def test_row_cache_is_bounded_and_correct(monkeypatch):
+    sp = grid_quadrant(12)
+    row_bytes = sp.n * 8
+    cap = 5 * row_bytes
+    monkeypatch.setattr(space_module, "ROW_CACHE_BYTES", cap)
+    rng = np.random.default_rng(3)
+    sources = rng.integers(sp.n, size=200)
+    for x in sources:
+        row = sp.dist_from(x)
+        held = sum(r.nbytes for r in sp._dist_cache.values())
+        assert held <= cap and held == sp._cache_bytes
+        assert np.array_equal(row, csgraph.dijkstra(sp.adjacency, directed=False, indices=x))
+    assert len(sp._dist_cache) == 5
+    # least recently used goes first: a row read again survives the next miss
+    recent = list(sp._dist_cache)
+    again = sp.dist_from(recent[0])
+    fresh = next(v for v in range(sp.n) if v not in sp._dist_cache)
+    sp.dist_from(fresh)
+    assert recent[0] in sp._dist_cache and recent[1] not in sp._dist_cache
+    assert sp.dist_from(recent[0]) is again

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilab.errors import PNotBelowQ, ZeroMass
-from pilab.gallery import grid_quadrant, path_space, radial_profile
+from pilab.gallery import (
+    grid_quadrant,
+    path_space,
+    radial_profile,
+    sector_union,
+    sector_union_origin,
+)
 from pilab.verify import (
     ahlfors_sobolev_check,
     annulus_piece_check,
@@ -47,6 +55,8 @@ def test_p_star():
 def test_patching_constant_values():
     assert patching_constant(1, 1, 1, 1, 2, 2) == pytest.approx(10.0, abs=1e-12)
     assert patching_constant(1, 1, 1, 1, 1, 1) == pytest.approx(3.0, abs=1e-12)
+    # (2 C1 C2)^t beyond the float range is inf, not OverflowError
+    assert patching_constant(1e200, 1e200, 1, 1, 1, 2) == math.inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,6 +228,15 @@ def test_eta_flag_on_uniform_path():
     fam = make_family(sp, 0, seed=8, count=40)
     rep = hardy_check(sp, 0, 1.0, fam)
     assert "eta_not_above_s" in rep.hypotheses_violated
+
+
+def test_iso_not_exact_flag_on_heuristic_isoperimetric_constant():
+    # kappa 1.5 gives 36 interior covering pieces: too many to enumerate.
+    sp = sector_union(1.0)
+    o = sector_union_origin(sp)
+    fam = make_family(sp, o, seed=2, count=20)
+    rep = hardy_check(sp, o, 1.0, fam, kappa=1.5)
+    assert "iso_not_exact" in rep.hypotheses_violated.split(";")
 
 
 def test_ahlfors_matches_hardy_when_t_equals_s():
