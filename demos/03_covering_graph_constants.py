@@ -26,8 +26,7 @@ def main():
           f"{int(graph.boundary.sum())} boundary piece(s)")
 
     iso = isoperimetric_constant(graph)
-    print(f"  isoperimetric constant I = {iso.I:.4f} "
-          f"({'exact' if iso.exact else 'heuristic'}, witness {sorted(iso.witness)})")
+    print(f"  isoperimetric constant I = {iso.I:.4f} (witness {sorted(iso.witness)})")
 
     C1 = poincare_constant(graph, 1.0)
     print(f"  best 1-Poincare constant = {C1:.4f}  (1/I = {1.0 / iso.I:.4f})")

@@ -112,10 +112,10 @@ def _cmd_graph(args):
     decomp = cov.kappa_decomposition(space, args.o, kappa)
     covering = cov.expand_covering(space, decomp)
     graph = graph_ineq.build_covering_graph(space, covering)
-    iso = graph_ineq.isoperimetric_constant(graph, seed=_seed(args))
+    iso = graph_ineq.isoperimetric_constant(graph)
     print(f"vertices {graph.n}")
     print(f"edges {len(graph.edges)}")
-    print(f"isoperimetric {iso.I:.6g} ({iso.method})")
+    print(f"isoperimetric {iso.I:.6g}")
     print(f"poincare_1 {1.0 / iso.I:.6g}")
     print(f"poincare_2 {graph_ineq.poincare_constant(graph, 2):.6g}")
     if args.out:
@@ -160,16 +160,16 @@ def _cmd_verify(args):
         )
     reports = [rep]
     if args.out:
-        prov = {
-            "seed": seed,
-            "space": verify.space_hash(space),
-            "o": args.o,
-            "s": args.s,
-            "t": args.t,
-            "kappa": kappa,
-            "count": args.count,
-        }
         if args.format == "json":
+            prov = {
+                "seed": seed,
+                "space": verify.space_hash(space),
+                "o": args.o,
+                "s": args.s,
+                "t": args.t,
+                "kappa": kappa,
+                "count": args.count,
+            }
             verify.write_reports_json(reports, args.out, prov, zero_seconds=args.deterministic_output)
         else:
             verify.write_reports_csv(reports, args.out, zero_seconds=args.deterministic_output)
@@ -271,7 +271,6 @@ def build_parser():
     gr.add_argument("--space", required=True)
     gr.add_argument("--o", type=int, default=0)
     gr.add_argument("--kappa", type=_positive_kappa, default=2.0)
-    gr.add_argument("--seed", type=int, default=None)
     gr.add_argument("-o", "--out", default=None, help="optional DOT output")
     gr.set_defaults(fn=_cmd_graph)
 

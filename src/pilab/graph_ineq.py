@@ -5,6 +5,10 @@ U set; adjacent pieces are joined by an edge weighted by the smaller of the
 two vertex masses.  The outermost levels act as a Dirichlet boundary, which
 makes finitely supported functions on the infinite model space meaningful
 on its truncation.
+
+The isoperimetric constant I over interior sets is exact at every size: it
+comes from one linear program (HiGHS through scipy), the coarea dual of
+the best discrete 1-Poincare constant 1/I.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
+from scipy.optimize import linprog
 
-from .errors import EtaNotAboveP, NoBoundary, SeriesDiverges, ZeroMass
+from .covering import layer_bound
+from .errors import EtaNotAboveP, NoBoundary, PilabError, SeriesDiverges, ZeroMass
 from .weights import weight_density
-
-EXACT_ISO_LIMIT = 22
 
 
 @dataclass
@@ -55,8 +60,7 @@ class GraphProfile:
 class IsoperimetricResult:
     I: float
     witness: frozenset
-    exact: bool
-    method: str
+    exact: bool  # always True; kept for callers that read it
 
     def __float__(self):
         return self.I
@@ -136,97 +140,61 @@ def _cut_volume_arrays(graph):
     return interior, ii_edges, ib_edges
 
 
-def _cut_ratio(graph, interior, ii_edges, ib_edges, mask):
-    """mu(boundary of Omega) / mu(Omega) for an interior 0/1 mask."""
-    vol = float(graph.vmass[interior][mask.astype(bool)].sum())
-    if vol <= 0:
-        return math.inf
-    cut = 0.0
-    for u, v, w in ii_edges:
-        if mask[u] != mask[v]:
-            cut += w
-    for u, w in ib_edges:
-        if mask[u]:
-            cut += w
-    return cut / vol
+def _coarea_lp(vm, ii_edges, ib_edges):
+    """Optimal f of max sum m*f over f >= 0 with sum_e w_e |grad f|_e <= 1.
+
+    Variables are f on the interior and one slack per edge bounding the
+    edge's slope (|f_u - f_v| inside, f_u on a boundary edge).  All masses
+    are divided by the largest vertex mass, which leaves the optimal level
+    sets unchanged.
+    """
+    k, n_ii = len(vm), len(ii_edges)
+    edges = ii_edges + ib_edges
+    m = len(edges)
+    scale = float(vm.max())
+    w = np.array([e[-1] for e in edges]) / scale
+    # signed edge-vertex incidence; a boundary edge has only its interior end
+    rows = np.r_[np.arange(m), np.arange(n_ii)]
+    cols = [e[0] for e in edges] + [e[1] for e in ii_edges]
+    signs = np.r_[np.ones(m), -np.ones(n_ii)]
+    D = sparse.csr_matrix((signs, (rows, cols)), shape=(m, k))
+    slack = -sparse.identity(m)
+    A = sparse.bmat([[D, slack], [-D, slack], [None, w[None, :]]], format="csr")
+    b = np.r_[np.zeros(2 * m), 1.0]
+    c = np.r_[-vm / scale, np.zeros(m)]
+    res = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    if res.status == 3:
+        raise NoBoundary("an interior vertex has no path to the boundary layer")
+    if res.status != 0:
+        raise PilabError(f"isoperimetric LP: {res.message}")
+    return res.x[:k]
 
 
-def isoperimetric_constant(graph, seed=0):
+def isoperimetric_constant(graph):
     """Isoperimetric constant over sets avoiding the boundary layer.
 
-    Exact enumeration up to 22 interior vertices; above that a heuristic
-    search (BFS-ball sweeps plus seeded annealing) gives an upper bound and
-    the result is flagged exact=False.
+    Exact: by the coarea formula the LP of `_coarea_lp` has optimum 1/I,
+    attained on a level set {f >= theta} of its optimal f.  The best such
+    set is the witness, and I is its cut over its volume.
     """
     if not graph.boundary.any():
         raise NoBoundary("graph has no designated boundary layer")
     interior, ii_edges, ib_edges = _cut_volume_arrays(graph)
-    k = len(interior)
-    if k == 0:
+    if len(interior) == 0:
         raise NoBoundary("graph has no interior vertices")
-    if k <= EXACT_ISO_LIMIT:
-        best, best_mask = math.inf, None
-        vm = graph.vmass[interior]
-        chunk = 1 << 20
-        total = 1 << k
-        for start in range(1, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            bits = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)
-            vol = bits @ vm
-            cut = np.zeros(len(masks))
-            for u, v, w in ii_edges:
-                cut += w * (bits[:, u] != bits[:, v])
-            for u, w in ib_edges:
-                cut += w * bits[:, u]
-            ratios = cut / vol
-            j = int(np.argmin(ratios))
-            if ratios[j] < best:
-                best = float(ratios[j])
-                best_mask = bits[j].copy()
-        witness = frozenset(int(v) for v, b in zip(interior, best_mask) if b)
-        return IsoperimetricResult(best, witness, True, "enumeration")
-
-    # heuristic: sweep BFS-ball prefixes from every interior vertex, then
-    # anneal from the best sweep set
-    nbrs = [[] for _ in range(k)]
-    for u, v, _ in ii_edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    best, best_mask = math.inf, np.zeros(k, dtype=np.int8)
-    for s in range(k):
-        order, seen, frontier = [s], {s}, [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in nbrs[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        order.append(v)
-                        nxt.append(v)
-            frontier = nxt
-        mask = np.zeros(k, dtype=np.int8)
-        for u in order:
-            mask[u] = 1
-            r = _cut_ratio(graph, interior, ii_edges, ib_edges, mask)
-            if r < best:
-                best, best_mask = r, mask.copy()
-    rng = np.random.default_rng(seed)
-    mask = best_mask.copy()
-    cur = best
-    temp = max(best, 1e-9)
-    for step in range(200 * k):
-        u = int(rng.integers(k))
-        mask[u] ^= 1
-        r = _cut_ratio(graph, interior, ii_edges, ib_edges, mask)
-        if r <= cur or rng.random() < math.exp(-(r - cur) / temp):
-            cur = r
-            if r < best:
-                best, best_mask = r, mask.copy()
-        else:
-            mask[u] ^= 1
-        temp *= 0.999
-    witness = frozenset(int(v) for v, b in zip(interior, best_mask) if b)
-    return IsoperimetricResult(float(best), witness, False, "heuristic")
+    vm = graph.vmass[interior]
+    f = _coarea_lp(vm, ii_edges, ib_edges)
+    bits = f[None, :] >= np.unique(f)[:, None]
+    vol = bits @ vm
+    cut = np.zeros(len(bits))
+    for u, v, w in ii_edges:
+        cut += w * (bits[:, u] != bits[:, v])
+    for u, w in ib_edges:
+        cut += w * bits[:, u]
+    ratios = cut / vol
+    j = int(np.argmin(ratios))
+    witness = frozenset(int(v) for v in interior[bits[j]])
+    return IsoperimetricResult(float(ratios[j]), witness, True)
 
 
 def _dirichlet_ratio(graph, interior, ii_edges, ib_edges, f, t):
@@ -270,7 +238,7 @@ def poincare_constant(graph, t, seed=0, refine_iters=400):
     if k == 0:
         raise NoBoundary("graph has no interior vertices")
     if t == 1:
-        return 1.0 / isoperimetric_constant(graph, seed=seed).I
+        return 1.0 / isoperimetric_constant(graph).I
     L = np.zeros((k, k))
     for u, v, w in ii_edges:
         L[u, u] += w
@@ -381,14 +349,13 @@ def theoretical_isoperimetric_bound(Q, kappa, C_o, eta, s, t):
     if eta <= s:
         raise SeriesDiverges(f"eta={eta} <= s={s}")
     C_e = excess_constant(Q, kappa)
-    h = 2.0**Q * (8.0 * kappa / (kappa - 1.0)) ** Q
     S = 1.0 / (1.0 - kappa ** (t * (1.0 - eta / s)))
     inner = (
         C_o ** (t / s) * kappa ** (2 * t) * S
         + 1.0
         + 2.0 ** (Q * t / s) * kappa ** (2 * t) * (1.0 + kappa ** (t * (1.0 - Q / s)))
     )
-    return 1.0 / (C_e**2 * h * inner)
+    return 1.0 / (C_e**2 * layer_bound(Q, kappa) * inner)
 
 
 def rca_kappa(Q, p, lam, C_P, eta, C_o):

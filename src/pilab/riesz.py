@@ -196,8 +196,7 @@ def riesz_constants(Q, C_P, lam, s, eta=None):
     if s >= Q:
         raise ExponentOutOfRange(f"s={s} >= Q={Q}")
     c = (2.0 * lam - 1.0) / (2.0 * lam)
-    omega = 2.0 * lam / (1.0 / (1.0 - c) + lam / c)
-    C1 = max(2.0 * (2.0 * lam) ** (3.0 * Q), (2.0 / omega) ** Q) * C_P
+    C1 = _chain_C1(Q, C_P, lam)
     C3 = 8.0 ** (Q / s) / (2.0 * (1.0 - c ** (Q / s - 1.0)))
     C4 = 2.0 ** (Q / s) * (4.0 * lam + 1.0) ** (Q / s) / (2.0 * (1.0 - c))
     C5 = 2.0 * max(C3, C4)
@@ -216,7 +215,7 @@ def riesz_constants(Q, C_P, lam, s, eta=None):
         lam=lam,
         s=s,
         c_lambda=c,
-        omega_lambda=omega,
+        omega_lambda=_omega(lam),
         C1=C1,
         C2=C2,
         C3=C3,
@@ -258,7 +257,7 @@ def representation_check(space, a, R, lam, s, f, g, sample, C_P, Q, tol=1e-9):
     B = space.ball(a, R)
     mB = space.measure[B]
     f_B = float((f[B] * mB).sum() / mB.sum())
-    C1 = max(2.0 * (2.0 * lam) ** (3.0 * Q), (2.0 / _omega(lam)) ** Q) * C_P
+    C1 = _chain_C1(Q, C_P, lam)
     worst, worst_x = 0.0, int(a)
     for x in sample:
         x = int(x)
@@ -276,3 +275,8 @@ def representation_check(space, a, R, lam, s, f, g, sample, C_P, Q, tol=1e-9):
 def _omega(lam):
     c = (2.0 * lam - 1.0) / (2.0 * lam)
     return 2.0 * lam / (1.0 / (1.0 - c) + lam / c)
+
+
+def _chain_C1(Q, C_P, lam):
+    """Constant of the chain representation |f(x) - f_B| <= C1 J(x)."""
+    return max(2.0 * (2.0 * lam) ** (3.0 * Q), (2.0 / _omega(lam)) ** Q) * C_P

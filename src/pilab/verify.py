@@ -425,11 +425,8 @@ def _weighted_check(
     covering = expand_covering(space, decomp)
     val = validate_covering(covering, space, weight=weight)
     graph = build_covering_graph(space, covering, weight=weight)
-    iso = isoperimetric_constant(graph)
-    if not iso.exact:
-        flags.append("iso_not_exact")
     gp = graph_profile(graph)
-    C_disc = 1.0 / iso.I
+    C_disc = 1.0 / isoperimetric_constant(graph).I
     C2 = C_disc if t <= 1 else upgrade_constant(C_disc, gp.A, gp.B, t)
     C_P = measure_poincare(space, s)
     C1 = local_scale * _local_patched_constant(Q, C_P, kappa, s, t, flags)

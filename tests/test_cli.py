@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from pilab import verify
 from pilab.cli import main
 from pilab.gallery import load_space
 
@@ -48,7 +49,8 @@ def test_graph_command(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     run("gen", "--kind", "grid_quadrant", "--n", "16", "-o", str(space))
     assert run("graph", "--space", str(space), "--out", str(dot)) == 0
-    assert "isoperimetric" in capsys.readouterr().out
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(lines["isoperimetric"]) * float(lines["poincare_1"]) == pytest.approx(1.0, rel=1e-5)
     assert dot.read_text().startswith("graph covering {")
 
 
@@ -76,6 +78,28 @@ def test_verify_json_provenance(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["provenance"]["seed"] == 3
     assert len(doc["reports"]) == 1
+
+
+def test_verify_hashes_space_only_for_json(tmp_path, monkeypatch):
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "12", "-o", str(space))
+    expected = verify.space_hash(load_space(space))
+
+    def no_hash(_space):
+        raise AssertionError("space_hash called for a CSV report")
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "space_hash", no_hash)
+        assert run(
+            "verify", "--space", str(space), "--ineq", "hardy", "--seed", "3",
+            "--count", "30", "--out", str(tmp_path / "rep.csv"),
+        ) == 0
+    rep = tmp_path / "rep.json"
+    assert run(
+        "verify", "--space", str(space), "--ineq", "hardy", "--seed", "3",
+        "--count", "30", "--format", "json", "--out", str(rep),
+    ) == 0
+    assert json.loads(rep.read_text())["provenance"]["space"] == expected
 
 
 def test_verify_deterministic_output(tmp_path):

@@ -75,14 +75,31 @@ def test_upgrade_constant_formula():
     assert upgrade_constant(2.0, 4.0, 9.0, 2.0) == pytest.approx(2 * 2 * 2 * 6.0)
 
 
-def test_heuristic_flagged_on_large_interior():
+def test_isoperimetric_path_30_exact():
     n = 30
     edges = [(i, i + 1) for i in range(n - 1)]
     g = make_graph(n, edges)
     res = isoperimetric_constant(g)
-    assert not res.exact
+    assert res.exact
     # path with one boundary end: best set is everything, cut 1 / mass 29
-    assert res.I == pytest.approx(1.0 / 29.0, rel=1e-9)
+    assert res.I == pytest.approx(1.0 / 29.0, rel=1e-12)
+    assert res.witness == frozenset(range(29))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_isoperimetric_independent_of_mass_scale(scale):
+    # {0} (cut 0.01, mass 1) beats the whole interior {0, 1} (cut 1, mass 2)
+    g = make_graph(3, [(0, 1), (1, 2)], vmass=[scale] * 3, emass=[0.01 * scale, scale])
+    res = isoperimetric_constant(g)
+    assert res.I == pytest.approx(0.01, rel=1e-12)
+    assert res.witness == frozenset({0})
+
+
+def test_interior_cut_off_from_boundary_raises():
+    # vertex 3 has no edge, so its indicator has cut 0 and I = 0
+    g = make_graph(5, [(0, 1), (1, 2), (2, 4)])
+    with pytest.raises(NoBoundary):
+        isoperimetric_constant(g)
 
 
 def test_neumann_examples():

@@ -230,13 +230,14 @@ def test_eta_flag_on_uniform_path():
     assert "eta_not_above_s" in rep.hypotheses_violated
 
 
-def test_iso_not_exact_flag_on_heuristic_isoperimetric_constant():
-    # kappa 1.5 gives 36 interior covering pieces: too many to enumerate.
+def test_no_iso_not_exact_flag_on_large_covering_graph():
+    # kappa 1.5 gives 36 interior covering pieces; the isoperimetric
+    # constant is exact at any size, so nothing is flagged for it.
     sp = sector_union(1.0)
     o = sector_union_origin(sp)
     fam = make_family(sp, o, seed=2, count=20)
     rep = hardy_check(sp, o, 1.0, fam, kappa=1.5)
-    assert "iso_not_exact" in rep.hypotheses_violated.split(";")
+    assert "iso_not_exact" not in rep.hypotheses_violated.split(";")
 
 
 def test_ahlfors_matches_hardy_when_t_equals_s():
