@@ -9,14 +9,8 @@ measure-comparison (Q2) constants drive the global patching step.
 
 import collections
 
-from pilab.covering import (
-    expand_covering,
-    kappa_decomposition,
-    layer_bound,
-    theoretical_Q1,
-    theoretical_Q2,
-    validate_covering,
-)
+from pilab.constants import layer_bound, theoretical_Q1, theoretical_Q2
+from pilab.covering import expand_covering, kappa_decomposition, validate_covering
 from pilab.gallery import grid_quadrant
 from pilab.space import doubling_profile
 

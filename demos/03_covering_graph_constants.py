@@ -7,6 +7,7 @@ isoperimetric constant I equals the reciprocal of the best discrete
 at the price of 2*tau*(A*B)^(1-1/tau).
 """
 
+from pilab.constants import upgrade_constant
 from pilab.covering import expand_covering, kappa_decomposition
 from pilab.gallery import grid_quadrant
 from pilab.graph_ineq import (
@@ -14,7 +15,6 @@ from pilab.graph_ineq import (
     graph_profile,
     isoperimetric_constant,
     poincare_constant,
-    upgrade_constant,
 )
 
 

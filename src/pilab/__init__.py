@@ -13,12 +13,20 @@ from .space import (
     ahlfors_fit,
 )
 from .gallery import GallerySpec, generate, load_space, save_space
+from .constants import (
+    layer_bound,
+    p_star,
+    patching_constant,
+    rca_kappa,
+    riesz_constants,
+    theoretical_isoperimetric_bound,
+    theoretical_Q2,
+    upgrade_constant,
+)
 from .covering import (
     kappa_decomposition,
     expand_covering,
     validate_covering,
-    layer_bound,
-    theoretical_Q2,
     greedy_net,
     annulus_piece_covering,
 )
@@ -27,19 +35,14 @@ from .graph_ineq import (
     graph_profile,
     isoperimetric_constant,
     poincare_constant,
-    upgrade_constant,
     neumann_check,
     layer_weight_bounds,
-    theoretical_isoperimetric_bound,
-    rca_kappa,
     rca_check,
 )
-from .riesz import ball_chain, riesz_potential, maximal_function, riesz_constants, representation_check
+from .riesz import ball_chain, riesz_potential, maximal_function, representation_check
 from .verify import (
     lip,
     cheeger_energy,
-    p_star,
-    patching_constant,
     mean_comparison_check,
     make_family,
     local_sobolev_check,

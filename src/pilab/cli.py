@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import covering as cov
-from . import gallery, graph_ineq, verify
+from . import constants, gallery, graph_ineq, verify
 from .errors import PilabError
 from .space import ahlfors_fit, doubling_profile, reverse_doubling_fit
 from .errors import NotAhlfors
@@ -48,7 +48,7 @@ def _resolve_kappa(args, space, o):
     C_o = reverse_doubling_fit(space, o, eta)
     C_P = verify.measure_poincare(space, 1.0)
     try:
-        k = graph_ineq.rca_kappa(max(prof.Q, 1.0), 1.0, 2.0, C_P, eta, max(C_o, 1e-9))
+        k = constants.rca_kappa(max(prof.Q, 1.0), 1.0, 2.0, C_P, eta, max(C_o, 1e-9))
     except PilabError:
         k = 2.0
     cap = max(2.0, space.diameter() / 4.0)

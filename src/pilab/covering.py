@@ -358,30 +358,6 @@ def validate_covering(covering, space, weight=None, Q1_bound=None, Q2_bound=None
     )
 
 
-def layer_bound(Q, kappa):
-    """Upper bound 2^Q (8 kappa / (kappa - 1))^Q on pieces per level."""
-    if kappa <= 1:
-        raise KappaOutOfRange(f"kappa={kappa}")
-    return 2.0**Q * (8.0 * kappa / (kappa - 1.0)) ** Q
-
-
-def theoretical_Q1(Q, kappa):
-    """Overlap-count surrogate: U# closures touch only within 19 levels,
-    each holding at most layer_bound(Q, kappa) pieces."""
-    return 19.0 * layer_bound(Q, kappa)
-
-
-def theoretical_Q2(Q, kappa, alpha, beta):
-    """Measure-comparability bound for densities m(B_d(o))^alpha d^-beta."""
-    if kappa <= 1:
-        raise KappaOutOfRange(f"kappa={kappa}")
-    return (
-        2.0 ** (Q * (alpha + 1))
-        * kappa ** (3 * alpha * Q + 4 * beta)
-        * (8.0 * kappa / (kappa - 1.0)) ** Q
-    )
-
-
 def greedy_net(space, subset, radius):
     """Greedy farthest-point net of `subset`.
 

@@ -21,8 +21,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from .covering import layer_bound
-from .errors import EtaNotAboveP, NoBoundary, PilabError, SeriesDiverges, ZeroMass
+from .constants import excess_constant, neumann_constant
+from .errors import NoBoundary, PilabError, ZeroMass
 from .weights import weight_density
 
 
@@ -82,12 +82,12 @@ class RcaResult:
     passed: bool
 
 
-def build_covering_graph(space, covering, weight=None, boundary_levels=1):
+def build_covering_graph(space, covering, weight=None):
     """Weighted graph on covering pieces with a designated boundary layer.
 
     Vertex mass is the mu-mass of the piece's U set; edge mass is the
-    smaller endpoint mass.  The `boundary_levels` outermost decomposition
-    levels are marked as boundary.
+    smaller endpoint mass.  The outermost decomposition level is marked as
+    boundary.
     """
     w = np.ones(space.n) if weight is None else np.asarray(weight, dtype=float)
     mu = w * space.measure
@@ -97,8 +97,8 @@ def build_covering_graph(space, covering, weight=None, boundary_levels=1):
     edges = list(covering.adjacency)
     emass = np.array([min(vmass[a], vmass[b]) for a, b in edges])
     levels = list(covering.levels)
-    top = sorted(set(levels))[-boundary_levels:] if levels else []
-    boundary = np.array([lv in top for lv in levels], dtype=bool)
+    top = max(levels, default=None)
+    boundary = np.array([lv == top for lv in levels], dtype=bool)
     return CoveringGraph(
         n=covering.n_pieces,
         edges=edges,
@@ -281,46 +281,28 @@ def poincare_constant(graph, t, seed=0, refine_iters=400):
     return float(best)
 
 
-def upgrade_constant(C, A, B, tau):
-    """Self-improvement of a 1-Poincare constant to exponent tau."""
-    return 2.0 * C * tau * (A * B) ** (1.0 - 1.0 / tau)
-
-
-def neumann_check(graph, f, s, mean_mode="support"):
+def neumann_check(graph, f, s):
     """Discrete Neumann s-Poincare inequality on the whole graph.
 
-    The mean is taken over the support of f (mean_mode="support", the
-    convention that makes constant functions trivially pass) or over all
-    vertices (mean_mode="all").  Uniform masses use the sharp counting
-    constant N(N-1)^(s-1); otherwise the comparability-corrected constant
-    2^s N(N-1)^(s-1) K^2 applies.
+    The mean is taken over the support of f, the convention that makes
+    constant functions trivially pass.  Uniform masses use the sharp
+    counting constant N(N-1)^(s-1); otherwise `neumann_constant` applies.
     """
     f = np.asarray(f, dtype=float)
     N = graph.n
     masses = np.concatenate([graph.vmass, graph.emass]) if len(graph.emass) else graph.vmass
     uniform = float(masses.max() - masses.min()) <= 1e-12 * float(masses.max())
-    base = N * (N - 1) ** (s - 1.0)
-    if uniform:
-        const = base
-    else:
-        const = 2.0**s * base * graph_profile(graph).K ** 2
-    if mean_mode == "support":
-        supp = np.abs(f) > 0
-        denom = float(graph.vmass[supp].sum())
-        mean = float((f * graph.vmass).sum() / denom) if denom > 0 else 0.0
-    else:
-        mean = float((f * graph.vmass).sum() / graph.vmass.sum())
+    K = graph_profile(graph).K
+    const = N * (N - 1) ** (s - 1.0) if uniform else neumann_constant(N, K, s)
+    supp = np.abs(f) > 0
+    denom = float(graph.vmass[supp].sum())
+    mean = float((f * graph.vmass).sum() / denom) if denom > 0 else 0.0
     lhs = float((np.abs(f - mean) ** s * graph.vmass).sum())
     grad = sum(
         w * abs(f[a] - f[b]) ** s for (a, b), w in zip(graph.edges, graph.emass)
     )
     rhs = const * grad
     return NeumannResult(lhs, rhs, const, mean, lhs <= rhs * (1 + 1e-9))
-
-
-def excess_constant(Q, kappa):
-    """Bound (16 kappa / (kappa - 1))^Q on ball mass over piece mass."""
-    return (16.0 * kappa / (kappa - 1.0)) ** Q
 
 
 def layer_weight_bounds(space, covering, piece_idx, s, t, Q, weight=None):
@@ -338,32 +320,6 @@ def layer_weight_bounds(space, covering, piece_idx, s, t, Q, weight=None):
     lower = space.ball_mass(o, kappa ** (i - 1)) ** (t / s) / (C_e * kappa ** ((i + 1) * t))
     upper = space.ball_mass(o, kappa ** (i + 1)) ** (t / s) / kappa ** ((i - 1) * t)
     return lower, upper, mu, bool(lower <= mu <= upper)
-
-
-def theoretical_isoperimetric_bound(Q, kappa, C_o, eta, s, t):
-    """Lower bound on the covering-graph isoperimetric constant.
-
-    Requires eta > s so the layer-mass series converges; otherwise raises
-    SeriesDiverges.
-    """
-    if eta <= s:
-        raise SeriesDiverges(f"eta={eta} <= s={s}")
-    C_e = excess_constant(Q, kappa)
-    S = 1.0 / (1.0 - kappa ** (t * (1.0 - eta / s)))
-    inner = (
-        C_o ** (t / s) * kappa ** (2 * t) * S
-        + 1.0
-        + 2.0 ** (Q * t / s) * kappa ** (2 * t) * (1.0 + kappa ** (t * (1.0 - Q / s)))
-    )
-    return 1.0 / (C_e**2 * layer_bound(Q, kappa) * inner)
-
-
-def rca_kappa(Q, p, lam, C_P, eta, C_o):
-    """Scale factor above which annuli of a PI space stay relatively
-    connected.  Requires eta > p."""
-    if eta <= p:
-        raise EtaNotAboveP(f"eta={eta} <= p={p}")
-    return (4.0**eta * C_o * C_P * 484.0**Q) ** (1.0 / (eta - p))
 
 
 def rca_check(space, o, kappa, radii=None):

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ExponentOutOfRange,
-    GNotUpperGradient,
-    SphereEmpty,
-    XEqualsCenter,
-    XOutsideBall,
-)
+from .constants import _chain_C1, c_lambda
+from .errors import GNotUpperGradient, SphereEmpty, XEqualsCenter, XOutsideBall
 
 MAX_CHAIN_STEPS = 10_000
 
@@ -40,7 +35,7 @@ class BallChain:
 
     @property
     def c_lambda(self):
-        return (2.0 * self.lam - 1.0) / (2.0 * self.lam)
+        return c_lambda(self.lam)
 
     @property
     def sum_radii(self):
@@ -71,7 +66,7 @@ def ball_chain(space, a, R, x, lam):
         raise XEqualsCenter(f"x={x} equals center")
     if d_ax >= R:
         raise XOutsideBall(f"d(a, x)={d_ax} >= R={R}")
-    c = (2.0 * lam - 1.0) / (2.0 * lam)
+    c = c_lambda(lam)
     dist_to_x = space.dist_from(x)
 
     centers = {0: int(a)}
@@ -170,64 +165,6 @@ def maximal_function(space, h, s, x):
 
 
 @dataclass
-class RieszConstants:
-    Q: float
-    C_P: float
-    lam: float
-    s: float
-    c_lambda: float
-    omega_lambda: float
-    C1: float
-    C2: float
-    C3: float
-    C4: float
-    C5: float
-    C_s: float
-    C2_prime: float | None
-    C_LS: float | None
-
-
-def riesz_constants(Q, C_P, lam, s, eta=None):
-    """Constants of the chain representation and local Sobolev estimates.
-
-    Requires s < Q.  C2_prime and C_LS additionally need a reverse-doubling
-    exponent eta < Q and are None otherwise.
-    """
-    if s >= Q:
-        raise ExponentOutOfRange(f"s={s} >= Q={Q}")
-    c = (2.0 * lam - 1.0) / (2.0 * lam)
-    C1 = _chain_C1(Q, C_P, lam)
-    C3 = 8.0 ** (Q / s) / (2.0 * (1.0 - c ** (Q / s - 1.0)))
-    C4 = 2.0 ** (Q / s) * (4.0 * lam + 1.0) ** (Q / s) / (2.0 * (1.0 - c))
-    C5 = 2.0 * max(C3, C4)
-    C2 = 2.0 * C5
-    C_s = C1 * C2
-    C2_prime = C_LS = None
-    if eta is not None and eta < Q:
-        C2_prime = 2.0 ** (Q + 1.0) * max(
-            4.0**Q / (1.0 - c ** (Q / eta - 1.0)),
-            (4.0 * lam + 1.0) ** Q / (1.0 - c),
-        )
-        C_LS = C1 * C2_prime
-    return RieszConstants(
-        Q=Q,
-        C_P=C_P,
-        lam=lam,
-        s=s,
-        c_lambda=c,
-        omega_lambda=_omega(lam),
-        C1=C1,
-        C2=C2,
-        C3=C3,
-        C4=C4,
-        C5=C5,
-        C_s=C_s,
-        C2_prime=C2_prime,
-        C_LS=C_LS,
-    )
-
-
-@dataclass
 class RepresentationResult:
     max_ratio: float
     C1: float
@@ -269,14 +206,6 @@ def representation_check(space, a, R, lam, s, f, g, sample, C_P, Q, tol=1e-9):
         ratio = abs(f[x] - f_B) / J
         if ratio > worst:
             worst, worst_x = ratio, x
-    return RepresentationResult(worst, C1, worst_x, worst <= C1)
+    # an overflowed C1 certifies nothing
+    return RepresentationResult(worst, C1, worst_x, math.isfinite(C1) and worst <= C1)
 
-
-def _omega(lam):
-    c = (2.0 * lam - 1.0) / (2.0 * lam)
-    return 2.0 * lam / (1.0 / (1.0 - c) + lam / c)
-
-
-def _chain_C1(Q, C_P, lam):
-    """Constant of the chain representation |f(x) - f_B| <= C1 J(x)."""
-    return max(2.0 * (2.0 * lam) ** (3.0 * Q), (2.0 / _omega(lam)) ** Q) * C_P

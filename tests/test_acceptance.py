@@ -14,14 +14,19 @@ import pytest
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from pilab.covering import (
-    expand_covering,
-    kappa_decomposition,
+from pilab.constants import (
+    annulus_constant,
+    excess_constant,
     layer_bound,
+    local_sobolev_constant,
+    patching_constant,
+    rca_kappa,
+    riesz_constants,
     theoretical_Q1,
     theoretical_Q2,
-    validate_covering,
+    upgrade_constant,
 )
+from pilab.covering import expand_covering, kappa_decomposition, validate_covering
 from pilab.gallery import (
     build_space,
     cone_grid,
@@ -34,14 +39,11 @@ from pilab.gallery import (
 from pilab.graph_ineq import (
     CoveringGraph,
     build_covering_graph,
-    excess_constant,
     graph_profile,
     isoperimetric_constant,
     poincare_constant,
-    rca_kappa,
-    upgrade_constant,
 )
-from pilab.riesz import ball_chain, representation_check, riesz_constants
+from pilab.riesz import ball_chain, representation_check
 from pilab.space import doubling_profile
 from pilab.verify import (
     hardy_check,
@@ -49,7 +51,6 @@ from pilab.verify import (
     local_sobolev_check,
     make_family,
     measure_poincare,
-    patching_constant,
     weighted_sobolev_check,
     write_reports_csv,
 )
@@ -230,6 +231,15 @@ def test_c01_constant_formulas():
     ok &= abs(patching_constant(1, 1, 1, 1, 2, 2) - 10.0) <= 1e-12
     ok &= abs(rca_kappa(2.0, 1.0, 2.0, 1.0, 2.0, 1.0) - 3_748_096.0) <= 1e-6
     ok &= abs(excess_constant(2.0, 2.0) - 1024.0) <= 1e-12
+    # Q=1, alpha=2, delta=1/2: N = 100, K = 9, C_neu = 2*100*81 = 16200, and
+    # the patching constant is 60 + (2*16200)*18*60^3 at s = t = 1
+    ann = annulus_constant(1.0, 1.0, 2.0, 0.5, 1.0, 1.0, "poincare", [])
+    ok &= abs(ann.C_neu - 16_200.0) <= 1e-12
+    ok &= abs(ann.value - 125_971_200_060.0) <= 1e-12 * 125_971_200_060.0
+    # s >= Q: the fallback C_P (4 lam)^max(Q, 1), flagged
+    flags = []
+    ok &= abs(local_sobolev_constant(2.0, 3.0, 2.0, 2.0, flags) - 192.0) <= 1e-12
+    ok &= flags == ["s_not_below_Q"]
     _verdict(1, "constant formulas", bool(ok))
 
 
@@ -539,7 +549,7 @@ def test_c09_oracle_equivalence_tiny_spaces():
         fam = make_family(sp, 0, seed=1, count=200)
         for mask in range(1, 1 << sp.n):
             fam.append((f"cut[{mask}]", ((mask >> np.arange(sp.n)) & 1).astype(float)))
-        rep = local_sobolev_check(sp, 0, R, 1.0, 1.0, fam, polish=True)
+        rep = local_sobolev_check(sp, 0, R, 1.0, 1.0, fam)
         emp = rep.empirical_best * R
         rel = abs(emp - oracle) / oracle
         worst = max(worst, rel)

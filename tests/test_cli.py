@@ -146,9 +146,10 @@ def test_render_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-@pytest.mark.parametrize("eta", ["12", "20"])
+@pytest.mark.parametrize("eta", ["12", "20", "120"])
 def test_verify_nonfinite_constant_fails_with_flag(tmp_path, eta):
-    # At eta=12 the assembled constant is inf; at eta=20 it overflows.
+    # At eta=12 the assembled constant is inf; at eta=20 it overflows; at
+    # eta=120 the weighted masses overflow before the covering-graph LP.
     space = tmp_path / "r.json"
     rep = tmp_path / "rep.csv"
     run("gen", "--kind", "radial_profile", "--n", "256", "--eta", eta, "-o", str(space))

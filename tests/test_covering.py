@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
+from pilab.constants import layer_bound, theoretical_Q1, theoretical_Q2
 from pilab.covering import (
     annulus_piece_covering,
     expand_covering,
     greedy_net,
     kappa_decomposition,
-    layer_bound,
-    theoretical_Q1,
-    theoretical_Q2,
     validate_covering,
 )
 from pilab.errors import (

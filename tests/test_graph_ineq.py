@@ -3,22 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from pilab.constants import (
+    excess_constant,
+    rca_kappa,
+    theoretical_isoperimetric_bound,
+    upgrade_constant,
+)
 from pilab.covering import expand_covering, kappa_decomposition
 from pilab.errors import EtaNotAboveP, NoBoundary, SeriesDiverges, ZeroMass
 from pilab.gallery import build_space, cone_grid, grid_quadrant, path_space, radial_profile
 from pilab.graph_ineq import (
     CoveringGraph,
     build_covering_graph,
-    excess_constant,
     graph_profile,
     isoperimetric_constant,
     layer_weight_bounds,
     neumann_check,
     poincare_constant,
     rca_check,
-    rca_kappa,
-    theoretical_isoperimetric_bound,
-    upgrade_constant,
 )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pilab.constants import riesz_constants
 from pilab.errors import (
     ExponentOutOfRange,
     GNotUpperGradient,
@@ -14,7 +15,6 @@ from pilab.riesz import (
     ball_chain,
     maximal_function,
     representation_check,
-    riesz_constants,
     riesz_potential,
 )
 from pilab.verify import lip

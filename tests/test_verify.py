@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pilab.constants import annulus_constant, p_star, patching_constant
 from pilab.errors import PNotBelowQ, ZeroMass
 from pilab.gallery import (
     grid_quadrant,
@@ -21,8 +22,6 @@ from pilab.verify import (
     local_sobolev_check,
     make_family,
     mean_comparison_check,
-    p_star,
-    patching_constant,
     weighted_sobolev_check,
     write_reports_csv,
 )
@@ -57,6 +56,9 @@ def test_patching_constant_values():
     assert patching_constant(1, 1, 1, 1, 1, 1) == pytest.approx(3.0, abs=1e-12)
     # (2 C1 C2)^t beyond the float range is inf, not OverflowError
     assert patching_constant(1e200, 1e200, 1, 1, 1, 2) == math.inf
+    # every overflowing factor of the annulus constant is inf, not an error
+    ann = annulus_constant(200.0, 1.0, 2.0, 0.5, 1.0, 1.0, "sobolev", [])
+    assert ann.C_ball == ann.Q1 == ann.value == math.inf
 
 
 @settings(max_examples=60, deadline=None)
