@@ -32,6 +32,8 @@ from .covering import (
 )
 from .graph_ineq import (
     build_covering_graph,
+    dirichlet_energy,
+    dirichlet_incidence,
     graph_profile,
     isoperimetric_constant,
     poincare_constant,

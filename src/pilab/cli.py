@@ -16,9 +16,8 @@ import numpy as np
 
 from . import covering as cov
 from . import constants, gallery, graph_ineq, verify
-from .errors import PilabError
+from .errors import NotAhlfors, NotInAnnulus, PilabError
 from .space import ahlfors_fit, doubling_profile, reverse_doubling_fit
-from .errors import NotAhlfors
 
 
 def _seed(args):
@@ -183,14 +182,11 @@ def _cmd_verify(args):
 
 
 def _largest_annulus_component(space, o, R, alpha):
-    from scipy.sparse import csgraph
-
-    d = space.dist_from(o)
-    ann = np.flatnonzero((d >= R) & (d < alpha * R))
-    sub = space.adjacency[np.ix_(ann, ann)]
-    n, labels = csgraph.connected_components(sub, directed=False)
-    sizes = [(labels == k).sum() for k in range(n)]
-    return ann[labels == int(np.argmax(sizes))]
+    ann = space.annulus(o, R, alpha * R)
+    if len(ann) == 0:
+        raise NotInAnnulus(f"the annulus [{R:g}, {alpha * R:g}) around {o} is empty")
+    _, labels = space.induced_components(ann)
+    return ann[labels == int(np.argmax(np.bincount(labels)))]
 
 
 _PALETTE = [

@@ -87,15 +87,6 @@ def _vertex_levels(d, kappa):
     return lev
 
 
-def _components(space, vertices):
-    """Connected components of the induced subgraph, as index arrays."""
-    if len(vertices) == 0:
-        return []
-    sub = space.adjacency[np.ix_(vertices, vertices)]
-    n, labels = csgraph.connected_components(sub, directed=False)
-    return [vertices[labels == k] for k in range(n)]
-
-
 def kappa_decomposition(space, o, kappa):
     """Decompose the space into merged shell components centered at o.
 
@@ -122,8 +113,9 @@ def kappa_decomposition(space, o, kappa):
     raw = {}  # (level, a) -> member array
     levels = sorted(set(int(l) for l in lev[keep]))
     for i in levels:
-        comps = _components(space, np.flatnonzero(keep & (lev == i)))
-        comps.sort(key=lambda c: int(c.min()))
+        shell = np.flatnonzero(keep & (lev == i))
+        n_comp, labels = space.induced_components(shell)
+        comps = sorted((shell[labels == k] for k in range(n_comp)), key=lambda c: int(c.min()))
         for a, comp in enumerate(comps):
             raw[(i, a)] = comp
 
@@ -206,28 +198,6 @@ def _piece_graph_edges(space, member_sets):
     return sorted(pairs)
 
 
-def _bfs_balls(n, adj_pairs, radius):
-    """Vertex sets within graph distance <= radius in the piece graph."""
-    nbrs = [[] for _ in range(n)]
-    for a, b in adj_pairs:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    out = []
-    for s in range(n):
-        dist = {s: 0}
-        frontier = [s]
-        for _ in range(radius):
-            nxt = []
-            for u in frontier:
-                for v in nbrs[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        out.append(sorted(dist))
-    return out
-
-
 def expand_covering(space, decomp):
     """Grow each piece into (U, U*, U#) triples.
 
@@ -239,14 +209,13 @@ def expand_covering(space, decomp):
     member_sets = [p.members for p in decomp.pieces]
     n = len(member_sets)
     adj = _piece_graph_edges(space, member_sets)
-    stars = _bfs_balls(n, adj, 1)
-    sharp_sources = _bfs_balls(n, adj, 4)
-    triples = []
-    for i in range(n):
-        U = member_sets[i]
-        Ustar = np.unique(np.concatenate([member_sets[j] for j in stars[i]]))
-        Usharp = np.unique(np.concatenate([member_sets[j] for j in sharp_sources[i]]))
-        triples.append((U, Ustar, Usharp))
+    hops = _piece_distances(n, adj)
+
+    def near(i, radius):
+        """Union of the pieces within `radius` hops of piece i."""
+        return np.unique(np.concatenate([member_sets[j] for j in np.flatnonzero(hops[i] <= radius)]))
+
+    triples = [(member_sets[i], near(i, 1), near(i, 4)) for i in range(n)]
     labels = [(p.level, p.index) for p in decomp.pieces]
     k_map = {}
     for a, b in adj:

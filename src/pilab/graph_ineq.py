@@ -39,6 +39,11 @@ class CoveringGraph:
     def interior(self):
         return np.flatnonzero(~self.boundary)
 
+    @property
+    def edge_array(self):
+        """The edges as an (m, 2) integer array."""
+        return np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+
 
 @dataclass
 class GraphProfile:
@@ -89,13 +94,16 @@ def build_covering_graph(space, covering, weight=None):
     smaller endpoint mass.  The outermost decomposition level is marked as
     boundary.
     """
+    if covering.n_pieces == 0:
+        raise NoBoundary("the covering has no pieces")
     w = np.ones(space.n) if weight is None else np.asarray(weight, dtype=float)
     mu = w * space.measure
     vmass = np.array([mu[U].sum() for U, _, _ in covering.triples])
     if np.any(vmass <= 0):
         raise ZeroMass("a covering piece has zero mu-mass")
     edges = list(covering.adjacency)
-    emass = np.array([min(vmass[a], vmass[b]) for a, b in edges])
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    emass = np.minimum(vmass[a], vmass[b])
     levels = list(covering.levels)
     top = max(levels, default=None)
     boundary = np.array([lv == top for lv in levels], dtype=bool)
@@ -110,13 +118,10 @@ def build_covering_graph(space, covering, weight=None):
 
 
 def graph_profile(graph):
-    deg = np.zeros(graph.n)
-    B = 1.0
-    for (a, b), _ in zip(graph.edges, graph.emass):
-        deg[a] += 1
-        deg[b] += 1
-        ratio = graph.vmass[a] / graph.vmass[b]
-        B = max(B, ratio, 1.0 / ratio)
+    a, b = graph.edge_array.T
+    deg = np.bincount(np.r_[a, b], minlength=graph.n)
+    ratio = graph.vmass[a] / graph.vmass[b]
+    B = float(np.max(np.r_[1.0, ratio, 1.0 / ratio]))
     masses = np.concatenate([graph.vmass, graph.emass]) if len(graph.emass) else graph.vmass
     lo, hi = float(masses.min()), float(masses.max())
     L = math.sqrt(lo * hi)
@@ -124,42 +129,51 @@ def graph_profile(graph):
     return GraphProfile(A=float(deg.max()) if graph.n else 0.0, B=B, N=graph.n, K=K, L=L)
 
 
-def _cut_volume_arrays(graph):
-    """Interior indexing plus edge lists split by boundary contact."""
+def dirichlet_incidence(graph):
+    """Signed edge-vertex incidence D of the interior, with edge weights w.
+
+    Rows are the interior-interior edges (+1 at the first end, -1 at the
+    second), then the interior-boundary edges with only their interior end
+    (+1); boundary-boundary edges are dropped.  Columns follow
+    `graph.interior`.  Every cut and Dirichlet energy is read from (D, w).
+    """
     interior = graph.interior
-    pos = {int(v): i for i, v in enumerate(interior)}
-    ii_edges, ib_edges = [], []
-    for (a, b), w in zip(graph.edges, graph.emass):
-        ain, bin_ = int(a) in pos, int(b) in pos
-        if ain and bin_:
-            ii_edges.append((pos[a], pos[b], w))
-        elif ain:
-            ib_edges.append((pos[a], w))
-        elif bin_:
-            ib_edges.append((pos[b], w))
-    return interior, ii_edges, ib_edges
+    pos = np.full(graph.n, -1, dtype=np.int64)
+    pos[interior] = np.arange(len(interior))
+    ends = pos[graph.edge_array]
+    inside = ends >= 0
+    ii = inside.all(axis=1)
+    ib = inside[:, 0] != inside[:, 1]
+    heads = np.r_[ends[ii, 0], ends[ib].max(axis=1)]
+    tails = ends[ii, 1]
+    m, n_ii = len(heads), len(tails)
+    rows = np.r_[np.arange(m), np.arange(n_ii)]
+    signs = np.r_[np.ones(m), -np.ones(n_ii)]
+    D = sparse.csr_matrix((signs, (rows, np.r_[heads, tails])), shape=(m, len(interior)))
+    return D, np.r_[graph.emass[ii], graph.emass[ib]]
 
 
-def _coarea_lp(vm, ii_edges, ib_edges):
-    """Optimal f of max sum m*f over f >= 0 with sum_e w_e |grad f|_e <= 1.
+def dirichlet_energy(D, w, F, t):
+    """sum_e w_e |(D f)_e|^t for each column f of F (a vector is one column).
+
+    With two or more columns the terms are added row by row, in edge order;
+    numpy sums a single column pairwise.
+    """
+    F = np.reshape(F, (D.shape[1], -1))
+    return (w[:, None] * np.abs(D @ F) ** t).sum(axis=0)
+
+
+def _coarea_lp(vm, D, w):
+    """Optimal f of max sum m*f over f >= 0 with sum_e w_e |(D f)_e| <= 1.
 
     Variables are f on the interior and one slack per edge bounding the
-    edge's slope (|f_u - f_v| inside, f_u on a boundary edge).  All masses
-    are divided by the largest vertex mass, which leaves the optimal level
-    sets unchanged.
+    edge's slope.  All masses are divided by the largest vertex mass, which
+    leaves the optimal level sets unchanged.
     """
-    k, n_ii = len(vm), len(ii_edges)
-    edges = ii_edges + ib_edges
-    m = len(edges)
+    m, k = D.shape
     scale = float(vm.max())
-    w = np.array([e[-1] for e in edges]) / scale
-    # signed edge-vertex incidence; a boundary edge has only its interior end
-    rows = np.r_[np.arange(m), np.arange(n_ii)]
-    cols = [e[0] for e in edges] + [e[1] for e in ii_edges]
-    signs = np.r_[np.ones(m), -np.ones(n_ii)]
-    D = sparse.csr_matrix((signs, (rows, cols)), shape=(m, k))
     slack = -sparse.identity(m)
-    A = sparse.bmat([[D, slack], [-D, slack], [None, w[None, :]]], format="csr")
+    A = sparse.bmat([[D, slack], [-D, slack], [None, w[None, :] / scale]], format="csr")
     b = np.r_[np.zeros(2 * m), 1.0]
     c = np.r_[-vm / scale, np.zeros(m)]
     res = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
@@ -179,106 +193,69 @@ def isoperimetric_constant(graph):
     """
     if not graph.boundary.any():
         raise NoBoundary("graph has no designated boundary layer")
-    interior, ii_edges, ib_edges = _cut_volume_arrays(graph)
+    interior = graph.interior
     if len(interior) == 0:
         raise NoBoundary("graph has no interior vertices")
     vm = graph.vmass[interior]
-    f = _coarea_lp(vm, ii_edges, ib_edges)
+    D, w = dirichlet_incidence(graph)
+    f = _coarea_lp(vm, D, w)
     bits = f[None, :] >= np.unique(f)[:, None]
-    vol = bits @ vm
-    cut = np.zeros(len(bits))
-    for u, v, w in ii_edges:
-        cut += w * (bits[:, u] != bits[:, v])
-    for u, w in ib_edges:
-        cut += w * bits[:, u]
-    ratios = cut / vol
+    ratios = dirichlet_energy(D, w, bits.T, 1) / (bits @ vm)
     j = int(np.argmin(ratios))
     witness = frozenset(int(v) for v in interior[bits[j]])
     return IsoperimetricResult(float(ratios[j]), witness, True)
-
-
-def _dirichlet_ratio(graph, interior, ii_edges, ib_edges, f, t):
-    num = float((graph.vmass[interior] * np.abs(f) ** t).sum()) ** (1.0 / t)
-    den = 0.0
-    for u, v, w in ii_edges:
-        den += w * abs(f[u] - f[v]) ** t
-    for u, w in ib_edges:
-        den += w * abs(f[u]) ** t
-    if den <= 0:
-        return 0.0
-    return num / den ** (1.0 / t)
-
-
-def _indicator_ratios(graph, interior, ii_edges, ib_edges, t):
-    """Dirichlet ratio of every nonempty interior indicator, vectorized."""
-    k = len(interior)
-    bits = ((np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
-    num = (bits @ graph.vmass[interior]) ** (1.0 / t)
-    den = np.zeros(len(bits))
-    for u, v, w in ii_edges:
-        den += w * (bits[:, u] != bits[:, v])
-    for u, w in ib_edges:
-        den += w * bits[:, u]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0, num / den ** (1.0 / t), 0.0)
-    best = int(np.argmax(ratios))
-    return float(ratios[best]), bits[best]
 
 
 def poincare_constant(graph, t, seed=0, refine_iters=400):
     """Best constant in ||f||_t <= C ||grad f||_t over boundary-vanishing f.
 
     t=1 equals 1/I by the coarea identity, t=2 is the generalized
-    eigenvalue of mass versus Dirichlet Laplacian; other t return the best
-    candidate found (indicators, the t=2 eigenvector, and seeded local
-    refinement), a certified lower bound.
+    eigenvalue of mass versus Dirichlet Laplacian D^T diag(w) D; other t
+    return the best candidate found (indicators, the t=2 eigenvector, and
+    seeded local refinement), a certified lower bound.
     """
-    interior, ii_edges, ib_edges = _cut_volume_arrays(graph)
+    interior = graph.interior
     k = len(interior)
     if k == 0:
         raise NoBoundary("graph has no interior vertices")
     if t == 1:
         return 1.0 / isoperimetric_constant(graph).I
-    L = np.zeros((k, k))
-    for u, v, w in ii_edges:
-        L[u, u] += w
-        L[v, v] += w
-        L[u, v] -= w
-        L[v, u] -= w
-    for u, w in ib_edges:
-        L[u, u] += w
-    M = np.diag(graph.vmass[interior])
-    vals, vecs = scipy.linalg.eigh(M, L)
+    vm = graph.vmass[interior]
+    D, w = dirichlet_incidence(graph)
+    L = (D.T @ sparse.diags(w) @ D).toarray()
+    vals, vecs = scipy.linalg.eigh(np.diag(vm), L)
     if t == 2:
         return float(math.sqrt(vals[-1]))
-    if k <= 14:
-        best, f = _indicator_ratios(graph, interior, ii_edges, ib_edges, t)
+
+    def ratios(F):
+        """||f||_t / ||grad f||_t per column f of F (0 where grad f = 0)."""
+        F = np.reshape(F, (k, -1))
+        num = (vm[:, None] * np.abs(F) ** t).sum(axis=0) ** (1.0 / t)
+        den = dirichlet_energy(D, w, F, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, num / den ** (1.0 / t), 0.0)
+
+    if k <= 14:  # every nonempty interior indicator
+        cands = ((np.arange(1, 1 << k)[None, :] >> np.arange(k)[:, None]) & 1).astype(float)
     else:
-        cands = [np.ones(k)]
-        for s in range(k):
-            g = np.zeros(k)
-            g[s] = 1.0
-            cands.append(g)
-        ratios = [_dirichlet_ratio(graph, interior, ii_edges, ib_edges, c, t) for c in cands]
-        best = max(ratios)
-        f = cands[int(np.argmax(ratios))]
-    eig_r = _dirichlet_ratio(graph, interior, ii_edges, ib_edges, vecs[:, -1], t)
-    if eig_r > best:
-        best, f = eig_r, vecs[:, -1]
-    f = np.asarray(f, dtype=float).copy()
+        cands = np.c_[np.ones(k), np.eye(k)]
+    cands = np.c_[cands, vecs[:, -1]]
+    r = ratios(cands)
+    j = int(np.argmax(r))
+    best, f = float(r[j]), cands[:, j].copy()
     rng = np.random.default_rng(seed)
     step = 0.5
     for _ in range(refine_iters):
         u = int(rng.integers(k))
         old = f[u]
         f[u] = old + step * (rng.random() - 0.5)
-        r = _dirichlet_ratio(graph, interior, ii_edges, ib_edges, f, t)
+        r = float(ratios(f)[0])
         if r > best:
             best = r
         else:
             f[u] = old
         step *= 0.995
-    return float(best)
+    return best
 
 
 def neumann_check(graph, f, s):
@@ -298,10 +275,8 @@ def neumann_check(graph, f, s):
     denom = float(graph.vmass[supp].sum())
     mean = float((f * graph.vmass).sum() / denom) if denom > 0 else 0.0
     lhs = float((np.abs(f - mean) ** s * graph.vmass).sum())
-    grad = sum(
-        w * abs(f[a] - f[b]) ** s for (a, b), w in zip(graph.edges, graph.emass)
-    )
-    rhs = const * grad
+    a, b = graph.edge_array.T
+    rhs = const * float((graph.emass * np.abs(f[a] - f[b]) ** s).sum())
     return NeumannResult(lhs, rhs, const, mean, lhs <= rhs * (1 + 1e-9))
 
 
@@ -328,8 +303,6 @@ def rca_check(space, o, kappa, radii=None):
     For each radius R, every vertex of the fuzzy sphere at R must lie in a
     single connected component of the induced annulus [R/kappa, kappa R).
     """
-    from scipy.sparse import csgraph
-
     ecc = space.eccentricity(o)
     res = space.resolution
     if radii is None:
@@ -347,9 +320,6 @@ def rca_check(space, o, kappa, radii=None):
         if len(shell) <= 1:
             passes.append(True)
             continue
-        sub = space.adjacency[np.ix_(ann, ann)]
-        _, labels = csgraph.connected_components(sub, directed=False)
-        pos = {int(v): i for i, v in enumerate(ann)}
-        lab = {labels[pos[int(v)]] for v in shell}
-        passes.append(len(lab) == 1)
+        _, labels = space.induced_components(ann)
+        passes.append(len(np.unique(labels[np.searchsorted(ann, shell)])) == 1)
     return RcaResult(list(radii), passes, all(passes))

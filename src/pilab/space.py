@@ -182,6 +182,14 @@ class FiniteMetricMeasureSpace:
             return 0.0
         return float(self.measure[self.dist_from(x) < r].sum())
 
+    def induced_components(self, vertices):
+        """Connected components of the subgraph induced on `vertices`.
+
+        Returns (count, labels), labels aligned with `vertices`.
+        """
+        sub = self.adjacency[np.ix_(vertices, vertices)]
+        return csgraph.connected_components(sub, directed=False)
+
     def vertex_degree_neighbors(self, v):
         return self.adjacency.indices[self.adjacency.indptr[v]:self.adjacency.indptr[v + 1]]
 

@@ -103,6 +103,38 @@ def mean_comparison_check(space, f, A, weight, p):
     return lhs, rhs, lhs <= rhs * (1 + 1e-9)
 
 
+def _sweep(family, ratio):
+    """Largest ratio(f) over the (name, f) pairs of a family, with its name.
+
+    Returns (0.0, "") when no ratio is positive.
+    """
+    best, witness = 0.0, ""
+    for name, vals in family:
+        r = ratio(np.asarray(vals, dtype=float))
+        if r > best:
+            best, witness = r, name
+    return best, witness
+
+
+def _oscillation_ratio(space, A, E, R, s, t):
+    """f -> ||f - f_A||_{L^t(A)} / (R m(A)^(1/t - 1/s) ||lip f||_{L^s(E)}).
+
+    The mean f_A and both norms use the base measure; the ratio is 0 when
+    the slope energy on E vanishes.
+    """
+    mA, mE = space.measure[A], space.measure[E]
+    mass = float(mA.sum())
+
+    def ratio(f):
+        fA = float((f[A] * mA).sum() / mass)
+        num = float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
+        energy = float((lip(space, f)[E] ** s * mE).sum())
+        den = R * mass ** (1.0 / t - 1.0 / s) * energy ** (1.0 / s)
+        return num / den if den > 0 else 0.0
+
+    return ratio
+
+
 # -- test-function families ------------------------------------------------
 
 
@@ -174,27 +206,25 @@ def measure_poincare(space, s, lam=2.0):
     conservative.
     """
     best = 0.0
-    seen = set()
     for x, r in default_profile_samples(space, max_centers=16):
-        if (x, r) in seen:
-            continue
-        seen.add((x, r))
         B = space.ball(x, r)
         lamB = space.ball(x, lam * r)
         if len(B) < 2:
             continue
+        mB, mlamB = space.measure[B], space.measure[lamB]
+
+        def ratio(f):
+            g = lip(space, f)
+            fB = float((f[B] * mB).sum() / mB.sum())
+            num = float((np.abs(f[B] - fB) ** s * mB).sum() / mB.sum()) ** (1.0 / s)
+            den = r * float((g[lamB] ** s * mlamB).sum() / mlamB.sum()) ** (1.0 / s)
+            return num / den if den > 0 else 0.0
+
         dx = space.dist_from(x)
         cands = [dx, np.maximum(0.0, 1.0 - dx / r)]
         if space.coords is not None:
             cands.append(space.coords[:, 0] + space.coords[:, 1])
-        for f in cands:
-            g = lip(space, f)
-            mB, mlamB = space.measure[B], space.measure[lamB]
-            fB = float((f[B] * mB).sum() / mB.sum())
-            num = float((np.abs(f[B] - fB) ** s * mB).sum() / mB.sum()) ** (1.0 / s)
-            den = r * float((g[lamB] ** s * mlamB).sum() / mlamB.sum()) ** (1.0 / s)
-            if den > 0:
-                best = max(best, num / den)
+        best = max(best, _sweep(enumerate(cands), ratio)[0])
     return max(best, 1.0)
 
 
@@ -215,24 +245,8 @@ def local_sobolev_check(space, a, R, s, t, family, lam=2.0):
     """Local (s, t) Sobolev inequality on the ball B_R(a)."""
     t0 = time.perf_counter()
     B = space.ball(a, R)
-    mB = space.measure[B]
-    mass = float(mB.sum())
     flags = []
-
-    def ratio(f):
-        f = np.asarray(f, dtype=float)
-        fB = float((f[B] * mB).sum() / mass)
-        num = float((np.abs(f[B] - fB) ** t * mB).sum()) ** (1.0 / t)
-        den = R * mass ** (1.0 / t - 1.0 / s) * float(
-            (lip(space, f)[B] ** s * mB).sum()
-        ) ** (1.0 / s)
-        return num / den if den > 0 else 0.0
-
-    best, witness = 0.0, ""
-    for name, vals in family:
-        r = ratio(vals)
-        if r > best:
-            best, witness = r, name
+    best, witness = _sweep(family, _oscillation_ratio(space, B, B, R, s, t))
 
     prof = doubling_profile(space)
     C_P = measure_poincare(space, s, lam)
@@ -264,37 +278,18 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
     the theoretical constant patches per-ball estimates through the net
     covering of A with the counting Neumann constant of the net graph.
     """
-    from scipy.sparse import csgraph
-
     t0 = time.perf_counter()
     A = np.asarray(sorted(set(int(v) for v in A)), dtype=np.int64)
     d = space.dist_from(o)[A]
     if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
         raise NotInAnnulus("A is not inside [R, alpha R)")
-    sub = space.adjacency[np.ix_(A, A)]
-    ncomp, _ = csgraph.connected_components(sub, directed=False)
+    ncomp, _ = space.induced_components(A)
     if ncomp != 1:
         raise NotConnected(f"A has {ncomp} components")
 
     rho = delta * R
     fat = np.flatnonzero(space.dist_to_set(A, limit=rho) < rho)
-    mA = space.measure[A]
-    mass = float(mA.sum())
-
-    def ratio(f):
-        f = np.asarray(f, dtype=float)
-        fA = float((f[A] * mA).sum() / mass)
-        num = float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
-        den = R * mass ** (1.0 / t - 1.0 / s) * float(
-            (lip(space, f)[fat] ** s * space.measure[fat]).sum()
-        ) ** (1.0 / s)
-        return num / den if den > 0 else 0.0
-
-    best, witness = 0.0, ""
-    for name, vals in family:
-        r = ratio(vals)
-        if r > best:
-            best, witness = r, name
+    best, witness = _sweep(family, _oscillation_ratio(space, A, fat, R, s, t))
 
     prof = doubling_profile(space)
     Q = max(prof.Q, 1.0)
@@ -357,16 +352,14 @@ def _weighted_check(
     theoretical *= global_scale
 
     mu = weight * space.measure
-    best, witness = 0.0, ""
-    for fname, vals in family:
-        vals = np.asarray(vals, dtype=float)
-        en = cheeger_energy(space, vals, s)
+
+    def ratio(f):
+        en = cheeger_energy(space, f, s)
         if en <= 0:
-            continue
-        num = float((np.abs(vals) ** t * mu).sum()) ** (1.0 / t)
-        r = num / en ** (1.0 / s)
-        if r > best:
-            best, witness = r, fname
+            return 0.0
+        return float((np.abs(f) ** t * mu).sum()) ** (1.0 / t) / en ** (1.0 / s)
+
+    best, witness = _sweep(family, ratio)
     passed = _passes(best, theoretical, REL_TOL, flags)
     return InequalityReport(
         inequality=name,

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pilab.constants import (
     excess_constant,
@@ -15,6 +17,8 @@ from pilab.gallery import build_space, cone_grid, grid_quadrant, path_space, rad
 from pilab.graph_ineq import (
     CoveringGraph,
     build_covering_graph,
+    dirichlet_energy,
+    dirichlet_incidence,
     graph_profile,
     isoperimetric_constant,
     layer_weight_bounds,
@@ -202,3 +206,120 @@ def test_zero_mass_guard():
     cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))
     with pytest.raises(ZeroMass):
         build_covering_graph(sp, cov, weight=np.zeros(sp.n))
+
+
+def random_covering_graph(seed, n=11, n_boundary=3, p=0.3):
+    """Connected random graph with random masses and a random boundary.
+
+    Edges come in shuffled order with random orientation, so interior and
+    boundary edges are mixed and a boundary edge's interior end is first
+    or second at random; at least one boundary-boundary edge is present.
+    """
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    pairs = {tuple(sorted(p_)) for p_ in zip(perm[:-1].tolist(), perm[1:].tolist())}
+    pairs |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+    boundary = np.zeros(n, dtype=bool)
+    bnd = rng.choice(n, n_boundary, replace=False)
+    boundary[bnd] = True
+    pairs.add(tuple(sorted(bnd[:2].tolist())))
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in sorted(pairs)]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    return make_graph(
+        n,
+        edges,
+        vmass=rng.uniform(0.1, 10.0, n),
+        emass=rng.uniform(0.1, 10.0, len(edges)),
+        boundary=boundary,
+    )
+
+
+def loop_gradient(g, f):
+    """Per-edge slopes of f (on the interior) extended by 0 to the boundary:
+    interior-interior edges as f(a) - f(b), then interior-boundary edges as
+    the value at the interior end; boundary-boundary edges are skipped."""
+    F = np.zeros(g.n)
+    F[g.interior] = f
+    inner, outer = [], []
+    for (a, b), w in zip(g.edges, g.emass):
+        if not g.boundary[a] and not g.boundary[b]:
+            inner.append((w, F[a] - F[b]))
+        elif not g.boundary[a]:
+            outer.append((w, F[a]))
+        elif not g.boundary[b]:
+            outer.append((w, F[b]))
+    return inner + outer
+
+
+def loop_energy(g, f, t):
+    total = 0.0
+    for w, slope in loop_gradient(g, f):
+        total += w * abs(slope) ** t
+    return total
+
+
+def loop_cut(g, S):
+    total = 0.0
+    for (a, b), w in zip(g.edges, g.emass):
+        if (a in S) != (b in S):
+            total += w
+    return total
+
+
+def loop_laplacian(g):
+    pos = {int(v): i for i, v in enumerate(g.interior)}
+    L = np.zeros((len(pos), len(pos)))
+    for (a, b), w in zip(g.edges, g.emass):
+        if a in pos and b in pos:
+            L[pos[a], pos[a]] += w
+            L[pos[b], pos[b]] += w
+            L[pos[a], pos[b]] -= w
+            L[pos[b], pos[a]] -= w
+        elif a in pos or b in pos:
+            u = pos[a] if a in pos else pos[b]
+            L[u, u] += w
+    return L
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dirichlet_incidence_matches_edge_loops(seed):
+    g = random_covering_graph(seed)
+    interior = g.interior
+    k = len(interior)
+    assert any(g.boundary[a] and g.boundary[b] for a, b in g.edges)
+    D, w = dirichlet_incidence(g)
+    rng = np.random.default_rng(100 + seed)
+
+    # signed slopes and weights, edge by edge
+    f = rng.standard_normal(k)
+    grad = loop_gradient(g, f)
+    assert D.shape == (len(grad), k)
+    np.testing.assert_array_equal(w, [wt for wt, _ in grad])
+    np.testing.assert_allclose(D @ f, [slope for _, slope in grad], rtol=0, atol=1e-14)
+
+    # cuts of random interior vertex sets
+    sets = [set(interior[rng.random(k) < 0.5].tolist()) for _ in range(8)]
+    bits = np.array([[v in S for v in interior] for S in sets], dtype=float)
+    np.testing.assert_allclose(
+        dirichlet_energy(D, w, bits.T, 1), [loop_cut(g, S) for S in sets], rtol=1e-12
+    )
+
+    # t-energies of random functions, one at a time and as columns
+    F = rng.standard_normal((k, 5))
+    for t in (1, 2, 3):
+        expected = [loop_energy(g, F[:, j], t) for j in range(5)]
+        np.testing.assert_allclose(dirichlet_energy(D, w, F, t), expected, rtol=1e-12)
+        (one,) = dirichlet_energy(D, w, F[:, 0], t)
+        assert one == pytest.approx(expected[0], rel=1e-12)
+
+    # the Laplacian behind the t=2 constant
+    vals = scipy.linalg.eigh(np.diag(g.vmass[interior]), loop_laplacian(g), eigvals_only=True)
+    assert poincare_constant(g, 2) == pytest.approx(math.sqrt(vals[-1]), rel=1e-12)
+
+    # the exact isoperimetric constant against every interior set
+    best = min(
+        loop_cut(g, set(S)) / g.vmass[list(S)].sum()
+        for r in range(1, k + 1)
+        for S in itertools.combinations(interior.tolist(), r)
+    )
+    assert isoperimetric_constant(g).I == pytest.approx(best, rel=1e-9)
