@@ -4,8 +4,6 @@ inequalities on doubling metric measure graphs."""
 from .space import (
     FiniteMetricMeasureSpace,
     SpaceProfile,
-    PIParams,
-    ReverseDoublingParams,
     AhlforsParams,
     build_space,
     doubling_profile,

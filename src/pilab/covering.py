@@ -3,17 +3,19 @@
 The decomposition splits a space into connected components of dyadic-like
 shells A(o, kappa^(i-1), kappa^i) (half-open, so shells partition the
 space), then merges components that never reach the outer radius of their
-shell into an adjacent piece one level down.  Expanding each piece by its
-closure-neighbors yields the (U, U*, U#) triples of a good covering.
+shell into an adjacent piece one level down.  It is held as one label
+array `owner` (vertex -> piece, -1 for o and truncated vertices).
+Expanding each piece by its closure-neighbors yields the (U, U*, U#)
+triples of a good covering.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csgraph, csr_matrix, identity, triu
 
 from .errors import (
     KappaOutOfRange,
@@ -26,10 +28,7 @@ from .errors import (
 @dataclass
 class Piece:
     level: int
-    index: int
     members: np.ndarray
-    touches_inner: bool
-    touches_outer: bool
 
 
 @dataclass
@@ -37,25 +36,24 @@ class KappaDecomposition:
     o: int
     kappa: float
     pieces: list
-    merged_from: dict
+    owner: np.ndarray  # vertex -> index into pieces; -1 for o and truncated
     truncated: np.ndarray  # vertices beyond the last complete level
     levels: list
 
 
 @dataclass
 class GoodCovering:
-    """Triples (U, U*, U#) with piece adjacency and designated k(i,j).
+    """Triples (U, U*, U#) with piece adjacency.
 
-    `adjacency` lists unordered piece-index pairs whose closures touch
-    (share a vertex or an ambient edge); `k_map` assigns each adjacent pair
-    the piece whose U* contains both U's.
+    `adjacency` lists the pairs (i, j), i < j, of pieces whose closures
+    touch (share a vertex or an ambient edge).  The designated piece k(i, j)
+    of an adjacent pair is always the smaller index min(i, j); U*_k contains
+    both U_i and U_j.
     """
 
     triples: list  # list of (U, Ustar, Usharp) index arrays
-    labels: list  # (level, index) per piece
     levels: list
     adjacency: list
-    k_map: dict
     o: int = -1
     kappa: float = 0.0
 
@@ -68,11 +66,8 @@ class GoodCovering:
 class CoveringValidation:
     Q1_emp: int
     Q2_emp: float
-    Q1_bound: float
-    Q2_bound: float
     axioms_pass: dict
-    overlap_sums: dict
-    uncovered: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    uncovered: np.ndarray
 
     @property
     def all_pass(self):
@@ -100,175 +95,156 @@ def kappa_decomposition(space, o, kappa):
         raise KappaOutOfRange(f"kappa={kappa}")
     if not (0 <= o < space.n):
         raise NoBasePoint(str(o))
+    n = space.n
     d = space.dist_from(o)
-    res = space.resolution
     d_max = float(d.max())
-    if d_max == 0:
-        return KappaDecomposition(o, kappa, [], {}, np.empty(0, dtype=np.int64), [])
     lev = _vertex_levels(d, kappa)
-    i_top = int(math.floor(math.log(d_max) / math.log(kappa) + 1e-9))
+    i_top = int(math.floor(math.log(d_max) / math.log(kappa) + 1e-9)) if d_max > 0 else 0
     keep = (d > 0) & (lev <= i_top)
     truncated = np.flatnonzero((d > 0) & (lev > i_top))
+    kept = np.flatnonzero(keep)
+    owner = np.full(n, -1, dtype=np.int64)
+    if len(kept) == 0:
+        return KappaDecomposition(o, kappa, [], owner, truncated, [])
+    levels = np.unique(lev[kept]).tolist()
 
-    raw = {}  # (level, a) -> member array
-    levels = sorted(set(int(l) for l in lev[keep]))
-    for i in levels:
-        shell = np.flatnonzero(keep & (lev == i))
-        n_comp, labels = space.induced_components(shell)
-        comps = sorted((shell[labels == k] for k in range(n_comp)), key=lambda c: int(c.min()))
-        for a, comp in enumerate(comps):
-            raw[(i, a)] = comp
+    # Raw pieces are the components of each shell, numbered by (level,
+    # smallest vertex); `kept` is ascending, so a component's first kept
+    # vertex is its smallest.
+    u, v = space.edges.T
+    same = keep[u] & keep[v] & (lev[u] == lev[v])
+    shells = csr_matrix((np.ones(int(same.sum())), (u[same], v[same])), shape=(n, n))
+    comp = csgraph.connected_components(shells, directed=False)[1][kept]
+    _, first, comp = np.unique(comp, return_index=True, return_inverse=True)
+    start = kept[first]
+    order = np.lexsort((start, lev[start]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    owner[kept] = rank[comp]
+    plevel = lev[start][order]
 
-    is_lambda = {
-        key: bool(d[members].max() >= kappa ** key[0] - res)
-        for key, members in raw.items()
-    }
-    # Bottom-most level pieces always count as full pieces: there is no
-    # level below to merge into.
-    for key in raw:
-        if key[0] == levels[0]:
-            is_lambda[key] = True
+    # A piece is thin when it stops short of its outer radius; the bottom
+    # level has nothing below and always counts as full.
+    n_raw = len(plevel)
+    reach = np.full(n_raw, -np.inf)
+    np.maximum.at(reach, owner[kept], d[kept])
+    outer = np.array([kappa**i - space.resolution for i in levels])
+    thin = (reach < outer[np.searchsorted(levels, plevel)]) & (plevel != levels[0])
 
-    owner = np.full(space.n, -1, dtype=np.int64)
-    keys = sorted(raw)
-    key_id = {k: idx for idx, k in enumerate(keys)}
-    for k, members in raw.items():
-        owner[members] = key_id[k]
+    # Edges leaving thin pieces.  Shell components share no edge and every
+    # target sits below the level being merged, so the thin pieces of one
+    # level merge independently of each other; `target` maps each raw piece
+    # to the piece that absorbs it.
+    thin_vertices = kept[thin[owner[kept]]]
+    rows = space.adjacency[thin_vertices]
+    src = np.repeat(owner[thin_vertices], np.diff(rows.indptr))
+    dst = owner[rows.indices]
+    src, dst = src[dst >= 0], dst[dst >= 0]
+    target = np.arange(n_raw)
+    for i in levels[1:]:
+        at = plevel[src] == i
+        p, t = src[at], target[dst[at]]
+        below = plevel[t] < i
+        pairs, counts = np.unique(p[below] * n_raw + t[below], return_counts=True)
+        p, t = np.divmod(pairs, n_raw)
+        # prefer the level just below, then most edges, then the smallest piece
+        pick = np.lexsort((t, -counts, plevel[t] != i - 1, p))
+        p, t = p[pick], t[pick]
+        best = np.diff(p, prepend=-1) != 0
+        target[p[best]] = t[best]
 
-    members_now = {k: list(v) for k, v in raw.items()}
-    merged_from = {}
-    for key in keys:
-        if is_lambda[key]:
-            continue
-        i, a = key
-        # count ambient edges from this piece to candidate pieces one level
-        # down that reach their outer shell
-        counts = {}
-        for u in raw[key]:
-            for v in space.vertex_degree_neighbors(u):
-                ok = owner[v]
-                if ok < 0 or ok == key_id[key]:
-                    continue
-                tgt = keys[ok]
-                if tgt[0] < i and is_lambda.get(tgt, False):
-                    counts[tgt] = counts.get(tgt, 0) + 1
-        preferred = {k: c for k, c in counts.items() if k[0] == i - 1}
-        pool = preferred or counts
-        if not pool:
-            # no merge target: keep the thin piece as its own (flagged by
-            # touches_outer=False downstream)
-            is_lambda[key] = True
-            continue
-        target = min(pool, key=lambda k: (-pool[k], k))
-        members_now[target].extend(raw[key])
-        for u in raw[key]:
-            owner[u] = key_id[target]
-        merged_from[key] = target
-
-    pieces = []
-    for key in keys:
-        if not is_lambda[key] or key in merged_from:
-            continue
-        i, a = key
-        members = np.array(sorted(members_now[key]), dtype=np.int64)
-        dm = d[members]
-        pieces.append(
-            Piece(
-                level=i,
-                index=a,
-                members=members,
-                touches_inner=bool(dm.min() <= kappa ** (i - 1) + 2 * res),
-                touches_outer=bool(dm.max() >= kappa**i - 2 * res),
-            )
-        )
-    return KappaDecomposition(o, kappa, pieces, merged_from, truncated, levels)
+    alive = np.flatnonzero(target == np.arange(n_raw))
+    owner[kept] = np.searchsorted(alive, target[owner[kept]])
+    by_owner = np.argsort(owner, kind="stable")[n - len(kept):]
+    sizes = np.bincount(owner[kept], minlength=len(alive))
+    members = np.split(by_owner, np.cumsum(sizes)[:-1])
+    pieces = [Piece(level=i, members=m) for i, m in zip(plevel[alive].tolist(), members)]
+    return KappaDecomposition(o, kappa, pieces, owner, truncated, levels)
 
 
-def _piece_graph_edges(space, member_sets):
-    """Unordered pairs of pieces joined by an ambient edge or shared vertex."""
-    owner = np.full(space.n, -1, dtype=np.int64)
-    for idx, members in enumerate(member_sets):
-        owner[members] = idx
-    pairs = set()
-    eu = owner[space.edges[:, 0]]
-    ev = owner[space.edges[:, 1]]
-    mask = (eu >= 0) & (ev >= 0) & (eu != ev)
-    for a, b in zip(eu[mask], ev[mask]):
-        pairs.add((min(int(a), int(b)), max(int(a), int(b))))
-    return sorted(pairs)
+def _membership(n, sets):
+    """Binary (len(sets), n) matrix whose row i marks the vertices of sets[i]."""
+    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    cols = np.concatenate([np.empty(0, dtype=np.int64), *sets])
+    return csr_matrix((np.ones(len(cols), dtype=bool), (rows, cols)), shape=(len(sets), n))
+
+
+def _within(X, Y):
+    """Per row i of the membership matrices X and Y: is X_i a subset of Y_i?"""
+    return np.asarray(X.multiply(Y).sum(axis=1)).ravel() == np.diff(X.indptr)
+
+
+def _touching_pairs(space, sets):
+    """Pairs (i, j), i < j, of vertex sets whose closures touch.
+
+    Two sets touch when they share a vertex or an ambient edge joins them,
+    i.e. when entry (i, j) of M (A + I) M^T is nonzero, with M the
+    membership matrix and A the adjacency.  Sorted by i, then j.
+    """
+    M = _membership(space.n, sets)
+    closure = space.adjacency.astype(bool) + identity(space.n, dtype=bool)
+    touch = triu(M @ closure @ M.T, k=1, format="csr")
+    touch.sort_indices()
+    rows = np.repeat(np.arange(len(sets)), np.diff(touch.indptr))
+    return list(zip(rows.tolist(), touch.indices.tolist()))
+
+
+def _piece_distances(n, adj_pairs):
+    """Hop distances between pieces in the piece graph."""
+    a, b = np.asarray(adj_pairs, dtype=np.int64).reshape(-1, 2).T
+    mat = csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return csgraph.shortest_path(mat, unweighted=True, directed=False)
 
 
 def expand_covering(space, decomp):
     """Grow each piece into (U, U*, U#) triples.
 
     U* is the union of U over closure-adjacent pieces (including itself),
-    and U# the union of U* over pieces whose U* touch.  The designated
-    k(i, j) of an adjacent pair is its lexicographically smaller piece, so
-    U_i and U_j are both contained in U*_k.
+    and U# the union of pieces within 4 hops, which contains the U* of
+    every piece whose U* touches U*_i.
     """
-    member_sets = [p.members for p in decomp.pieces]
-    n = len(member_sets)
-    adj = _piece_graph_edges(space, member_sets)
-    hops = _piece_distances(n, adj)
-
-    def near(i, radius):
-        """Union of the pieces within `radius` hops of piece i."""
-        return np.unique(np.concatenate([member_sets[j] for j in np.flatnonzero(hops[i] <= radius)]))
-
-    triples = [(member_sets[i], near(i, 1), near(i, 4)) for i in range(n)]
-    labels = [(p.level, p.index) for p in decomp.pieces]
-    k_map = {}
-    for a, b in adj:
-        k_map[(a, b)] = a if labels[a] <= labels[b] else b
+    n = len(decomp.pieces)
+    adj = _touching_pairs(space, [p.members for p in decomp.pieces])
+    # the appended column, read by owner -1 (o and truncated), is never near
+    hops = np.hstack([_piece_distances(n, adj), np.full((n, 1), np.inf)])
+    triples = []
+    for i, p in enumerate(decomp.pieces):
+        near = hops[i][decomp.owner]
+        triples.append((p.members, np.flatnonzero(near <= 1), np.flatnonzero(near <= 4)))
     return GoodCovering(
         triples=triples,
-        labels=labels,
         levels=[p.level for p in decomp.pieces],
         adjacency=adj,
-        k_map=k_map,
         o=decomp.o,
         kappa=decomp.kappa,
     )
 
 
-def _piece_distances(n, adj_pairs):
-    if n == 0:
-        return np.zeros((0, 0))
-    rows = [a for a, b in adj_pairs] + [b for a, b in adj_pairs]
-    cols = [b for a, b in adj_pairs] + [a for a, b in adj_pairs]
-    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return csgraph.shortest_path(mat, unweighted=True, directed=False)
+def validate_covering(covering, space, weight=None):
+    """Check good-covering axioms (1), (2) and (4) plus the overlap-sum
+    corollaries.
 
-
-def validate_covering(covering, space, weight=None, Q1_bound=None, Q2_bound=None):
-    """Check good-covering axioms (1)-(4) plus the overlap-sum corollaries.
-
-    Axioms are checked with both the base measure m and mu = weight * m.
+    Axiom (4) is checked with both the base measure m and mu = weight * m.
     U# sets are unions of pieces within piece-graph distance 4, so two U#
     closures touch exactly when their pieces are within distance 9; the
-    overlap count of axiom (3) is computed from that distance matrix.
+    overlap count Q1 is computed from that distance matrix.
     """
     m = space.measure
     w = np.ones(space.n) if weight is None else np.asarray(weight, dtype=float)
     mu = w * m
     n = covering.n_pieces
-    dist_pg = _piece_distances(n, covering.adjacency)
+    U, star, sharp = (_membership(space.n, [t[j] for t in covering.triples]) for j in range(3))
+    a, b = np.asarray(covering.adjacency, dtype=np.int64).reshape(-1, 2).T
+    k = np.minimum(a, b)
+    ends, ks = np.concatenate([a, b]), np.concatenate([k, k])
 
-    ax1 = all(
-        set(U).issubset(Ustar) and set(Ustar).issubset(Usharp)
-        for U, Ustar, Usharp in covering.triples
-    )
+    ax1 = bool(_within(U, star).all() and _within(star, sharp).all())
+    ax4 = bool(_within(U[ends], star[ks]).all())
 
-    covered = (
-        np.unique(np.concatenate([U for U, _, _ in covering.triples]))
-        if n
-        else np.empty(0, dtype=np.int64)
-    )
-    excluded = {covering.o} if covering.o >= 0 else set()
-    uncovered = np.array(
-        sorted(set(range(space.n)) - set(covered.tolist()) - excluded),
-        dtype=np.int64,
-    )
+    covered = np.asarray(U.sum(axis=0)).ravel() > 0
+    if covering.o >= 0:
+        covered[covering.o] = True
+    uncovered = np.flatnonzero(~covered)
     # truncated tail vertices (beyond the last complete level) are declared
     # exclusions, like the base point
     if covering.kappa > 1 and covering.o >= 0 and len(uncovered):
@@ -277,52 +253,33 @@ def validate_covering(covering, space, weight=None, Q1_bound=None, Q2_bound=None
         uncovered = uncovered[d[uncovered] < covering.kappa**top]
     ax2 = len(uncovered) == 0
 
-    Q1_emp = int((dist_pg <= 9).sum(axis=1).max()) if n else 0
+    Q1_emp = int((_piece_distances(n, covering.adjacency) <= 9).sum(axis=1).max()) if n else 0
 
+    # Q2 = max over adjacent pairs of meas(U*_k) / min(meas(U_a), meas(U_b));
+    # the min keeps U_a on ties and NaN, and fmax skips NaN ratios.
     Q2_emp = 0.0
-    ax4 = True
-    for pair in covering.adjacency:
-        k = covering.k_map[pair]
-        Uk_star = covering.triples[k][1]
-        for a in pair:
-            if not set(covering.triples[a][0]).issubset(Uk_star):
-                ax4 = False
-        for meas in (m, mu):
-            mk = meas[Uk_star].sum()
-            denom = min(meas[covering.triples[a][0]].sum() for a in pair)
-            if denom > 0:
-                Q2_emp = max(Q2_emp, mk / denom)
+    for meas in (m, mu):
+        mass = np.array([meas[Ui].sum() for Ui, _, _ in covering.triples])
+        star_mass = np.array([meas[Us].sum() for _, Us, _ in covering.triples])
+        denom = np.where(mass[b] < mass[a], mass[b], mass[a])
+        pos = denom > 0
+        Q2_emp = np.fmax.reduce(star_mass[k][pos] / denom[pos], initial=Q2_emp)
 
-    star_count = np.zeros(space.n, dtype=np.int64)
-    for _, Ustar, _ in covering.triples:
-        star_count[Ustar] += 1
-    q1_sum = int(star_count.max()) if n else 0
+    q1_sum = int(np.asarray(star.sum(axis=0)).max())
+    # each adjacent pair counts twice, once per orientation
+    q12_sum = int((star.T @ (2 * np.bincount(k, minlength=n))).max())
 
-    k_count = np.zeros(space.n, dtype=np.int64)
-    for pair in covering.adjacency:
-        Uk_star = covering.triples[covering.k_map[pair]][1]
-        k_count[Uk_star] += 2  # both orientations of the adjacent pair
-    q12_sum = int(k_count.max()) if n else 0
-
-    if Q1_bound is None:
-        Q1_bound = float(Q1_emp)
-    if Q2_bound is None:
-        Q2_bound = float(Q2_emp)
     axioms_pass = {
         "axiom1_nested": ax1,
         "axiom2_cover": ax2,
-        "axiom3_overlap": Q1_emp <= Q1_bound,
-        "axiom4_measure": bool(ax4) and Q2_emp <= Q2_bound,
+        "axiom4_measure": ax4,
         "eq_Q1": q1_sum <= Q1_emp,
         "eq_Q12": q12_sum <= Q1_emp**3,
     }
     return CoveringValidation(
         Q1_emp=Q1_emp,
         Q2_emp=float(Q2_emp),
-        Q1_bound=float(Q1_bound),
-        Q2_bound=float(Q2_bound),
         axioms_pass=axioms_pass,
-        overlap_sums={"eq_Q1": q1_sum, "eq_Q12": q12_sum},
         uncovered=uncovered,
     )
 
@@ -335,7 +292,7 @@ def greedy_net(space, subset, radius):
     insertion stops when no point is farther than radius/2 from the net.
     Deterministic: starts at the smallest index, ties break by index.
     """
-    subset = np.array(sorted(int(v) for v in subset), dtype=np.int64)
+    subset = np.sort(np.asarray(subset, dtype=np.int64))
     if len(subset) == 0:
         return []
     net = [int(subset[0])]
@@ -362,7 +319,7 @@ def annulus_piece_covering(space, o, R, alpha, delta, A, flavor, lam=2.0):
     rho = delta * R
     if rho < space.resolution:
         raise RhoBelowResolution(f"rho={rho} < resolution={space.resolution}")
-    A = np.array(sorted(int(v) for v in A), dtype=np.int64)
+    A = np.sort(np.asarray(A, dtype=np.int64))
     d = space.dist_from(o)[A]
     if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
         raise PieceNotInAnnulus("A is not inside the annulus [R, alpha R)")
@@ -380,30 +337,10 @@ def annulus_piece_covering(space, o, R, alpha, delta, A, flavor, lam=2.0):
         if len(U) == 0:
             U = np.array([x], dtype=np.int64)
         triples.append((U, np.flatnonzero(row < radii[1]), np.flatnonzero(row < radii[2])))
-    # adjacency on the U sets (closure touch = shared vertex or ambient edge)
-    adj = []
-    sets = [set(map(int, t[0])) for t in triples]
-    for i in range(len(net)):
-        for j in range(i + 1, len(net)):
-            if sets[i] & sets[j]:
-                adj.append((i, j))
-                continue
-            ui = np.fromiter(sets[i], dtype=np.int64)
-            for u in ui:
-                if sets[j] & set(map(int, space.vertex_degree_neighbors(u))):
-                    adj.append((i, j))
-                    break
-    k_map = {pair: pair[0] for pair in adj}
-    cov = GoodCovering(
+    return GoodCovering(
         triples=triples,
-        labels=[(0, i) for i in range(len(net))],
         levels=[0] * len(net),
-        adjacency=adj,
-        k_map=k_map,
+        adjacency=_touching_pairs(space, [U for U, _, _ in triples]),
         o=o,
         kappa=0.0,
     )
-    cov.net = net
-    cov.net_radius = net_r
-    cov.rho = rho
-    return cov

@@ -209,13 +209,18 @@ def generate(spec):
     raise InvalidSpec(spec.kind)
 
 
-def save_space(space, path):
-    """Write a space to the JSON schema shared with the loader."""
-    doc = {
+def space_document(space):
+    """The {vertices, edges, measure} document of the space-file schema."""
+    return {
         "vertices": space.n,
         "edges": [[int(u), int(v), float(l)] for (u, v), l in zip(space.edges, space.lengths)],
         "measure": [float(m) for m in space.measure],
     }
+
+
+def save_space(space, path):
+    """Write a space, with its coordinates if any, in the schema the loader reads."""
+    doc = space_document(space)
     if space.coords is not None:
         doc["coords"] = [[float(x), float(y)] for x, y in space.coords]
     with open(path, "w") as fh:

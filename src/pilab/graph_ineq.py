@@ -67,9 +67,6 @@ class IsoperimetricResult:
     witness: frozenset
     exact: bool  # always True; kept for callers that read it
 
-    def __float__(self):
-        return self.I
-
 
 @dataclass
 class NeumannResult:

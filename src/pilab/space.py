@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -190,9 +190,6 @@ class FiniteMetricMeasureSpace:
         sub = self.adjacency[np.ix_(vertices, vertices)]
         return csgraph.connected_components(sub, directed=False)
 
-    def vertex_degree_neighbors(self, v):
-        return self.adjacency.indices[self.adjacency.indptr[v]:self.adjacency.indptr[v + 1]]
-
 
 def build_space(vertices, edges, measure, coords=None):
     """Build and validate a space from raw vertex/edge/measure data.
@@ -218,27 +215,9 @@ class SpaceProfile:
 
     C_D: float
     Q: float
-    sample_spec: tuple = field(default=())
 
     def __post_init__(self):
         assert self.C_D >= 1.0 and self.Q >= 0.0
-
-
-@dataclass(frozen=True)
-class PIParams:
-    p: float
-    C_P: float
-    lam: float
-
-    def __post_init__(self):
-        assert self.p >= 1 and self.lam >= 1 and self.C_P > 0
-
-
-@dataclass(frozen=True)
-class ReverseDoublingParams:
-    o: int
-    eta: float
-    C_o: float
 
 
 @dataclass(frozen=True)
@@ -284,7 +263,7 @@ def doubling_profile(space, samples=None):
     if not samples:
         raise EmptySample("no (center, radius) samples")
     if space.n == 1:
-        return SpaceProfile(1.0, 0.0, tuple(samples))
+        return SpaceProfile(1.0, 0.0)
     best = 1.0
     for x, r in samples:
         small = space.ball_mass(x, r)
@@ -292,7 +271,7 @@ def doubling_profile(space, samples=None):
             raise EmptySample(f"empty ball at ({x}, {r})")
         big = space.ball_mass(x, 2 * r)
         best = max(best, big / small)
-    return SpaceProfile(float(best), math.log2(best), tuple(samples))
+    return SpaceProfile(float(best), math.log2(best))
 
 
 def default_radial_samples(space, o):

@@ -24,7 +24,8 @@ from .constants import (
     upgrade_constant,
 )
 from .covering import expand_covering, kappa_decomposition, validate_covering
-from .errors import NotConnected, NotInAnnulus, ZeroMass
+from .errors import EmptyPiece, NotConnected, NotInAnnulus, ZeroMass
+from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
 from .space import default_profile_samples, default_radial_samples, doubling_profile
 from .weights import weight_density
@@ -283,6 +284,8 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
     d = space.dist_from(o)[A]
     if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
         raise NotInAnnulus("A is not inside [R, alpha R)")
+    if len(A) < 2:
+        raise EmptyPiece("A is a single vertex, on which every oscillation is zero")
     ncomp, _ = space.induced_components(A)
     if ncomp != 1:
         raise NotConnected(f"A has {ncomp} components")
@@ -462,12 +465,8 @@ def write_reports_csv(reports, path, zero_seconds=False):
 
 
 def space_hash(space):
-    doc = {
-        "vertices": space.n,
-        "edges": [[int(u), int(v), float(l)] for (u, v), l in zip(space.edges, space.lengths)],
-        "measure": [float(m) for m in space.measure],
-    }
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    """SHA-256 of the space's schema document, coordinates left out."""
+    return hashlib.sha256(json.dumps(space_document(space), sort_keys=True).encode()).hexdigest()
 
 
 def write_reports_json(reports, path, provenance=None, zero_seconds=False):

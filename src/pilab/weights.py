@@ -19,13 +19,10 @@ def weight_density(space, o, kind, s=2.0, t=2.0, Q=2.0, printed_variant=False):
         mixed weight reduces to on an Ahlfors Q-regular space; with
         printed_variant=True the alternative bookkeeping e = Q*t/s - Q - 1
         is used instead.
-    kind="uniform": all ones.
     """
     d = space.dist_from(o)
     w = np.zeros(space.n)
     pos = d > 0
-    if kind == "uniform":
-        return np.ones(space.n)
     if kind == "mu_st":
         # m(B_r(o)) for every r = d(o, x) in one sorted prefix-sum pass
         order = np.argsort(d, kind="stable")

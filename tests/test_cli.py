@@ -172,11 +172,13 @@ def test_verify_nonfinite_constant_fails_with_flag(tmp_path, eta):
         ("radial_profile", "2", "weighted-sobolev", "the covering has no pieces"),
         ("radial_profile", "2", "annulus", "the annulus [4, 8) around 0 is empty"),
         ("cone_grid", "3", "annulus", "the annulus [4, 8) around 0 is empty"),
+        ("grid_quadrant", "2", "annulus", "A is a single vertex, on which every oscillation is zero"),
     ],
 )
 def test_verify_degenerate_space_fails_with_pilab_error(tmp_path, capsys, kind, n, ineq, message):
-    # radial_profile(2, 1) has no complete kappa-level and cone_grid(3, 2)
-    # no vertex in [R, 2R): each must end in a typed pilab error, exit 1
+    # radial_profile(2, 1) has no complete kappa-level, cone_grid(3, 2) no
+    # vertex in [R, 2R), and grid_quadrant(2) only vertex 8 there: each must
+    # end in a typed pilab error, exit 1
     space = tmp_path / "s.json"
     eta = "1" if kind == "radial_profile" else "2"
     run("gen", "--kind", kind, "--n", n, "--eta", eta, "-o", str(space))

@@ -3,6 +3,7 @@ import pytest
 
 from pilab.constants import layer_bound, theoretical_Q1, theoretical_Q2
 from pilab.covering import (
+    GoodCovering,
     annulus_piece_covering,
     expand_covering,
     greedy_net,
@@ -61,6 +62,53 @@ def test_thin_component_merged_inward():
     assert 4 in dec.truncated  # distance 4 lies beyond the last full level
 
 
+def _random_tree_graph(seed):
+    # a random tree plus a few chords: many thin branches, so many merges
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 80))
+    edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+    for _ in range(n // 8):
+        u, v = sorted(int(x) for x in rng.integers(n, size=2))
+        if u != v:
+            edges.add((u, v))
+    lengths = rng.uniform(0.5, 2.0, len(edges))
+    sp = build_space(n, [(u, v, float(l)) for (u, v), l in zip(sorted(edges), lengths)],
+                     rng.uniform(0.5, 2.0, n))
+    return sp, int(rng.integers(n)), float(rng.choice([1.5, 2.0, 3.0]))
+
+
+def _is_connected(sp, members):
+    inside = set(int(v) for v in members)
+    nbrs = {v: [] for v in inside}
+    for u, v in sp.edges:
+        if int(u) in inside and int(v) in inside:
+            nbrs[int(u)].append(int(v))
+            nbrs[int(v)].append(int(u))
+    seen, stack = set(), [min(inside)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(nbrs[v])
+    return seen == inside
+
+
+def test_merged_pieces_partition_and_stay_connected():
+    merging = 0
+    for seed in range(40):
+        sp, o, kappa = _random_tree_graph(seed)
+        dec = kappa_decomposition(sp, o, kappa)
+        d = sp.dist_from(o)
+        seen = [o] + [int(v) for v in dec.truncated]
+        for p in dec.pieces:
+            seen.extend(int(v) for v in p.members)
+            assert _is_connected(sp, p.members)
+        assert sorted(seen) == list(range(sp.n))
+        # a piece holding a vertex beyond its own shell absorbed a thin one
+        merging += any(d[p.members].max() >= kappa**p.level for p in dec.pieces)
+    assert merging >= 20
+
+
 def test_truncation_drop():
     sp = path_space(9)  # distances 0..8, levels 1..3 complete
     dec = kappa_decomposition(sp, 0, 2.0)
@@ -107,10 +155,60 @@ def test_adjacent_pieces_share_star():
     sp = grid_quadrant(16)
     cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))
     for pair in cov.adjacency:
-        k = cov.k_map[pair]
+        k = min(pair)
         star = set(cov.triples[k][1])
         for a in pair:
             assert set(cov.triples[a][0]) <= star
+
+
+def _hand_covering(**change):
+    # path 0-1-2-3 split into U_0 = {0, 1} and U_1 = {2, 3}, stars and
+    # sharps everything; `change` replaces single sets by name
+    sets = {"U0": [0, 1], "U1": [2, 3], "S0": [0, 1, 2, 3], "S1": [0, 1, 2, 3]}
+    sets.update(change)
+    full = [0, 1, 2, 3]
+    triples = [
+        (np.array(sets["U0"]), np.array(sets["S0"]), np.array(sets.get("H0", full))),
+        (np.array(sets["U1"]), np.array(sets["S1"]), np.array(sets.get("H1", full))),
+    ]
+    return GoodCovering(triples=triples, levels=[1, 1], adjacency=[(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "change, failing",
+    [
+        ({}, set()),
+        ({"H1": [2]}, {"axiom1_nested"}),  # U*_1 not inside U#_1
+        ({"U1": [2]}, {"axiom2_cover"}),  # vertex 3 in no U
+        ({"S0": [0, 1]}, {"axiom4_measure"}),  # U*_k, k = min(0, 1), misses U_1
+    ],
+)
+def test_validation_reports_each_failing_axiom(change, failing):
+    sp = path_space(4)
+    val = validate_covering(_hand_covering(**change), sp)
+    assert {name for name, ok in val.axioms_pass.items() if not ok} == failing
+    assert val.uncovered.tolist() == ([3] if "axiom2_cover" in failing else [])
+
+
+def test_annulus_piece_adjacency_matches_pairwise_oracle():
+    sp = grid_quadrant(16)
+    d = sp.dist_from(0)
+    A = np.flatnonzero((d >= 4) & (d < 8))
+    edges = [(int(u), int(v)) for u, v in sp.edges]
+    for flavor in ("sobolev", "poincare"):
+        cov = annulus_piece_covering(sp, 0, 4.0, 2.0, 0.5, A, flavor)
+        sets = [set(int(v) for v in U) for U, _, _ in cov.triples]
+        expected = []
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                joined = any(
+                    (u in sets[i] and v in sets[j]) or (v in sets[i] and u in sets[j])
+                    for u, v in edges
+                )
+                if sets[i] & sets[j] or joined:
+                    expected.append((i, j))
+        assert len(expected) > 0
+        assert cov.adjacency == expected
 
 
 def test_greedy_net_separation_and_coverage():
