@@ -239,6 +239,15 @@ def _cmd_render(args):
     return 0
 
 
+def _add_base(parser):
+    """`--base` names the base point o, with `--o` as a hidden alias; `-o`
+    names the output file."""
+    parser.add_argument(
+        "--base", dest="o", type=int, default=0, metavar="VERTEX", help="base point o"
+    )
+    parser.add_argument("--o", dest="o", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="pilab")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -254,18 +263,18 @@ def build_parser():
 
     pr = sub.add_parser("profile", help="doubling / reverse-doubling / Ahlfors fits")
     pr.add_argument("--space", required=True)
-    pr.add_argument("--o", type=int, default=0)
+    _add_base(pr)
     pr.set_defaults(fn=_cmd_profile)
 
     de = sub.add_parser("decompose", help="kappa-decomposition and covering validation")
     de.add_argument("--space", required=True)
-    de.add_argument("--o", type=int, default=0)
+    _add_base(de)
     de.add_argument("--kappa", type=_positive_kappa, default=2.0)
     de.set_defaults(fn=_cmd_decompose)
 
     gr = sub.add_parser("graph", help="covering graph constants")
     gr.add_argument("--space", required=True)
-    gr.add_argument("--o", type=int, default=0)
+    _add_base(gr)
     gr.add_argument("--kappa", type=_positive_kappa, default=2.0)
     gr.add_argument("-o", "--out", default=None, help="optional DOT output")
     gr.set_defaults(fn=_cmd_graph)
@@ -277,7 +286,7 @@ def build_parser():
         required=True,
         choices=["weighted-sobolev", "hardy", "local-sobolev", "ahlfors", "annulus"],
     )
-    ve.add_argument("--o", type=int, default=0)
+    _add_base(ve)
     ve.add_argument("--s", type=float, default=1.0)
     ve.add_argument("--t", type=float, default=None)
     ve.add_argument("--kappa", type=_positive_kappa, default=2.0)
@@ -291,7 +300,7 @@ def build_parser():
 
     re = sub.add_parser("render", help="SVG rendering of a 2D space")
     re.add_argument("--space", required=True)
-    re.add_argument("--o", type=int, default=0)
+    _add_base(re)
     re.add_argument("--kappa", type=_positive_kappa, default=None)
     re.add_argument("-o", "--out", dest="out", required=True)
     re.set_defaults(fn=_cmd_render)

@@ -27,7 +27,12 @@ from .covering import expand_covering, kappa_decomposition, validate_covering
 from .errors import EmptyPiece, NotConnected, NotInAnnulus, ZeroMass
 from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
-from .space import default_profile_samples, default_radial_samples, doubling_profile
+from .space import (
+    default_profile_samples,
+    default_radial_samples,
+    doubling_profile,
+    rows_by_center,
+)
 from .weights import weight_density
 
 REL_TOL = 1e-6
@@ -51,14 +56,19 @@ class InequalityReport:
     seconds: float = 0.0
 
 
-def lip(space, f):
-    """Per-vertex local slope: max |df|/length over incident edges."""
+def lip(space, f, edges=slice(None)):
+    """Per-vertex local slope: max |df|/length over incident edges.
+
+    `edges` indexes the edges read: f is read only at their ends, and the
+    slope is exact where all incident edges are kept.
+    """
     f = np.asarray(f, dtype=float)
     out = np.zeros(space.n)
-    if len(space.edges):
-        slopes = np.abs(f[space.edges[:, 0]] - f[space.edges[:, 1]]) / space.lengths
-        np.maximum.at(out, space.edges[:, 0], slopes)
-        np.maximum.at(out, space.edges[:, 1], slopes)
+    e, lengths = space.edges[edges], space.lengths[edges]
+    if len(e):
+        slopes = np.abs(f[e[:, 0]] - f[e[:, 1]]) / lengths
+        np.maximum.at(out, e[:, 0], slopes)
+        np.maximum.at(out, e[:, 1], slopes)
     return out
 
 
@@ -159,7 +169,7 @@ def make_family(space, o, seed, count=200):
     for _ in range(per):
         c = int(rng.integers(space.n))
         width = float(rng.uniform(2 * space.resolution, max(diam / 2, 4 * space.resolution)))
-        dc = space.dist_from(c)
+        dc = space.dist_from(c, limit=width)
         family.append((f"tent[{c},{width:.4f}]", np.maximum(0.0, 1.0 - dc / width)))
 
     dyadic = [space.resolution * 2**j for j in range(int(math.log2(diam / space.resolution)) + 1)]
@@ -189,7 +199,7 @@ def make_family(space, o, seed, count=200):
         c = int(rng.integers(space.n))
         r = float(rng.uniform(space.resolution, max(diam / 2, 2 * space.resolution)))
         width = float(rng.uniform(space.resolution, max(diam / 4, 2 * space.resolution)))
-        dc = space.dist_from(c)
+        dc = space.dist_from(c, limit=r + width)
         vals = np.clip((r + width - dc) / width, 0.0, 1.0)
         family.append((f"indicator_smooth[{c},{r:.4f},{width:.4f}]", vals))
 
@@ -206,27 +216,42 @@ def measure_poincare(space, s, lam=2.0):
     canonical family; floored at 1.0 so downstream constants stay
     conservative.
     """
+    return max(_sampled_poincare(space, s, lam), 1.0)
+
+
+def _sampled_poincare(space, s, lam):
+    """The unfloored maximum of measure_poincare.
+
+    Each center's row is read to lam * r plus the longest edge, which
+    covers every edge touching lamB, and the slope is taken on those edges
+    only.
+    """
     best = 0.0
-    for x, r in default_profile_samples(space, max_centers=16):
-        B = space.ball(x, r)
-        lamB = space.ball(x, lam * r)
-        if len(B) < 2:
-            continue
-        mB, mlamB = space.measure[B], space.measure[lamB]
+    e0, e1 = space.edges[:, 0], space.edges[:, 1]
+    longest = float(space.lengths.max()) if len(space.lengths) else 0.0
+    samples = default_profile_samples(space, max_centers=16)
+    for dx, picks in rows_by_center(space, samples, lambda r: lam * r + longest):
+        for _, r in picks:
+            B = np.flatnonzero(dx < r)
+            if len(B) < 2:
+                continue
+            in_lam = dx < lam * r
+            lamB = np.flatnonzero(in_lam)
+            touching = np.flatnonzero(in_lam[e0] | in_lam[e1])
+            mB, mlamB = space.measure[B], space.measure[lamB]
 
-        def ratio(f):
-            g = lip(space, f)
-            fB = float((f[B] * mB).sum() / mB.sum())
-            num = float((np.abs(f[B] - fB) ** s * mB).sum() / mB.sum()) ** (1.0 / s)
-            den = r * float((g[lamB] ** s * mlamB).sum() / mlamB.sum()) ** (1.0 / s)
-            return num / den if den > 0 else 0.0
+            def ratio(f):
+                g = lip(space, f, touching)
+                fB = float((f[B] * mB).sum() / mB.sum())
+                num = float((np.abs(f[B] - fB) ** s * mB).sum() / mB.sum()) ** (1.0 / s)
+                den = r * float((g[lamB] ** s * mlamB).sum() / mlamB.sum()) ** (1.0 / s)
+                return num / den if den > 0 else 0.0
 
-        dx = space.dist_from(x)
-        cands = [dx, np.maximum(0.0, 1.0 - dx / r)]
-        if space.coords is not None:
-            cands.append(space.coords[:, 0] + space.coords[:, 1])
-        best = max(best, _sweep(enumerate(cands), ratio)[0])
-    return max(best, 1.0)
+            cands = [dx, np.maximum(0.0, 1.0 - dx / r)]
+            if space.coords is not None:
+                cands.append(space.coords[:, 0] + space.coords[:, 1])
+            best = max(best, _sweep(enumerate(cands), ratio)[0])
+    return best
 
 
 def eta_fit(space, o):

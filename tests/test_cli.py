@@ -7,6 +7,7 @@ import pytest
 from pilab import verify
 from pilab.cli import main
 from pilab.gallery import load_space
+from pilab.space import FiniteMetricMeasureSpace
 
 
 def run(*argv):
@@ -185,3 +186,57 @@ def test_verify_degenerate_space_fails_with_pilab_error(tmp_path, capsys, kind, 
     capsys.readouterr()
     assert run("verify", "--space", str(space), "--ineq", ineq) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_base_flag_and_its_alias_write_identical_reports(tmp_path):
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "12", "-o", str(space))
+    outs = []
+    for flag in ("--base", "--o"):
+        rep = tmp_path / f"{flag.strip('-')}.csv"
+        assert run(
+            "verify", "--space", str(space), "--ineq", "hardy", flag, "7", "--count", "30",
+            "--deterministic-output", "-o", str(rep),
+        ) == 0
+        outs.append(rep.read_bytes())
+    assert outs[0] == outs[1]
+    other = tmp_path / "other.csv"
+    run("verify", "--space", str(space), "--ineq", "hardy", "--count", "30",
+        "--deterministic-output", "-o", str(other))
+    assert other.read_bytes() != outs[0]
+
+
+def test_short_o_still_names_the_output_file(tmp_path, capsys):
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    dot = tmp_path / "g.dot"
+    assert run("graph", "--space", str(space), "--base", "0", "-o", str(dot)) == 0
+    assert dot.read_text().startswith("graph covering {")
+    svg = tmp_path / "g.svg"
+    assert run("render", "--space", str(space), "--base", "0", "--kappa", "2", "-o", str(svg)) == 0
+    assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, n", [("grid_quadrant", "16"), ("cone_grid", "20")])
+def test_verify_reports_unchanged_by_truncated_rows(tmp_path, monkeypatch, kind, n):
+    space = tmp_path / "s.json"
+    run("gen", "--kind", kind, "--n", n, "--eta", "2", "-o", str(space))
+
+    def reports(tag):
+        out = {}
+        for ineq in ("hardy", "weighted-sobolev", "annulus", "local-sobolev", "ahlfors"):
+            rep = tmp_path / f"{tag}-{ineq}.csv"
+            assert run(
+                "verify", "--space", str(space), "--ineq", ineq, "--s", "1", "--t", "2",
+                "--deterministic-output", "-o", str(rep),
+            ) in (0, 2)
+            out[ineq] = rep.read_bytes()
+        return out
+
+    truncated = reports("truncated")
+    full = FiniteMetricMeasureSpace.dist_from
+    monkeypatch.setattr(
+        FiniteMetricMeasureSpace, "dist_from", lambda self, x, limit=math.inf: full(self, x)
+    )
+    assert reports("full") == truncated

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 import pilab.space as space_module
 
@@ -17,16 +18,20 @@ from pilab.errors import (
 from pilab.gallery import (
     cone_grid,
     grid_quadrant,
+    load_space,
     path_space,
     radial_profile,
     sector_union,
 )
 from pilab.space import (
+    FiniteMetricMeasureSpace,
     ahlfors_fit,
     build_space,
+    default_profile_samples,
     doubling_profile,
     reverse_doubling_fit,
 )
+from pilab.verify import _sampled_poincare, make_family
 
 
 def test_single_vertex_space():
@@ -258,3 +263,143 @@ def test_row_cache_is_bounded_and_correct(monkeypatch):
     sp.dist_from(fresh)
     assert recent[0] in sp._dist_cache and recent[1] not in sp._dist_cache
     assert sp.dist_from(recent[0]) is again
+
+
+# -- parallel edges ------------------------------------------------------------
+
+
+def test_parallel_edges_keep_the_shortest_length():
+    sp = build_space(3, [(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0)], np.ones(3))
+    assert sp.dist_from(0).tolist() == [0.0, 1.0, 2.0]
+    sp = build_space(3, [(0, 1, 3.0), (1, 0, 1.0), (1, 2, 1.0)], np.ones(3))
+    assert sp.dist(0, 1) == 1.0
+    assert sp.dist(0, 2) == 2.0
+
+
+def test_space_file_with_repeated_edge_loads_the_same_distances(tmp_path):
+    edges = [[0, 1, 2.0], [1, 2, 0.5], [2, 3, 1.5], [0, 3, 4.0]]
+    path = tmp_path / "repeated.json"
+    doc = {"vertices": 4, "edges": edges + [[2, 1, 0.5], [3, 0, 7.0]], "measure": [1.0] * 4}
+    path.write_text(json.dumps(doc))
+    loaded = load_space(path)
+    plain = build_space(4, [tuple(e) for e in edges], np.ones(4))
+    for x in range(4):
+        assert np.array_equal(loaded.dist_from(x), plain.dist_from(x))
+    assert loaded.dist(0, 3) == 4.0
+
+
+# -- truncated rows ------------------------------------------------------------
+
+
+def _reference_graph(sp):
+    """Undirected graph of sp's edges, built here (the strategy repeats no pair)."""
+    e = sp.edges
+    return csr_matrix((sp.lengths, (e[:, 0], e[:, 1])), shape=(sp.n, sp.n))
+
+
+def test_truncated_row_limit_is_inclusive():
+    sp = path_space(6, step=0.5)
+    assert sp.dist_from(0, limit=1.0).tolist() == [0.0, 0.5, 1.0] + [np.inf] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.data())
+def test_truncated_row_is_the_full_row_up_to_its_limit(sp, data):
+    x = data.draw(st.integers(0, sp.n - 1))
+    full = csgraph.dijkstra(_reference_graph(sp), directed=False, indices=x)
+    attained = st.sampled_from(sorted(set(full.tolist())))
+    limit = data.draw(attained | st.floats(0.0, 1.1 * float(full.max())))
+    row = sp.dist_from(x, limit=limit)
+    inside = full <= limit
+    assert row[inside].tobytes() == full[inside].tobytes()
+    assert np.isinf(row[~inside]).all()
+
+
+def test_truncated_read_leaves_the_cache_alone():
+    sp = grid_quadrant(8)
+    for x in (0, 5, 9):
+        sp.dist_from(x)
+    before = [(x, id(row)) for x, row in sp._dist_cache.items()], sp._cache_bytes
+    sp.dist_from(0, limit=3.0)
+    sp.dist_from(40, limit=3.0)
+    assert ([(x, id(row)) for x, row in sp._dist_cache.items()], sp._cache_bytes) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_directed_rows_equal_undirected_rows(sp):
+    for x in range(sp.n):
+        undirected = csgraph.dijkstra(sp.adjacency, directed=False, indices=x)
+        assert sp.dist_from(x).tobytes() == undirected.tobytes()
+
+
+# -- readers of truncated rows -------------------------------------------------
+
+
+def _full_rows_only(mp):
+    """Make dist_from ignore `limit`, so every reader gets full rows."""
+    full = FiniteMetricMeasureSpace.dist_from
+    mp.setattr(FiniteMetricMeasureSpace, "dist_from", lambda self, x, limit=np.inf: full(self, x))
+
+
+def _reader_results(sp):
+    """Everything the many-center readers return, floats compared by bits;
+    the Poincare constants unfloored, as measure_poincare's floor of 1.0
+    hides most ratios."""
+    out = {
+        "doubling": doubling_profile(sp),
+        "poincare_1": _sampled_poincare(sp, 1.0, 2.0),
+        "poincare_2": _sampled_poincare(sp, 2.0, 2.0),
+        "family": [(name, np.asarray(v, dtype=float).tobytes()) for name, v in make_family(sp, 0, 5)],
+    }
+    try:
+        out["ahlfors"] = ahlfors_fit(sp)
+    except NotAhlfors as exc:
+        out["ahlfors"] = str(exc)
+    return out
+
+
+SMALL_GALLERY = [
+    lambda: grid_quadrant(10),
+    lambda: sector_union(1.5, r_max=6.0),
+    lambda: radial_profile(40, 2.0),
+    lambda: cone_grid(10, 2.0),
+    lambda: path_space(30, step=0.3),
+]
+SMALL_GALLERY_IDS = ["grid_quadrant", "sector_union", "radial_profile", "cone_grid", "path"]
+
+
+def _dense_doubling(sp):
+    """C_D over the default samples from a dense all-pairs matrix."""
+    dense = csgraph.shortest_path(_reference_graph(sp), method="D", directed=False)
+    best = 1.0
+    for x, r in default_profile_samples(sp):
+        best = max(best, sp.measure[dense[x] < 2 * r].sum() / sp.measure[dense[x] < r].sum())
+    return best
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
+def test_readers_on_truncated_rows_match_full_rows_gallery(make, monkeypatch):
+    truncated = _reader_results(make())
+    _full_rows_only(monkeypatch)
+    assert _reader_results(make()) == truncated
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+def test_readers_on_truncated_rows_match_full_rows_random(sp):
+    truncated = _reader_results(sp)
+    assert truncated["doubling"].C_D == _dense_doubling(sp)
+    with pytest.MonkeyPatch.context() as mp:
+        _full_rows_only(mp)
+        assert _reader_results(sp) == truncated
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
+def test_doubling_matches_dense_brute_force(make):
+    sp = make()
+    assert sp.n <= 300
+    assert doubling_profile(sp).C_D == _dense_doubling(sp)
