@@ -39,6 +39,16 @@ def _positive_kappa(text):
     return k
 
 
+def _family_count(text):
+    try:
+        count = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
+    if count < 5:
+        raise argparse.ArgumentTypeError("count must be >= 5, one function per generator")
+    return count
+
+
 def _resolve_kappa(args, space, o):
     if args.kappa != "auto":
         return args.kappa
@@ -291,7 +301,7 @@ def build_parser():
     ve.add_argument("--t", type=float, default=None)
     ve.add_argument("--kappa", type=_positive_kappa, default=2.0)
     ve.add_argument("--seed", type=int, default=None)
-    ve.add_argument("--count", type=int, default=200)
+    ve.add_argument("--count", type=_family_count, default=200)
     ve.add_argument("--format", choices=["csv", "json"], default="csv")
     ve.add_argument("--deterministic-output", action="store_true")
     ve.add_argument("--threads", type=int, default=0, help="worker cap (0 = auto)")

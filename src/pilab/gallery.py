@@ -9,6 +9,7 @@ annulus connected.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -213,8 +214,8 @@ def space_document(space):
     """The {vertices, edges, measure} document of the space-file schema."""
     return {
         "vertices": space.n,
-        "edges": [[int(u), int(v), float(l)] for (u, v), l in zip(space.edges, space.lengths)],
-        "measure": [float(m) for m in space.measure],
+        "edges": [[u, v, l] for (u, v), l in zip(space.edges.tolist(), space.lengths.tolist())],
+        "measure": space.measure.tolist(),
     }
 
 
@@ -222,13 +223,20 @@ def save_space(space, path):
     """Write a space, with its coordinates if any, in the schema the loader reads."""
     doc = space_document(space)
     if space.coords is not None:
-        doc["coords"] = [[float(x), float(y)] for x, y in space.coords]
+        doc["coords"] = space.coords.tolist()
+    # json.dumps encodes in C in one pass; json.dump streams the text
+    # through the pure-Python encoder
+    text = json.dumps(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def load_space(path):
-    """Load and validate a space file; raises SchemaError with the bad field."""
+    """Load and validate a space file; raises SchemaError with the bad field.
+
+    Arrays are built straight from the decoded lists.  Only a file that
+    fails a check is walked entry by entry, to name the first bad entry.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -237,26 +245,88 @@ def load_space(path):
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise SchemaError("vertices", "missing")
     n = doc["vertices"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("vertices", "must be a positive integer")
-    edges = doc.get("edges", [])
-    for k, e in enumerate(edges):
-        if len(e) != 3:
-            raise SchemaError("edges", f"entry {k} is not (u, v, length)")
-        u, v, l = e
-        if not (0 <= u < n and 0 <= v < n):
-            raise SchemaError("edges", f"entry {k} references a missing vertex")
-        if l <= 0:
-            raise SchemaError("edges", f"entry {k} has non-positive length")
-    measure = doc.get("measure")
-    if measure is None or len(measure) != n:
-        raise SchemaError("measure", "missing or wrong length")
-    if any(m <= 0 for m in measure):
-        raise SchemaError("measure", "masses must be positive")
+    # the measure first: its length bounds n, and so every valid endpoint
+    measure = _number_array(doc.get("measure"), n, "measure", positive=True)
+    edges, lengths = _edge_arrays(doc.get("edges", []), n)
     coords = doc.get("coords")
-    if coords is not None and len(coords) != n:
-        raise SchemaError("coords", "wrong length")
-    return build_space(n, [tuple(e) for e in edges], np.array(measure, dtype=float), coords)
+    if coords is not None:
+        if type(coords) is not list or len(coords) != n:
+            raise SchemaError("coords", "wrong length")
+        if set(map(type, coords)) != {list} or set(map(len, coords)) != {2}:
+            k = next(k for k, c in enumerate(coords) if type(c) is not list or len(c) != 2)
+            raise SchemaError("coords", f"entry {k} is not (x, y)")
+        x, y = zip(*coords)
+        coords = np.column_stack([_number_array(list(c), n, "coords") for c in (x, y)])
+    return FiniteMetricMeasureSpace(n, edges, lengths, measure, coords)
+
+
+_NUMBER = {int, float}
+
+
+def _not_number(v, positive=False):
+    """True unless v is a finite JSON number (and > 0 if `positive`)."""
+    if type(v) not in _NUMBER:
+        return True
+    try:
+        v = float(v)
+    except OverflowError:
+        return True
+    return not math.isfinite(v) or (positive and v <= 0)
+
+
+def _number_array(values, n, field, positive=False):
+    """`values` as a float array of n finite numbers (all > 0 if `positive`)."""
+    if type(values) is not list or len(values) != n:
+        raise SchemaError(field, "missing or wrong length")
+    if set(map(type, values)) <= _NUMBER:
+        try:
+            out = np.array(values, dtype=float)
+        except OverflowError:  # an int beyond the float range, found below
+            pass
+        else:
+            if np.isfinite(out).all() and (not positive or (out > 0).all()):
+                return out
+    k = next(k for k, v in enumerate(values) if _not_number(v, positive))
+    raise SchemaError(field, f"entry {k} is not a finite{' positive' if positive else ''} number")
+
+
+def _edge_arrays(edges, n):
+    """(m, 2) endpoints and (m,) lengths of the schema's edge list."""
+    if type(edges) is not list:
+        raise SchemaError("edges", "must be a list of (u, v, length)")
+    if not edges:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    if set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
+        flat = list(itertools.chain.from_iterable(edges))
+        u, v, l = flat[0::3], flat[1::3], flat[2::3]
+        if set(map(type, u)) | set(map(type, v)) == {int} and set(map(type, l)) <= _NUMBER:
+            try:
+                ends = np.column_stack((np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)))
+                lengths = np.array(l, dtype=float)
+            except OverflowError:  # an int beyond the int64 or float range, found below
+                pass
+            else:
+                in_range = ((ends >= 0) & (ends < n)).all()
+                if in_range and np.isfinite(lengths).all() and (lengths > 0).all():
+                    return ends, lengths
+    k, why = next((k, why) for k, e in enumerate(edges) if (why := _edge_fault(e, n)))
+    raise SchemaError("edges", f"entry {k} {why}")
+
+
+def _edge_fault(e, n):
+    """What is wrong with one edge entry, or "" if nothing is."""
+    if type(e) is not list or len(e) != 3:
+        return "is not (u, v, length)"
+    u, v, l = e
+    if type(u) is not int or type(v) is not int:
+        return "has an endpoint that is not a vertex index"
+    if not (0 <= u < n and 0 <= v < n):
+        return "references a missing vertex"
+    if _not_number(l, positive=True):
+        return "has a length that is not a finite positive number"
+    return ""
 
 
 def spaces_equal(a, b):

@@ -83,8 +83,8 @@ class FiniteMetricMeasureSpace:
     def _validate(self):
         if self.n < 1:
             raise NonPositiveMass("space needs at least one vertex")
-        if np.any(self.lengths <= 0):
-            raise NonPositiveLength("all edge lengths must be > 0")
+        if not np.all(self.lengths > 0) or not np.all(np.isfinite(self.lengths)):
+            raise NonPositiveLength("all edge lengths must be > 0 and finite")
         if np.any(self.measure <= 0) or not np.all(np.isfinite(self.measure)):
             raise NonPositiveMass("all vertex masses must be > 0 and finite")
         if len(self.measure) != self.n:

@@ -28,6 +28,7 @@ from .errors import EmptyPiece, NotConnected, NotInAnnulus, ZeroMass
 from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
 from .space import (
+    FiniteMetricMeasureSpace,
     default_profile_samples,
     default_radial_samples,
     doubling_profile,
@@ -150,60 +151,77 @@ def _oscillation_ratio(space, A, E, R, s, t):
 
 
 def make_family(space, o, seed, count=200):
-    """Deterministic family of (id, values) test functions.
+    """Deterministic family of (id, values) test functions, as a Family.
 
-    Five generators in equal shares: radial powers d(o,.)^beta near the
+    The family is lazy and re-iterable; `list(make_family(...))` keeps the
+    values.
+    """
+    return Family(space, o, seed, count)
+
+
+@dataclass(frozen=True)
+class Family:
+    """Five generators in equal shares: radial powers d(o,.)^beta near the
     critical exponents, tents, annulus cutoffs at dyadic radii, random
     Lipschitz functions (noise followed by iterated edge-slope projection),
     and smoothed ball indicators.
+
+    Each pass reruns the generators from `seed`, so a sweep holds one test
+    function at a time and every pass yields the same (id, values) pairs.
     """
-    rng = np.random.default_rng(seed)
-    d = space.dist_from(o)
-    diam = max(space.diameter(), space.resolution)
-    per = max(1, count // 5)
-    family = []
 
-    for beta in np.linspace(0.25, 2.5, per):
-        family.append((f"radial_power[{beta:.4f}]", d**beta))
+    space: FiniteMetricMeasureSpace
+    o: int
+    seed: int
+    count: int = 200
 
-    for _ in range(per):
-        c = int(rng.integers(space.n))
-        width = float(rng.uniform(2 * space.resolution, max(diam / 2, 4 * space.resolution)))
-        dc = space.dist_from(c, limit=width)
-        family.append((f"tent[{c},{width:.4f}]", np.maximum(0.0, 1.0 - dc / width)))
+    def __len__(self):
+        return 5 * max(1, self.count // 5)
 
-    dyadic = [space.resolution * 2**j for j in range(int(math.log2(diam / space.resolution)) + 1)]
-    for _ in range(per):
-        if len(dyadic) < 2:
-            i, j = 0, 0
-            r, R = space.resolution, 2 * space.resolution
-        else:
-            i = int(rng.integers(len(dyadic) - 1))
-            j = int(rng.integers(i + 1, len(dyadic)))
-            r, R = dyadic[i], dyadic[j]
-        vals = np.clip((R - d) / (R - r), 0.0, 1.0)
-        family.append((f"annulus_cutoff[{r:.4f},{R:.4f}]", vals))
+    def __iter__(self):
+        space = self.space
+        rng = np.random.default_rng(self.seed)
+        d = space.dist_from(self.o)
+        diam = max(space.diameter(), space.resolution)
+        per = len(self) // 5
 
-    for k in range(per):
-        L = float(rng.uniform(0.1, 2.0))
-        vals = rng.uniform(0.0, L * diam / 8.0, space.n)
-        # iterated projection onto the L-Lipschitz edge constraints
+        for beta in np.linspace(0.25, 2.5, per):
+            yield f"radial_power[{beta:.4f}]", d**beta
+
+        for _ in range(per):
+            c = int(rng.integers(space.n))
+            width = float(rng.uniform(2 * space.resolution, max(diam / 2, 4 * space.resolution)))
+            dc = space.dist_from(c, limit=width)
+            yield f"tent[{c},{width:.4f}]", np.maximum(0.0, 1.0 - dc / width)
+
+        dyadic = [space.resolution * 2**j for j in range(int(math.log2(diam / space.resolution)) + 1)]
+        for _ in range(per):
+            if len(dyadic) < 2:
+                r, R = space.resolution, 2 * space.resolution
+            else:
+                i = int(rng.integers(len(dyadic) - 1))
+                j = int(rng.integers(i + 1, len(dyadic)))
+                r, R = dyadic[i], dyadic[j]
+            yield f"annulus_cutoff[{r:.4f},{R:.4f}]", np.clip((R - d) / (R - r), 0.0, 1.0)
+
         e0, e1 = space.edges[:, 0], space.edges[:, 1]
-        caps = L * space.lengths
-        for _ in range(10):
-            np.minimum.at(vals, e0, vals[e1] + caps)
-            np.minimum.at(vals, e1, vals[e0] + caps)
-        family.append((f"random_lipschitz[{k},{L:.4f}]", vals))
+        for k in range(per):
+            L = float(rng.uniform(0.1, 2.0))
+            vals = rng.uniform(0.0, L * diam / 8.0, space.n)
+            # iterated projection onto the L-Lipschitz edge constraints
+            caps = L * space.lengths
+            for _ in range(10):
+                np.minimum.at(vals, e0, vals[e1] + caps)
+                np.minimum.at(vals, e1, vals[e0] + caps)
+            yield f"random_lipschitz[{k},{L:.4f}]", vals
 
-    for _ in range(per):
-        c = int(rng.integers(space.n))
-        r = float(rng.uniform(space.resolution, max(diam / 2, 2 * space.resolution)))
-        width = float(rng.uniform(space.resolution, max(diam / 4, 2 * space.resolution)))
-        dc = space.dist_from(c, limit=r + width)
-        vals = np.clip((r + width - dc) / width, 0.0, 1.0)
-        family.append((f"indicator_smooth[{c},{r:.4f},{width:.4f}]", vals))
-
-    return family
+        for _ in range(per):
+            c = int(rng.integers(space.n))
+            r = float(rng.uniform(space.resolution, max(diam / 2, 2 * space.resolution)))
+            width = float(rng.uniform(space.resolution, max(diam / 4, 2 * space.resolution)))
+            dc = space.dist_from(c, limit=r + width)
+            vals = np.clip((r + width - dc) / width, 0.0, 1.0)
+            yield f"indicator_smooth[{c},{r:.4f},{width:.4f}]", vals
 
 
 # -- measured profile helpers ---------------------------------------------

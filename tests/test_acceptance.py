@@ -339,7 +339,7 @@ def test_c05_representation_formula():
         rng = np.random.default_rng(17)
         ball = sp.ball(a, R)
         sample = rng.choice(ball[ball != a], size=min(12, len(ball) - 1), replace=False)
-        fam = make_family(sp, a, seed=5, count=100)
+        fam = list(make_family(sp, a, seed=5, count=100))
         for _, f in fam[:100]:
             g = lip(sp, f)
             res = representation_check(sp, a, R, lam, s, f, g, sample, C_P=C_P, Q=Q)
@@ -546,7 +546,7 @@ def test_c09_oracle_equivalence_tiny_spaces():
     for sp in spaces:
         oracle = _sign_pattern_lp_best(sp)
         R = sp.diameter() + 1.0
-        fam = make_family(sp, 0, seed=1, count=200)
+        fam = list(make_family(sp, 0, seed=1, count=200))
         for mask in range(1, 1 << sp.n):
             fam.append((f"cut[{mask}]", ((mask >> np.arange(sp.n)) & 1).astype(float)))
         rep = local_sobolev_check(sp, 0, R, 1.0, 1.0, fam)

@@ -240,3 +240,14 @@ def test_verify_reports_unchanged_by_truncated_rows(tmp_path, monkeypatch, kind,
         FiniteMetricMeasureSpace, "dist_from", lambda self, x, limit=math.inf: full(self, x)
     )
     assert reports("full") == truncated
+
+
+@pytest.mark.parametrize("count", ["4", "0", "-5", "x"])
+def test_verify_rejects_count_below_five(tmp_path, capsys, count):
+    # one function per generator is the smallest family; smaller counts
+    # used to sweep five functions silently
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    assert run("verify", "--space", str(space), "--ineq", "hardy", "--count", count) == 1
+    assert "--count" in capsys.readouterr().err
+    assert run("verify", "--space", str(space), "--ineq", "hardy", "--count", "5") == 0

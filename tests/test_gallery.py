@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pilab.cli import main
 from pilab.errors import InvalidSpec, SchemaError
 from pilab.gallery import (
     GallerySpec,
@@ -124,6 +125,64 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError) as exc:
         load_space(path)
     assert exc.value.field == "coords"
+
+
+def test_load_space_round_trips_gallery_spaces(tmp_path):
+    path = tmp_path / "space.json"
+    for sp in (grid_quadrant(12), sector_union(1.0, r_max=6.0), cone_grid(10, 2.0)):
+        save_space(sp, path)
+        assert spaces_equal(sp, load_space(path))
+
+
+# A valid three-vertex path; each malformed case replaces some of its fields.
+PATH_DOC = {
+    "vertices": 3,
+    "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+    "measure": [1, 1, 1],
+    "coords": [[0, 0], [1, 0], [2, 0]],
+}
+# (fields replaced, field named by the SchemaError, index of the first bad entry)
+MALFORMED = {
+    "endpoint_string": ({"edges": [[0, 1, 1.0], [1, "a", 1.0]]}, "edges", 1),
+    "endpoint_float": ({"edges": [[0, 1, 1.0], [1.5, 2, 1.0]]}, "edges", 1),
+    "endpoint_bool": ({"edges": [[0, 1, 1.0], [True, 2, 1.0]]}, "edges", 1),
+    "endpoint_beyond_int64": ({"edges": [[0, 1, 1.0], [1, 10**30, 1.0]]}, "edges", 1),
+    "length_null": ({"edges": [[0, 1, 1.0], [1, 2, None]]}, "edges", 1),
+    "length_nan": ({"edges": [[0, 1, 1.0], [1, 2, math.nan]]}, "edges", 1),
+    "length_infinity": ({"edges": [[0, 1, 1.0], [1, 2, math.inf]]}, "edges", 1),
+    "length_beyond_float": ({"edges": [[0, 1, 1.0], [1, 2, 10**400]]}, "edges", 1),
+    "length_zero_after_bad_endpoint": ({"edges": [[0, 3, 1.0], [1, 2, 0]]}, "edges", 0),
+    "edge_not_a_list": ({"edges": [[0, 1, 1.0], 7]}, "edges", 1),
+    "edge_a_string": ({"edges": [[0, 1, 1.0], "abc"]}, "edges", 1),
+    "edge_too_short": ({"edges": [[0, 1, 1.0], [1, 2]]}, "edges", 1),
+    "edges_not_a_list": ({"edges": 7}, "edges", None),
+    "measure_null": ({"measure": [1, None, 1]}, "measure", 1),
+    "measure_nan": ({"measure": [1, math.nan, 1]}, "measure", 1),
+    "measure_not_a_list": ({"measure": 7}, "measure", None),
+    "coords_ragged": ({"coords": [[0, 0], [1], [2, 0]]}, "coords", 1),
+    "coords_string": ({"coords": [[0, 0], [1, "x"], [2, 0]]}, "coords", 1),
+    "vertices_bool": ({"vertices": True}, "vertices", None),
+}
+
+
+def test_path_document_loads(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(PATH_DOC))
+    sp = load_space(path)
+    assert sp.n == 3 and sp.dist(0, 2) == 2.0
+
+
+@pytest.mark.parametrize("fields, field, entry", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_space_file_raises_schema_error(tmp_path, capsys, fields, field, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**PATH_DOC, **fields}))
+    with pytest.raises(SchemaError) as exc:
+        load_space(path)
+    assert exc.value.field == field
+    if entry is not None:
+        assert f": entry {entry} " in str(exc.value)
+    assert main(["verify", "--space", str(path), "--ineq", "hardy"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_path_space_utility():

@@ -49,8 +49,9 @@ def test_disconnected_raises():
 
 
 def test_bad_lengths_and_masses():
-    with pytest.raises(NonPositiveLength):
-        build_space(2, [(0, 1, 0.0)], np.ones(2))
+    for length in (0.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveLength):
+            build_space(2, [(0, 1, length)], np.ones(2))
     with pytest.raises(NonPositiveMass):
         build_space(2, [(0, 1, 1.0)], np.array([1.0, -1.0]))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,35 @@ def test_make_family_deterministic_and_finite():
         assert np.all(np.isfinite(vals))
     fam3 = make_family(sp, 0, seed=43, count=40)
     assert any(not np.array_equal(a, b) for (_, a), (_, b) in zip(fam1, fam3))
+
+
+def test_family_is_sized_and_reiterable():
+    sp = grid_quadrant(10)
+    for count in (0, 7, 40):
+        fam = make_family(sp, 0, seed=11, count=count)
+        kept = [(name, vals.tobytes()) for name, vals in list(fam)]
+        assert len(fam) == len(kept) == 5 * max(1, count // 5)
+        for _ in range(2):
+            assert [(name, vals.tobytes()) for name, vals in fam] == kept
+        # two passes at once draw from separate generators
+        for (n1, v1), (n2, v2) in zip(fam, fam):
+            assert n1 == n2 and v1.tobytes() == v2.tobytes()
+
+
+def test_family_memory_does_not_grow_with_count():
+    # a sweep holds one test function at a time: 400 functions on 4225
+    # vertices would hold 13.5 MB at once
+    sp = grid_quadrant(64)
+    hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 5))  # fill the row cache first
+    peaks = {}
+    for count in (40, 400):
+        tracemalloc.start()
+        try:
+            hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, count))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] <= peaks[40] + 0.5 * 2**20
 
 
 def test_family_tent_lip_bound():
