@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, profile, decompose, graph, verify, render.  Exit codes:
-0 success (all inequalities pass), 2 an inequality check FAILed, 1 usage or
-I/O error.
+0 success (all inequalities pass), 2 an inequality check FAILed, 1 usage,
+I/O or out-of-memory error.
 """
 
 from __future__ import annotations
@@ -329,6 +329,10 @@ def main(argv=None):
         return args.fn(args)
     except (PilabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

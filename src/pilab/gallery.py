@@ -5,6 +5,13 @@ union of circular sectors glued through the unit ball (the stress test for
 annulus decompositions), a measured half-line realizing growth ~ r^eta
 through vertex masses, and a cone-like radial/angular grid that keeps every
 annulus connected.
+
+Generators are array code: vertices, coordinates and edges come from whole
+grids and rings at once, in the same numbering and edge order as a loop over
+grid points, vertices and edges would give, so saved files do not depend on
+how a space was built.  A spec that would exceed MAX_VERTICES vertices (for
+sector_union, candidate grid points) raises InvalidSpec before the space's
+arrays are allocated.
 """
 
 from __future__ import annotations
@@ -15,11 +22,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidSpec, SchemaError
-from .space import FiniteMetricMeasureSpace, build_space
+
+# build_space is imported from here by callers of the gallery
+from .space import FiniteMetricMeasureSpace, build_space  # noqa: F401
 
 GALLERY_KINDS = ("grid_quadrant", "sector_union", "radial_profile", "cone_grid")
+
+# scipy.sparse.csgraph indexes vertices with int32
+MAX_VERTICES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -41,51 +54,64 @@ class GallerySpec:
             raise InvalidSpec("resolution must be > 0")
 
 
+def _check_vertex_count(count, what):
+    """Refuse a space of more than MAX_VERTICES vertices before building it."""
+    if not count <= MAX_VERTICES:  # NaN fails too
+        raise InvalidSpec(f"{what} would have {count:.4g} vertices, more than {MAX_VERTICES}")
+
+
+def _grid_edges(present):
+    """(m, 2) unit-step edges between the marked points of a 2D grid.
+
+    Vertices are the marked points numbered row-major.  Each vertex in turn
+    lists its edge to (i+1, j), then to (i, j+1), where that point is marked.
+    """
+    index = np.cumsum(present).reshape(present.shape) - 1
+    # per direction (1, 0), (0, 1): the neighbour's index and whether it is marked
+    nbr = np.full((2, *present.shape), -1, dtype=np.int64)
+    nbr[0, :-1] = index[1:]
+    nbr[1, :, :-1] = index[:, 1:]
+    has = np.zeros((2, *present.shape), dtype=bool)
+    has[0, :-1] = present[:-1] & present[1:]
+    has[1, :, :-1] = present[:, :-1] & present[:, 1:]
+    nbr, has = nbr[:, present].T, has[:, present].T
+    src = np.broadcast_to(index[present][:, None], nbr.shape)
+    return np.column_stack((src[has], nbr[has]))
+
+
 def grid_quadrant(n):
     """(n+1)^2 unit-grid quadrant with unit edges and unit masses."""
     side = n + 1
-    idx = lambda i, j: i * side + j
-    edges = []
-    for i in range(side):
-        for j in range(side):
-            if i + 1 < side:
-                edges.append((idx(i, j), idx(i + 1, j), 1.0))
-            if j + 1 < side:
-                edges.append((idx(i, j), idx(i, j + 1), 1.0))
-    coords = [(i, j) for i in range(side) for j in range(side)]
-    return build_space(side * side, edges, np.ones(side * side), coords)
+    _check_vertex_count(side * side, "grid_quadrant")
+    edges = _grid_edges(np.ones((side, side), dtype=bool))
+    coords = np.column_stack(np.divmod(np.arange(side * side), side))
+    return FiniteMetricMeasureSpace(
+        side * side, edges, np.ones(len(edges)), np.ones(side * side), coords
+    )
 
 
-def _in_sector_union(x, y, r_max):
-    """Membership in the closed sector-union region.
+def _sector_union_mask(x, y, r_max):
+    """Membership of the points (x, y) in the closed sector-union region.
 
     Three sectors glued to the closed unit ball: an unbounded 90-degree
     sector around the positive x-axis (truncated at r_max), a thin
     second-quadrant sector of radius 20, and a third-quadrant sector of
     radius 17 with an open radial block removed.  Boundary points are
-    included (closure convention).
+    included (closure convention) up to a tolerance of 1e-9.
     """
-    r = math.hypot(x, y)
-    if r <= 1.0:
-        return True
-    theta = math.atan2(y, x) % (2 * math.pi)
     tol = 1e-9
+    r = np.hypot(x, y)
+    theta = np.arctan2(y, x) % (2 * math.pi)
     # A1: theta in [-pi/4, pi/4], unbounded (truncated at r_max)
-    if r <= r_max + tol:
-        t = theta if theta <= math.pi else theta - 2 * math.pi
-        if -math.pi / 4 - tol <= t <= math.pi / 4 + tol:
-            return True
+    t = np.where(theta <= math.pi, theta, theta - 2 * math.pi)
+    in_a1 = (r <= r_max + tol) & (-math.pi / 4 - tol <= t) & (t <= math.pi / 4 + tol)
     # A2: theta in [pi/2, 3pi/4], r <= 20
-    if r <= 20.0 + tol and math.pi / 2 - tol <= theta <= 3 * math.pi / 4 + tol:
-        return True
+    in_a2 = (r <= 20.0 + tol) & (math.pi / 2 - tol <= theta) & (theta <= 3 * math.pi / 4 + tol)
     # A3: theta in [pi, 3pi/2], r <= 17, minus open block
-    if r <= 17.0 + tol and math.pi - tol <= theta <= 3 * math.pi / 2 + tol:
-        in_block = (3.0 + tol < r < 15.0 - tol) and (
-            5 * math.pi / 4 + tol < theta < 7 * math.pi / 4 - tol
-        )
-        if not in_block:
-            return True
-    return False
+    in_a3 = (r <= 17.0 + tol) & (math.pi - tol <= theta) & (theta <= 3 * math.pi / 2 + tol)
+    in_block = (3.0 + tol < r) & (r < 15.0 - tol)
+    in_block &= (5 * math.pi / 4 + tol < theta) & (theta < 7 * math.pi / 4 - tol)
+    return (r <= 1.0) | in_a1 | in_a2 | (in_a3 & ~in_block)
 
 
 def sector_union(resolution, r_max=40.0):
@@ -95,40 +121,28 @@ def sector_union(resolution, r_max=40.0):
     region; edges join axis-neighbors at distance `resolution`.
     """
     h = float(resolution)
-    span = int(math.ceil(max(r_max, 20.0) / h)) + 1
-    pts = {}
-    coords = []
-    for i in range(-span, span + 1):
-        for j in range(-span, span + 1):
-            x, y = i * h, j * h
-            if _in_sector_union(x, y, r_max):
-                pts[(i, j)] = len(coords)
-                coords.append((x, y))
-    edges = []
-    for (i, j), u in pts.items():
-        for di, dj in ((1, 0), (0, 1)):
-            v = pts.get((i + di, j + dj))
-            if v is not None:
-                edges.append((u, v, h))
+    extent = max(r_max, 20.0) / h
+    # checked before ceil(), which raises on an infinite or NaN extent
+    side = 2 * math.ceil(extent) + 3 if extent < MAX_VERTICES else math.inf
+    _check_vertex_count(side * side, "sector_union candidate grid")
+    span = (side - 1) // 2
+    steps = np.arange(-span, span + 1) * h
+    x, y = np.repeat(steps, side), np.tile(steps, side)
+    present = _sector_union_mask(x, y, r_max)
+    origin = int(np.count_nonzero(present[: span * side + span]))
+    edges = _grid_edges(present.reshape(side, side))
+    x, y = x[present], y[present]
     # Sector boundaries can strand isolated grid points; keep the component
     # of the origin.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse import csgraph
-
-    m = len(coords)
-    if edges:
-        rows = [u for u, _, _ in edges] + [v for _, v, _ in edges]
-        cols = [v for _, v, _ in edges] + [u for u, _, _ in edges]
-        adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
-        _, labels = csgraph.connected_components(adj, directed=False)
-        keep = labels == labels[pts[(0, 0)]]
-    else:
-        keep = np.ones(m, dtype=bool)
-    remap = -np.ones(m, dtype=np.int64)
-    remap[keep] = np.arange(int(keep.sum()))
-    coords = [c for c, k in zip(coords, keep) if k]
-    edges = [(int(remap[u]), int(remap[v]), l) for u, v, l in edges if keep[u] and keep[v]]
-    return build_space(len(coords), edges, np.ones(len(coords)), coords)
+    m = len(x)
+    adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(m, m))
+    _, labels = csgraph.connected_components(adj, directed=False)
+    keep = labels == labels[origin]
+    remap = np.cumsum(keep) - 1
+    edges = remap[edges[keep[edges[:, 0]]]]
+    n = int(keep.sum())
+    coords = np.column_stack((x[keep], y[keep]))
+    return FiniteMetricMeasureSpace(n, edges, np.full(len(edges), h), np.ones(n), coords)
 
 
 def sector_union_origin(space):
@@ -139,10 +153,22 @@ def sector_union_origin(space):
 
 def radial_profile(n, eta):
     """Path 1..n with mass(k) = k^(eta-1), so m(B_r(1)) grows like r^eta."""
-    masses = np.arange(1, n + 1, dtype=float) ** (eta - 1.0)
-    edges = [(k, k + 1, 1.0) for k in range(n - 1)]
-    coords = [(k, 0.0) for k in range(n)]
-    return build_space(n, edges, masses, coords)
+    _check_vertex_count(n, "radial_profile")
+    return path_space(n, masses=np.arange(1, n + 1, dtype=float) ** (eta - 1.0))
+
+
+def _cone_ring_counts(n, eta, c):
+    """Points on rings 1..n of cone_grid, refusing too many before counting."""
+    # ring r holds max(1, ceil(c r^(eta-1))) points; for eta >= 1 their sum
+    # is at least the integral of c x^(eta-1) over [0, n]
+    try:
+        least = max(n, c * float(n) ** eta / eta) if eta >= 1 else n
+    except OverflowError:
+        least = math.inf
+    _check_vertex_count(1 + least, "cone_grid")
+    counts = [max(1, int(math.ceil(c * r ** (eta - 1.0)))) for r in range(1, n + 1)]
+    _check_vertex_count(1 + sum(counts), "cone_grid")
+    return np.array(counts, dtype=np.int64)
 
 
 def cone_grid(n, eta, c=4):
@@ -153,48 +179,48 @@ def cone_grid(n, eta, c=4):
     angular density keeps every annulus connected, so the relatively
     connected annuli property holds by construction.
     """
-    counts = [max(1, int(math.ceil(c * r ** (eta - 1.0)))) for r in range(1, n + 1)]
-    coords = [(0.0, 0.0)]
-    ring_start = []
-    for r, cnt in enumerate(counts, start=1):
-        ring_start.append(len(coords))
-        for k in range(cnt):
-            ang = 2 * math.pi * k / cnt
-            coords.append((r * math.cos(ang), r * math.sin(ang)))
-    edges = []
-    for r, cnt in enumerate(counts, start=1):
-        s = ring_start[r - 1]
-        if cnt > 1:
-            arc = 2 * math.pi * r / cnt
-            for k in range(cnt):
-                edges.append((s + k, s + (k + 1) % cnt, arc))
-        if r == 1:
-            for k in range(cnt):
-                edges.append((0, s + k, 1.0))
-        else:
-            prev_s, prev_cnt = ring_start[r - 2], counts[r - 2]
-            for k in range(cnt):
-                frac = k / cnt
-                nearest = int(round(frac * prev_cnt)) % prev_cnt
-                edges.append((s + k, prev_s + nearest, 1.0))
-    # dedupe cycle edges for cnt == 2 (both directions coincide)
-    seen = set()
-    uniq = []
-    for u, v, l in edges:
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            uniq.append((u, v, l))
-    return build_space(len(coords), uniq, np.ones(len(coords)), coords)
+    counts = _cone_ring_counts(n, eta, c)
+    total = 1 + int(counts.sum())
+    start = 1 + np.cumsum(counts) - counts  # first vertex of each ring
+    # per ring vertex: its ring r, the ring's count and start, its place k
+    r = np.repeat(np.arange(1, n + 1), counts)
+    cnt = np.repeat(counts, counts)
+    s = np.repeat(start, counts)
+    v = np.arange(1, total)
+    k = v - s
+    ang = 2 * math.pi * k / cnt
+    coords = np.zeros((total, 2))
+    coords[1:, 0] = r * np.cos(ang)
+    coords[1:, 1] = r * np.sin(ang)
+    # Ring r lists its cycle edges (when it has more than one point), then its
+    # radial edges: from the apex on ring 1, else to the nearest point in.
+    cycle = cnt > 1
+    prev_cnt = np.repeat(np.concatenate(([1], counts[:-1])), counts)
+    prev_s = np.repeat(np.concatenate(([0], start[:-1])), counts)
+    nearest = np.rint(k / cnt * prev_cnt).astype(np.int64) % prev_cnt
+    inner = prev_s + nearest
+    on_first = r == 1
+    u = np.concatenate((v[cycle], np.where(on_first, 0, v)))
+    w = np.concatenate(((s + (k + 1) % cnt)[cycle], np.where(on_first, v, inner)))
+    lengths = np.concatenate(((2 * math.pi * r / cnt)[cycle], np.ones(total - 1)))
+    order = np.argsort(np.concatenate((2 * r[cycle], 2 * r + 1)), kind="stable")
+    u, w, lengths = u[order], w[order], lengths[order]
+    # keep the first of edges listed twice (both cycle edges of a 2-point ring)
+    _, first = np.unique(np.minimum(u, w) * total + np.maximum(u, w), return_index=True)
+    first.sort()
+    edges = np.column_stack((u[first], w[first]))
+    return FiniteMetricMeasureSpace(total, edges, lengths[first], np.ones(total), coords)
 
 
 def path_space(n, step=1.0, x0=0.0, masses=None):
     """Uniform path of n vertices at spacing `step` (utility for tests/demos)."""
+    _check_vertex_count(n, "path_space")
     if masses is None:
         masses = np.ones(n)
-    edges = [(k, k + 1, step) for k in range(n - 1)]
-    coords = [(x0 + k * step, 0.0) for k in range(n)]
-    return build_space(n, edges, masses, coords)
+    k = np.arange(n)
+    edges = np.column_stack((k[:-1], k[1:]))
+    coords = np.column_stack((x0 + k * step, np.zeros(n)))
+    return FiniteMetricMeasureSpace(n, edges, np.full(len(edges), step), masses, coords)
 
 
 def generate(spec):
@@ -212,9 +238,10 @@ def generate(spec):
 
 def space_document(space):
     """The {vertices, edges, measure} document of the space-file schema."""
+    u, v = space.edges.T.tolist()
     return {
         "vertices": space.n,
-        "edges": [[u, v, l] for (u, v), l in zip(space.edges.tolist(), space.lengths.tolist())],
+        "edges": list(map(list, zip(u, v, space.lengths.tolist()))),
         "measure": space.measure.tolist(),
     }
 
@@ -225,8 +252,9 @@ def save_space(space, path):
     if space.coords is not None:
         doc["coords"] = space.coords.tolist()
     # json.dumps encodes in C in one pass; json.dump streams the text
-    # through the pure-Python encoder
-    text = json.dumps(doc)
+    # through the pure-Python encoder.  The document is built above from
+    # fresh lists, so it holds no cycle to check for.
+    text = json.dumps(doc, check_circular=False)
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from pilab import gallery
 from pilab.cli import main
 from pilab.errors import InvalidSpec, SchemaError
 from pilab.gallery import (
@@ -19,6 +21,7 @@ from pilab.gallery import (
     sector_union_origin,
     spaces_equal,
 )
+from pilab.space import build_space
 
 
 def test_grid_quadrant_counts():
@@ -189,3 +192,231 @@ def test_path_space_utility():
     sp = path_space(11, step=0.1, x0=-0.5)
     assert abs(sp.dist(0, 10) - 1.0) < 1e-12
     assert abs(sp.coords[5][0]) < 1e-12
+
+
+# -- loop oracles -------------------------------------------------------------
+# The gallery generators as one Python loop per grid point, vertex or edge.
+# The array generators must give the same spaces and byte-identical files.
+
+
+def loop_grid_quadrant(n):
+    side = n + 1
+    idx = lambda i, j: i * side + j
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            if i + 1 < side:
+                edges.append((idx(i, j), idx(i + 1, j), 1.0))
+            if j + 1 < side:
+                edges.append((idx(i, j), idx(i, j + 1), 1.0))
+    coords = [(i, j) for i in range(side) for j in range(side)]
+    return build_space(side * side, edges, np.ones(side * side), coords)
+
+
+def loop_in_sector_union(x, y, r_max):
+    r = math.hypot(x, y)
+    if r <= 1.0:
+        return True
+    theta = math.atan2(y, x) % (2 * math.pi)
+    tol = 1e-9
+    if r <= r_max + tol:
+        t = theta if theta <= math.pi else theta - 2 * math.pi
+        if -math.pi / 4 - tol <= t <= math.pi / 4 + tol:
+            return True
+    if r <= 20.0 + tol and math.pi / 2 - tol <= theta <= 3 * math.pi / 4 + tol:
+        return True
+    if r <= 17.0 + tol and math.pi - tol <= theta <= 3 * math.pi / 2 + tol:
+        in_block = (3.0 + tol < r < 15.0 - tol) and (
+            5 * math.pi / 4 + tol < theta < 7 * math.pi / 4 - tol
+        )
+        if not in_block:
+            return True
+    return False
+
+
+def loop_sector_union(resolution, r_max=40.0):
+    """The space and the number of region points pruned off the origin's component."""
+    from scipy.sparse import csgraph, csr_matrix
+
+    h = float(resolution)
+    span = int(math.ceil(max(r_max, 20.0) / h)) + 1
+    pts = {}
+    coords = []
+    for i in range(-span, span + 1):
+        for j in range(-span, span + 1):
+            x, y = i * h, j * h
+            if loop_in_sector_union(x, y, r_max):
+                pts[(i, j)] = len(coords)
+                coords.append((x, y))
+    edges = []
+    for (i, j), u in pts.items():
+        for di, dj in ((1, 0), (0, 1)):
+            v = pts.get((i + di, j + dj))
+            if v is not None:
+                edges.append((u, v, h))
+    m = len(coords)
+    if edges:
+        rows = [u for u, _, _ in edges] + [v for _, v, _ in edges]
+        cols = [v for _, v, _ in edges] + [u for u, _, _ in edges]
+        adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
+        _, labels = csgraph.connected_components(adj, directed=False)
+        keep = labels == labels[pts[(0, 0)]]
+    else:
+        keep = np.ones(m, dtype=bool)
+    remap = -np.ones(m, dtype=np.int64)
+    remap[keep] = np.arange(int(keep.sum()))
+    coords = [c for c, k in zip(coords, keep) if k]
+    edges = [(int(remap[u]), int(remap[v]), l) for u, v, l in edges if keep[u] and keep[v]]
+    space = build_space(len(coords), edges, np.ones(len(coords)), coords)
+    return space, m - len(coords)
+
+
+def loop_path_space(n, step=1.0, x0=0.0, masses=None):
+    if masses is None:
+        masses = np.ones(n)
+    edges = [(k, k + 1, step) for k in range(n - 1)]
+    coords = [(x0 + k * step, 0.0) for k in range(n)]
+    return build_space(n, edges, masses, coords)
+
+
+def loop_radial_profile(n, eta):
+    masses = np.arange(1, n + 1, dtype=float) ** (eta - 1.0)
+    edges = [(k, k + 1, 1.0) for k in range(n - 1)]
+    coords = [(k, 0.0) for k in range(n)]
+    return build_space(n, edges, masses, coords)
+
+
+def loop_cone_grid(n, eta, c=4):
+    counts = [max(1, int(math.ceil(c * r ** (eta - 1.0)))) for r in range(1, n + 1)]
+    coords = [(0.0, 0.0)]
+    ring_start = []
+    for r, cnt in enumerate(counts, start=1):
+        ring_start.append(len(coords))
+        for k in range(cnt):
+            ang = 2 * math.pi * k / cnt
+            coords.append((r * math.cos(ang), r * math.sin(ang)))
+    edges = []
+    for r, cnt in enumerate(counts, start=1):
+        s = ring_start[r - 1]
+        if cnt > 1:
+            arc = 2 * math.pi * r / cnt
+            for k in range(cnt):
+                edges.append((s + k, s + (k + 1) % cnt, arc))
+        if r == 1:
+            for k in range(cnt):
+                edges.append((0, s + k, 1.0))
+        else:
+            prev_s, prev_cnt = ring_start[r - 2], counts[r - 2]
+            for k in range(cnt):
+                frac = k / cnt
+                nearest = int(round(frac * prev_cnt)) % prev_cnt
+                edges.append((s + k, prev_s + nearest, 1.0))
+    seen = set()
+    uniq = []
+    for u, v, l in edges:
+        key = (min(u, v), max(u, v))
+        if key not in seen:
+            seen.add(key)
+            uniq.append((u, v, l))
+    return build_space(len(coords), uniq, np.ones(len(coords)), coords)
+
+
+def saved_bytes(space, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    return path.read_bytes()
+
+
+def assert_same_space(array_space, loop_space, tmp_path):
+    assert spaces_equal(array_space, loop_space)
+    assert saved_bytes(array_space, tmp_path) == saved_bytes(loop_space, tmp_path)
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_grid_quadrant_matches_loop_oracle(tmp_path, n):
+    assert_same_space(grid_quadrant(n), loop_grid_quadrant(n), tmp_path)
+
+
+@pytest.mark.parametrize("n, eta", [(3, 2), (8, 2), (50, 2), (64, 1.5), (40, 3)])
+def test_cone_grid_matches_loop_oracle(tmp_path, n, eta):
+    assert_same_space(cone_grid(n, eta), loop_cone_grid(n, eta), tmp_path)
+
+
+def test_cone_grid_two_point_ring_is_deduped(tmp_path):
+    # c=2, eta=1: every ring has two points, whose two cycle edges coincide;
+    # each ring keeps one of them and its two radial edges
+    sp = cone_grid(5, 1.0, c=2)
+    assert len(sp.edges) == 5 * (1 + 2)
+    assert_same_space(sp, loop_cone_grid(5, 1.0, c=2), tmp_path)
+
+
+# resolution -> region points the origin-component pruning drops; at 0.2 the
+# grid point (0.6000000000000001, -0.8) lies on the unit circle, outside every
+# sector, so it tests the closed unit ball
+SECTOR_PRUNED = {1.0: 0, 0.5: 0, 0.3: 0, 0.25: 0, 0.2: 0, 1.6: 9, 1.8: 3, 1.9: 7}
+
+
+@pytest.mark.parametrize("resolution, pruned", SECTOR_PRUNED.items())
+def test_sector_union_matches_loop_oracle(tmp_path, resolution, pruned):
+    loop_space, loop_pruned = loop_sector_union(resolution)
+    assert loop_pruned == pruned
+    assert_same_space(sector_union(resolution), loop_space, tmp_path)
+
+
+def test_path_spaces_match_loop_oracles(tmp_path):
+    for eta in (1.0, 1.5, 2.0, 12.0):
+        assert_same_space(radial_profile(30, eta), loop_radial_profile(30, eta), tmp_path)
+    for args in ((1,), (11, 0.1, -0.5), (6, 2.0, 3.0, np.arange(1.0, 7.0))):
+        assert_same_space(path_space(*args), loop_path_space(*args), tmp_path)
+
+
+# sha256 of the files that save_space writes for the benchmark's spaces
+SAVED_SHA256 = {
+    (grid_quadrant, (64,)): "9cc2ae8cb70e4642c4948049bd132c2a32b887036211f83ef78401146d73c9f8",
+    (sector_union, (0.25,)): "187372ca8f9ca8cdf4749cc80d80710fbc4747479ddaafe8329ffcad32773fc9",
+    (cone_grid, (101, 2)): "6a9a8c92b996513cb32ea18d1ecf14f4c784340874f0d4cb9a6d245017da692e",
+}
+
+
+@pytest.mark.parametrize(
+    "make, args, digest",
+    [(make, args, digest) for (make, args), digest in SAVED_SHA256.items()],
+    ids=["grid_quadrant_64", "sector_union_0.25", "cone_grid_101_2"],
+)
+def test_saved_benchmark_spaces_are_byte_identical(tmp_path, make, args, digest):
+    assert hashlib.sha256(saved_bytes(make(*args), tmp_path)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GallerySpec("cone_grid", size=101, eta=20),  # ~4.8e38 ring points
+        GallerySpec("cone_grid", size=10**12, eta=1),  # beyond 2**31 - 1 before any ring is counted
+        GallerySpec("cone_grid", size=101, eta=1e6),  # 101.0 ** 1e6 overflows a float
+        GallerySpec("sector_union", resolution=1e-6),  # ~6.4e15 candidate grid points
+        GallerySpec("sector_union", resolution=1e-320),  # an infinite extent
+        GallerySpec("grid_quadrant", size=10**6),  # 1e12 vertices
+        GallerySpec("grid_quadrant", size=46340),  # 46341**2, just past 2**31 - 1
+        GallerySpec("radial_profile", size=2**31),
+    ],
+    ids=lambda spec: f"{spec.kind}-{spec.size}-{spec.eta}-{spec.resolution}",
+)
+def test_huge_spec_raises_invalid_spec(tmp_path, capsys, spec):
+    with pytest.raises(InvalidSpec, match="vertices, more than 2147483647"):
+        generate(spec)
+    args = ["--n", str(spec.size), "--eta", str(spec.eta), "--resolution", str(spec.resolution)]
+    out = tmp_path / "huge.json"
+    assert main(["gen", "--kind", spec.kind, *args, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_gen_reports_memory_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(gallery, "generate", out_of_memory)
+    out = tmp_path / "g.json"
+    assert main(["gen", "--kind", "grid_quadrant", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 32.0 GiB\n"
+    assert not out.exists()
