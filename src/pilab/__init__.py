@@ -13,11 +13,9 @@ from .space import (
 from .gallery import GallerySpec, generate, load_space, save_space
 from .constants import (
     layer_bound,
-    p_star,
     patching_constant,
     rca_kappa,
     riesz_constants,
-    theoretical_isoperimetric_bound,
     theoretical_Q2,
     upgrade_constant,
 )
@@ -36,14 +34,12 @@ from .graph_ineq import (
     isoperimetric_constant,
     poincare_constant,
     neumann_check,
-    layer_weight_bounds,
     rca_check,
 )
 from .riesz import ball_chain, riesz_potential, maximal_function, representation_check
 from .verify import (
     lip,
     cheeger_energy,
-    mean_comparison_check,
     make_family,
     local_sobolev_check,
     annulus_piece_check,

@@ -1,6 +1,7 @@
 """Closed-form constants of the patching argument, each written once:
-local ball constants from chains of balls, annulus constants, covering and
-covering-graph constants, and the patching step that joins them.
+local ball constants from chains of balls, annulus constants, the
+decomposition's counting constants, the upgrade of a 1-Poincare constant,
+the RCA scale factor, and the patching step that joins them.
 
 Overflow policy: a constant beyond the float range is math.inf.  Every
 power that can overflow is taken inside `_inf_on_overflow`, and a check
@@ -13,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import EtaNotAboveP, ExponentOutOfRange, KappaOutOfRange, PNotBelowQ, SeriesDiverges
+from .errors import EtaNotAboveP, ExponentOutOfRange, KappaOutOfRange
 
 
 def _inf_on_overflow(formula):
@@ -48,8 +49,7 @@ def _chain_C1(Q, C_P, lam):
 
 @dataclass
 class RieszConstants:
-    """Constants of the chain representation and local Sobolev estimates;
-    C2_prime and C_LS need a reverse-doubling exponent eta < Q, else None."""
+    """Constants of the chain representation and local Sobolev estimates."""
 
     Q: float
     C_P: float
@@ -63,11 +63,9 @@ class RieszConstants:
     C4: float
     C5: float
     C_s: float
-    C2_prime: float | None
-    C_LS: float | None
 
 
-def riesz_constants(Q, C_P, lam, s, eta=None):
+def riesz_constants(Q, C_P, lam, s):
     """Constants of the chain representation; requires s < Q."""
     if s >= Q:
         raise ExponentOutOfRange(f"s={s} >= Q={Q}")
@@ -77,16 +75,7 @@ def riesz_constants(Q, C_P, lam, s, eta=None):
     C4 = _power(2.0, Q / s) * _power(4.0 * lam + 1.0, Q / s) / (2.0 * (1.0 - c))
     C5 = 2.0 * max(C3, C4)
     C2 = 2.0 * C5
-    C2_prime = C_LS = None
-    if eta is not None and eta < Q:
-        C2_prime = _power(2.0, Q + 1.0) * max(
-            _power(4.0, Q) / (1.0 - c ** (Q / eta - 1.0)),
-            _power(4.0 * lam + 1.0, Q) / (1.0 - c),
-        )
-        C_LS = C1 * C2_prime
-    return RieszConstants(
-        Q, C_P, lam, s, c, _omega(lam), C1, C2, C3, C4, C5, C1 * C2, C2_prime, C_LS
-    )
+    return RieszConstants(Q, C_P, lam, s, c, _omega(lam), C1, C2, C3, C4, C5, C1 * C2)
 
 
 def local_sobolev_constant(Q, C_P, lam, s, flags):
@@ -97,12 +86,6 @@ def local_sobolev_constant(Q, C_P, lam, s, flags):
         flags.append("s_not_below_Q")
         return C_P * _power(4.0 * lam, max(Q, 1.0))
     return riesz_constants(Q, C_P, lam, s).C_s
-
-
-def p_star(p, Q):
-    if p >= Q:
-        raise PNotBelowQ(f"p={p} >= Q={Q}")
-    return p * Q / (Q - p)
 
 
 @_inf_on_overflow
@@ -171,29 +154,6 @@ def theoretical_Q1(Q, kappa):
 def theoretical_Q2(Q, kappa, alpha, beta):
     """Measure-comparability bound for densities m(B_d(o))^alpha d^-beta."""
     return layer_bound(Q, kappa) * 2.0 ** (Q * alpha) * kappa ** (3 * alpha * Q + 4 * beta)
-
-
-def theoretical_isoperimetric_bound(Q, kappa, C_o, eta, s, t):
-    """Lower bound on the covering-graph isoperimetric constant, the
-    reciprocal of an upper bound on its 1-Poincare constant (so 0.0 where
-    that overflows).  Requires eta > s so the layer-mass series converges;
-    otherwise raises SeriesDiverges.
-    """
-    if eta <= s:
-        raise SeriesDiverges(f"eta={eta} <= s={s}")
-    return 1.0 / _covering_poincare_bound(Q, kappa, C_o, eta, s, t)
-
-
-@_inf_on_overflow
-def _covering_poincare_bound(Q, kappa, C_o, eta, s, t):
-    C_e = excess_constant(Q, kappa)
-    S = 1.0 / (1.0 - kappa ** (t * (1.0 - eta / s)))
-    inner = (
-        C_o ** (t / s) * kappa ** (2 * t) * S
-        + 1.0
-        + 2.0 ** (Q * t / s) * kappa ** (2 * t) * (1.0 + kappa ** (t * (1.0 - Q / s)))
-    )
-    return C_e**2 * layer_bound(Q, kappa) * inner
 
 
 @_inf_on_overflow

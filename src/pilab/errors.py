@@ -17,10 +17,6 @@ class NonPositiveMass(PilabError):
     pass
 
 
-class EmptySample(PilabError):
-    pass
-
-
 class NotAhlfors(PilabError):
     pass
 
@@ -61,10 +57,6 @@ class NoBoundary(PilabError):
     pass
 
 
-class SeriesDiverges(PilabError):
-    pass
-
-
 class EtaNotAboveP(PilabError):
     pass
 
@@ -86,10 +78,6 @@ class ExponentOutOfRange(PilabError):
 
 
 class GNotUpperGradient(PilabError):
-    pass
-
-
-class PNotBelowQ(PilabError):
     pass
 
 

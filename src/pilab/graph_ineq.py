@@ -21,9 +21,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from .constants import excess_constant, neumann_constant
+from .constants import neumann_constant
 from .errors import NoBoundary, PilabError, ZeroMass
-from .weights import weight_density
 
 
 @dataclass
@@ -277,28 +276,12 @@ def neumann_check(graph, f, s):
     return NeumannResult(lhs, rhs, const, mean, lhs <= rhs * (1 + 1e-9))
 
 
-def layer_weight_bounds(space, covering, piece_idx, s, t, Q, weight=None):
-    """Two-sided bound on the mu_{s,t}-mass of a decomposition piece.
-
-    Sandwiches mu(U) between central ball masses at the adjacent scales;
-    returns (lower, upper, mu, ok).
-    """
-    kappa, o = covering.kappa, covering.o
-    if weight is None:
-        weight = weight_density(space, o, "mu_st", s=s, t=t)
-    mu = float((weight * space.measure)[covering.triples[piece_idx][0]].sum())
-    i = covering.levels[piece_idx]
-    C_e = excess_constant(Q, kappa)
-    lower = space.ball_mass(o, kappa ** (i - 1)) ** (t / s) / (C_e * kappa ** ((i + 1) * t))
-    upper = space.ball_mass(o, kappa ** (i + 1)) ** (t / s) / kappa ** ((i - 1) * t)
-    return lower, upper, mu, bool(lower <= mu <= upper)
-
-
 def rca_check(space, o, kappa, radii=None):
     """Test relative connectedness of annuli at scale kappa around o.
 
     For each radius R, every vertex of the fuzzy sphere at R must lie in a
     single connected component of the induced annulus [R/kappa, kappa R).
+    With no radius tested the check fails: it has shown nothing.
     """
     ecc = space.eccentricity(o)
     res = space.resolution
@@ -319,4 +302,4 @@ def rca_check(space, o, kappa, radii=None):
             continue
         _, labels = space.induced_components(ann)
         passes.append(len(np.unique(labels[np.searchsorted(ann, shell)])) == 1)
-    return RcaResult(list(radii), passes, all(passes))
+    return RcaResult(list(radii), passes, bool(passes) and all(passes))

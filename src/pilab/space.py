@@ -23,18 +23,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 
-from .errors import (
-    DisconnectedGraph,
-    EmptySample,
-    NonPositiveLength,
-    NonPositiveMass,
-    NotAhlfors,
-)
+from .errors import DisconnectedGraph, NonPositiveLength, NonPositiveMass, NotAhlfors
 
 # Byte cap of the per-source distance row cache; the least recently used
 # rows are evicted first.  The largest single check on the gallery reads
 # under 27 MB of rows, so this cap leaves room for reuse across checks.
 ROW_CACHE_BYTES = 256 * 2**20
+
+# Largest Ahlfors regularity constant C_A that `ahlfors_fit` accepts.
+AHLFORS_CAP = 100.0
 
 
 class FiniteMetricMeasureSpace:
@@ -295,21 +292,14 @@ def rows_by_center(space, samples, reach):
         yield space.dist_from(x, limit=limit), picks
 
 
-def doubling_profile(space, samples=None):
-    """Estimate the doubling constant C_D and dimension Q = log2 C_D."""
-    if samples is None:
-        samples = default_profile_samples(space)
-    samples = list(samples)
-    if not samples:
-        raise EmptySample("no (center, radius) samples")
+def doubling_profile(space):
+    """Estimate the doubling constant C_D and dimension Q = log2 C_D over
+    `default_profile_samples`, whose radii are all positive: every ball
+    holds its center and has positive mass."""
     if space.n == 1:
         return SpaceProfile(1.0, 0.0)
-    # A ball of positive radius holds its center, so only these are empty.
-    for x, r in samples:
-        if not r > 0:
-            raise EmptySample(f"empty ball at ({x}, {r})")
     best = 1.0
-    for d, picks in rows_by_center(space, samples, lambda r: 2 * r):
+    for d, picks in rows_by_center(space, default_profile_samples(space), lambda r: 2 * r):
         for _, r in picks:
             small = float(space.measure[d < r].sum())
             big = float(space.measure[d < 2 * r].sum())
@@ -330,46 +320,44 @@ def default_radial_samples(space, o):
     return radii
 
 
-def reverse_doubling_fit(space, o, eta, radii=None):
-    """Largest C_o with m(B_R(o))/m(B_r(o)) >= C_o (R/r)^eta on the sample.
+def reverse_doubling_fit(space, o, eta):
+    """Largest C_o with m(B_R(o))/m(B_r(o)) >= C_o (R/r)^eta over the
+    increasing radii of `default_radial_samples`, each ball holding o.
 
     Returns the raw infimum, which honestly approaches 0 when reverse
     doubling with exponent eta fails.
     """
-    if radii is None:
-        radii = default_radial_samples(space, o)
-    radii = sorted(set(float(r) for r in radii))
+    radii = default_radial_samples(space, o)
     masses = [space.ball_mass(o, r) for r in radii]
     best = math.inf
     for i, (r, mr) in enumerate(zip(radii, masses)):
-        if mr <= 0:
-            continue
         for R, mR in zip(radii[i:], masses[i:]):
             best = min(best, (mR / mr) * (r / R) ** eta)
     return best if best < math.inf else 0.0
 
 
-def ahlfors_fit(space, samples=None, cap=100.0):
-    """Least-squares Ahlfors exponent Q and regularity constant C_A.
+def ahlfors_fit(space):
+    """Least-squares Ahlfors exponent Q and regularity constant C_A over
+    `default_profile_samples`.
 
-    Raises NotAhlfors when the fitted C_A exceeds `cap` or the sample grid
-    is degenerate (fewer than two usable radii).
+    Raises NotAhlfors when the fitted C_A exceeds `AHLFORS_CAP` or the
+    sample grid is degenerate (fewer than two distinct radii).  Every
+    sample radius is positive, so every ball holds its center and has
+    positive mass.
     """
-    if samples is None:
-        samples = default_profile_samples(space)
-    samples = list(samples)
+    samples = default_profile_samples(space)
     masses = [0.0] * len(samples)
     for d, picks in rows_by_center(space, samples, lambda r: r):
         for i, r in picks:
             masses[i] = float(space.measure[d < r].sum())
-    pts = [(r, m) for (_, r), m in zip(samples, masses) if m > 0 and r > 0]
-    if len(pts) < 2 or len({r for r, _ in pts}) < 2:
+    pts = [(r, m) for (_, r), m in zip(samples, masses)]
+    if len({r for r, _ in pts}) < 2:
         raise NotAhlfors("degenerate sample set")
     logr = np.log([r for r, _ in pts])
     logm = np.log([m for _, m in pts])
     Q = float(np.polyfit(logr, logm, 1)[0])
     ratios = [max(m / r**Q, r**Q / m) for r, m in pts]
     C_A = max(1.0, float(max(ratios)))
-    if C_A > cap:
-        raise NotAhlfors(f"C_A={C_A:.3g} exceeds cap {cap}")
+    if C_A > AHLFORS_CAP:
+        raise NotAhlfors(f"C_A={C_A:.3g} exceeds cap {AHLFORS_CAP}")
     return AhlforsParams(Q=Q, C_A=C_A)

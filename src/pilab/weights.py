@@ -10,15 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def weight_density(space, o, kind, s=2.0, t=2.0, Q=2.0, printed_variant=False):
+def weight_density(space, o, kind, s=2.0, t=2.0, Q=2.0):
     """Per-vertex density w for the measure mu = w * m.
 
     kind="mu_st": m(B_{d(o,x)}(o))^(t/s - 1) * d(o,x)^(-t), zero at o.
     kind="mu_s": d(o,x)^(-s), zero at o.
     kind="ahlfors": d(o,x)^e with e = Q*(t/s - 1) - t, the exponent the
-        mixed weight reduces to on an Ahlfors Q-regular space; with
-        printed_variant=True the alternative bookkeeping e = Q*t/s - Q - 1
-        is used instead.
+        mixed weight reduces to on an Ahlfors Q-regular space, zero at o.
     """
     d = space.dist_from(o)
     w = np.zeros(space.n)
@@ -33,8 +31,7 @@ def weight_density(space, o, kind, s=2.0, t=2.0, Q=2.0, printed_variant=False):
     elif kind == "mu_s":
         w[pos] = d[pos] ** (-s)
     elif kind == "ahlfors":
-        e = Q * t / s - Q - 1.0 if printed_variant else Q * (t / s - 1.0) - t
-        w[pos] = d[pos] ** e
+        w[pos] = d[pos] ** (Q * (t / s - 1.0) - t)
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
     return w

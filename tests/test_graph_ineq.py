@@ -8,12 +8,11 @@ import scipy.linalg
 from pilab.constants import (
     excess_constant,
     rca_kappa,
-    theoretical_isoperimetric_bound,
     upgrade_constant,
 )
 from pilab.covering import expand_covering, kappa_decomposition
-from pilab.errors import EtaNotAboveP, NoBoundary, SeriesDiverges, ZeroMass
-from pilab.gallery import build_space, cone_grid, grid_quadrant, path_space, radial_profile
+from pilab.errors import EtaNotAboveP, NoBoundary, ZeroMass
+from pilab.gallery import build_space, cone_grid, grid_quadrant, path_space
 from pilab.graph_ineq import (
     CoveringGraph,
     build_covering_graph,
@@ -21,7 +20,6 @@ from pilab.graph_ineq import (
     dirichlet_incidence,
     graph_profile,
     isoperimetric_constant,
-    layer_weight_bounds,
     neumann_check,
     poincare_constant,
     rca_check,
@@ -159,14 +157,6 @@ def kappa_trunc(sp):
     return kappa_decomposition(sp, 0, 2.0).truncated
 
 
-def test_theoretical_isoperimetric_value():
-    # Q=2, kappa=2, C_o=1, eta=2, s=t=1: S=2, inner sum 33, C_e^2 h = 1024^3
-    val = theoretical_isoperimetric_bound(2.0, 2.0, 1.0, 2.0, 1.0, 1.0)
-    assert val == pytest.approx(1.0 / (1024.0**2 * 1024.0 * 33.0), rel=1e-12)
-    with pytest.raises(SeriesDiverges):
-        theoretical_isoperimetric_bound(2.0, 2.0, 1.0, 1.0, 1.0, 1.0)
-
-
 def test_excess_constant():
     assert excess_constant(2.0, 2.0) == 1024.0
 
@@ -182,6 +172,13 @@ def test_rca_check_cone_passes():
     assert rca_check(sp, 0, 2.0).passed
 
 
+def test_rca_check_without_radii_fails():
+    # at kappa=4 the first radius, 16, has kappa R = 64 beyond the
+    # eccentricity 50, so no annulus is tested and nothing is shown
+    res = rca_check(cone_grid(50, 2.0), 0, 4.0)
+    assert res.radii == [] and not res.passed
+
+
 def test_rca_check_cycle_fails():
     # on a long cycle the annulus around the base point splits into two
     # arcs separated at the antipode, so spheres disconnect
@@ -190,15 +187,6 @@ def test_rca_check_cycle_fails():
     sp = build_space(n, edges, np.ones(n))
     res = rca_check(sp, 0, 2.0, radii=[10.0])
     assert not res.passed
-
-
-def test_layer_weight_bounds():
-    sp = radial_profile(256, 2.0)
-    cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))
-    for idx in range(cov.n_pieces):
-        lower, upper, mu, ok = layer_weight_bounds(sp, cov, idx, 1.0, 2.0, 2.0)
-        assert lower <= upper
-        assert ok, (idx, lower, mu, upper)
 
 
 def test_zero_mass_guard():

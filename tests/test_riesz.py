@@ -106,13 +106,6 @@ def test_riesz_constants_values():
     assert rc.C5 == pytest.approx(2.0 * max(rc.C3, rc.C4))
 
 
-def test_riesz_constants_eta_variant():
-    rc = riesz_constants(2.0, 1.0, 1.0, 1.0, eta=1.5)
-    assert rc.C2_prime is not None
-    assert rc.C_LS == pytest.approx(rc.C1 * rc.C2_prime)
-    assert riesz_constants(2.0, 1.0, 1.0, 1.0, eta=3.0).C2_prime is None
-
-
 def test_riesz_constants_exponent_guard():
     with pytest.raises(ExponentOutOfRange):
         riesz_constants(2.0, 1.0, 1.0, 2.0)

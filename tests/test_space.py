@@ -10,7 +10,6 @@ import pilab.space as space_module
 
 from pilab.errors import (
     DisconnectedGraph,
-    EmptySample,
     NonPositiveLength,
     NonPositiveMass,
     NotAhlfors,
@@ -112,12 +111,6 @@ def test_doubling_profile_path():
     assert 0.9 < prof.Q < 1.4
 
 
-def test_doubling_empty_sample():
-    sp = path_space(4)
-    with pytest.raises(EmptySample):
-        doubling_profile(sp, samples=[])
-
-
 def test_reverse_doubling_radial():
     sp = radial_profile(128, 2.0)
     c2 = reverse_doubling_fit(sp, 0, 2.0)
@@ -132,9 +125,10 @@ def test_ahlfors_fit_grid():
     assert params.C_A >= 1.0
 
 
-def test_ahlfors_cap():
+def test_ahlfors_cap(monkeypatch):
+    monkeypatch.setattr(space_module, "AHLFORS_CAP", 1.0001)
     with pytest.raises(NotAhlfors):
-        ahlfors_fit(grid_quadrant(32), cap=1.0001)
+        ahlfors_fit(grid_quadrant(32))
 
 
 def test_arrays_read_only():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilab.constants import annulus_constant, p_star, patching_constant
-from pilab.errors import PNotBelowQ, ZeroMass
+from pilab.constants import annulus_constant, patching_constant
 from pilab.gallery import (
     grid_quadrant,
     path_space,
@@ -22,7 +21,6 @@ from pilab.verify import (
     lip,
     local_sobolev_check,
     make_family,
-    mean_comparison_check,
     weighted_sobolev_check,
     write_reports_csv,
 )
@@ -43,13 +41,6 @@ def test_cheeger_energy_examples():
     assert cheeger_energy(sp, [7.0, 7.0, 7.0], 2.0) == 0.0
     f = np.array([0.0, 1.0, 3.0])
     assert cheeger_energy(sp, 2 * f, 2.0) == pytest.approx(4 * cheeger_energy(sp, f, 2.0))
-
-
-def test_p_star():
-    assert p_star(1.0, 2.0) == 2.0
-    assert p_star(2.0, 4.0) == 4.0
-    with pytest.raises(PNotBelowQ):
-        p_star(2.0, 2.0)
 
 
 def test_patching_constant_values():
@@ -78,33 +69,6 @@ def test_patching_monotone(C1, C2, Q1, Q2, s):
     assert patching_constant(C1, C2, Q1, Q2 * 1.1, s, t) > base
 
 
-def test_mean_comparison_examples():
-    sp = path_space(2)
-    lhs, rhs, ok = mean_comparison_check(sp, [0.0, 1.0], [0, 1], None, 1.0)
-    assert lhs == pytest.approx(1.0)
-    assert rhs == pytest.approx(2.0)
-    assert ok
-    # p = 2: the mean minimizes, so lhs equals the inf and rhs = 4 lhs
-    lhs2, rhs2, ok2 = mean_comparison_check(sp, [0.0, 1.0], [0, 1], None, 2.0)
-    assert rhs2 == pytest.approx(4.0 * lhs2)
-    assert ok2
-    lhs3, rhs3, ok3 = mean_comparison_check(sp, [3.0, 3.0], [0, 1], None, 1.0)
-    assert lhs3 == 0.0 and ok3
-
-
-def test_mean_comparison_general_p():
-    sp = path_space(5)
-    f = [0.0, 2.0, 1.0, 5.0, 3.0]
-    lhs, rhs, ok = mean_comparison_check(sp, f, range(5), None, 1.7)
-    assert ok
-
-
-def test_mean_comparison_zero_mass():
-    sp = path_space(3)
-    with pytest.raises(ZeroMass):
-        mean_comparison_check(sp, [0.0, 1.0, 2.0], [], None, 1.0)
-
-
 def test_weight_density_collapse_and_values():
     sp = radial_profile(64, 2.0)
     w_st = weight_density(sp, 0, "mu_st", s=1.0, t=1.0)
@@ -121,9 +85,6 @@ def test_weight_density_ahlfors_exponents():
     w = weight_density(sp, 0, "ahlfors", s=1.0, t=2.0, Q=2.0)
     # substitution-consistent exponent Q(t/s-1) - t = 0
     assert np.allclose(w[1:], 1.0)
-    wp = weight_density(sp, 0, "ahlfors", s=1.0, t=2.0, Q=2.0, printed_variant=True)
-    # printed exponent Q t/s - Q - 1 = 1
-    assert np.allclose(wp[1:], sp.dist_from(0)[1:])
 
 
 def test_make_family_deterministic_and_finite():
