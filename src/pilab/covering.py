@@ -307,14 +307,13 @@ def greedy_net(space, subset, radius):
     return net
 
 
-def annulus_piece_covering(space, o, R, alpha, delta, A, flavor, lam=2.0):
+def annulus_piece_covering(space, o, R, alpha, delta, A, flavor):
     """Ball covering of a connected subset A of the annulus A(o, R, alpha R).
 
     flavor="sobolev": net radius rho/3 with triples (B_rho/3, B_rho, B_rho);
-    flavor="poincare": net radius rho/lam with triples
-    (B_rho/lam, B_rho, B_lam*rho), where rho = delta * R.  The union of U's
-    covers A and every U# stays inside the rho- (resp. lam*rho-) fattening
-    of A.
+    flavor="poincare": net radius rho/2 with triples (B_rho/2, B_rho, B_2rho),
+    where rho = delta * R.  The union of U's covers A and every U# stays
+    inside the rho- (resp. 2rho-) fattening of A.
     """
     rho = delta * R
     if rho < space.resolution:
@@ -326,7 +325,7 @@ def annulus_piece_covering(space, o, R, alpha, delta, A, flavor, lam=2.0):
     if flavor == "sobolev":
         net_r, radii = rho / 3, (rho / 3, rho, rho)
     elif flavor == "poincare":
-        net_r, radii = rho / lam, (rho / lam, rho, lam * rho)
+        net_r, radii = rho / 2, (rho / 2, rho, 2 * rho)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     net = greedy_net(space, A, net_r)

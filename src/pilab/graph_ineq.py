@@ -202,13 +202,13 @@ def isoperimetric_constant(graph):
     return IsoperimetricResult(float(ratios[j]), witness, True)
 
 
-def poincare_constant(graph, t, seed=0, refine_iters=400):
+def poincare_constant(graph, t, refine_iters=400):
     """Best constant in ||f||_t <= C ||grad f||_t over boundary-vanishing f.
 
     t=1 equals 1/I by the coarea identity, t=2 is the generalized
     eigenvalue of mass versus Dirichlet Laplacian D^T diag(w) D; other t
     return the best candidate found (indicators, the t=2 eigenvector, and
-    seeded local refinement), a certified lower bound.
+    local refinement seeded with 0), a certified lower bound.
     """
     interior = graph.interior
     k = len(interior)
@@ -239,7 +239,7 @@ def poincare_constant(graph, t, seed=0, refine_iters=400):
     r = ratios(cands)
     j = int(np.argmax(r))
     best, f = float(r[j]), cands[:, j].copy()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     step = 0.5
     for _ in range(refine_iters):
         u = int(rng.integers(k))

@@ -251,64 +251,50 @@ class AhlforsParams:
 
 
 def default_profile_samples(space, max_centers=64):
-    """(center, radius) grid for profile estimation.
+    """(centers, radii) product grid for profile estimation.
 
-    Radii run dyadically from 4x the resolution (smaller radii alias the
-    lattice) up to a quarter of the diameter, so the doubled ball stays
-    below diameter/2.
+    Every `max_centers`-th vertex is a center.  Radii run dyadically from
+    4x the resolution (smaller radii alias the lattice) up to a quarter of
+    the diameter, so the doubled ball stays below diameter/2.
     """
     diam = space.diameter()
     if diam <= 0:
-        return [(0, space.resolution)]
-    stride = max(1, space.n // max_centers)
-    centers = range(0, space.n, stride)
-    samples = []
+        return [0], [space.resolution]
+    centers = range(0, space.n, max(1, space.n // max_centers))
     r = 4.0 * space.resolution
     radii = []
     while r <= diam / 4 + 1e-12:
         radii.append(r)
         r *= 2.0
-    if not radii:
-        radii = [max(space.resolution, diam / 4)]
-    for x in centers:
-        for r in radii:
-            samples.append((int(x), float(r)))
-    return samples
+    return centers, radii or [max(space.resolution, diam / 4)]
 
 
-def rows_by_center(space, samples, reach):
-    """Each distinct center's distance row, read only as far as its balls.
-
-    Yields (row, picks) per center of the (center, radius) `samples`, in
-    order of first appearance: picks lists the (sample index, radius) pairs
-    of that center, and row is `space.dist_from(x, limit)` with limit
-    reach(largest positive radius of x), exact wherever d <= limit.
-    """
-    groups = {}
-    for i, (x, r) in enumerate(samples):
-        groups.setdefault(x, []).append((i, r))
-    for x, picks in groups.items():
-        limit = reach(max((r for _, r in picks if r > 0), default=0.0))
-        yield space.dist_from(x, limit=limit), picks
+def _ball_masses(space, centers, radii):
+    """m(B_r(x)), one row per center x and one column per increasing
+    positive radius r, each row read only as far as the largest radius."""
+    out = np.empty((len(centers), len(radii)))
+    for i, x in enumerate(centers):
+        d = space.dist_from(x, limit=radii[-1])
+        out[i] = [space.measure[d < r].sum() for r in radii]
+    return out
 
 
 def doubling_profile(space):
     """Estimate the doubling constant C_D and dimension Q = log2 C_D over
     `default_profile_samples`, whose radii are all positive: every ball
-    holds its center and has positive mass."""
+    holds its center and has positive mass.  Each radius is twice the one
+    before, so m(B_2r) is the next column of the mass matrix."""
     if space.n == 1:
         return SpaceProfile(1.0, 0.0)
-    best = 1.0
-    for d, picks in rows_by_center(space, default_profile_samples(space), lambda r: 2 * r):
-        for _, r in picks:
-            small = float(space.measure[d < r].sum())
-            big = float(space.measure[d < 2 * r].sum())
-            best = max(best, big / small)
-    return SpaceProfile(float(best), math.log2(best))
+    centers, radii = default_profile_samples(space)
+    m = _ball_masses(space, centers, radii + [2 * radii[-1]])
+    best = max(1.0, float((m[:, 1:] / m[:, :-1]).max()))
+    return SpaceProfile(best, math.log2(best))
 
 
-def default_radial_samples(space, o):
-    """Dyadic radii from the resolution up to the eccentricity of o."""
+def _radial_masses(space, o):
+    """Dyadic radii from the resolution up to the eccentricity of o, and
+    m(B_r(o)) at each."""
     rmax = space.eccentricity(o)
     radii = []
     r = space.resolution
@@ -317,18 +303,17 @@ def default_radial_samples(space, o):
         r *= 2.0
     if radii and radii[-1] < rmax:
         radii.append(rmax)
-    return radii
+    return radii, [space.ball_mass(o, r) for r in radii]
 
 
 def reverse_doubling_fit(space, o, eta):
     """Largest C_o with m(B_R(o))/m(B_r(o)) >= C_o (R/r)^eta over the
-    increasing radii of `default_radial_samples`, each ball holding o.
+    increasing radii of `_radial_masses`, each ball holding o.
 
     Returns the raw infimum, which honestly approaches 0 when reverse
     doubling with exponent eta fails.
     """
-    radii = default_radial_samples(space, o)
-    masses = [space.ball_mass(o, r) for r in radii]
+    radii, masses = _radial_masses(space, o)
     best = math.inf
     for i, (r, mr) in enumerate(zip(radii, masses)):
         for R, mR in zip(radii[i:], masses[i:]):
@@ -341,23 +326,16 @@ def ahlfors_fit(space):
     `default_profile_samples`.
 
     Raises NotAhlfors when the fitted C_A exceeds `AHLFORS_CAP` or the
-    sample grid is degenerate (fewer than two distinct radii).  Every
-    sample radius is positive, so every ball holds its center and has
-    positive mass.
+    sample grid is degenerate (fewer than two radii).  Every sample radius
+    is positive, so every ball holds its center and has positive mass.
     """
-    samples = default_profile_samples(space)
-    masses = [0.0] * len(samples)
-    for d, picks in rows_by_center(space, samples, lambda r: r):
-        for i, r in picks:
-            masses[i] = float(space.measure[d < r].sum())
-    pts = [(r, m) for (_, r), m in zip(samples, masses)]
-    if len({r for r, _ in pts}) < 2:
+    centers, radii = default_profile_samples(space)
+    if len(radii) < 2:
         raise NotAhlfors("degenerate sample set")
-    logr = np.log([r for r, _ in pts])
-    logm = np.log([m for _, m in pts])
-    Q = float(np.polyfit(logr, logm, 1)[0])
-    ratios = [max(m / r**Q, r**Q / m) for r, m in pts]
-    C_A = max(1.0, float(max(ratios)))
+    rs = radii * len(centers)
+    ms = _ball_masses(space, centers, radii).ravel().tolist()
+    Q = float(np.polyfit(np.log(rs), np.log(ms), 1)[0])
+    C_A = max(1.0, max(max(m / r**Q, r**Q / m) for r, m in zip(rs, ms)))
     if C_A > AHLFORS_CAP:
         raise NotAhlfors(f"C_A={C_A:.3g} exceeds cap {AHLFORS_CAP}")
     return AhlforsParams(Q=Q, C_A=C_A)

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
 from .space import (
     FiniteMetricMeasureSpace,
+    _radial_masses,
+    ahlfors_fit,
     default_profile_samples,
-    default_radial_samples,
     doubling_profile,
-    rows_by_center,
 )
 from .weights import weight_density
 
@@ -102,15 +102,20 @@ def _oscillation_ratio(space, A, E, R, s, t):
     """f -> ||f - f_A||_{L^t(A)} / (R m(A)^(1/t - 1/s) ||lip f||_{L^s(E)}).
 
     The mean f_A and both norms use the base measure; the ratio is 0 when
-    the slope energy on E vanishes.
+    the slope energy on E vanishes.  The slope is read on the edges that
+    touch E only, which is exact on E, so f is read only at A and at the
+    ends of those edges.
     """
     mA, mE = space.measure[A], space.measure[E]
     mass = float(mA.sum())
+    inE = np.zeros(space.n, dtype=bool)
+    inE[E] = True
+    touching = np.flatnonzero(inE[space.edges[:, 0]] | inE[space.edges[:, 1]])
 
     def ratio(f):
         fA = float((f[A] * mA).sum() / mass)
         num = float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
-        energy = float((lip(space, f)[E] ** s * mE).sum())
+        energy = float((lip(space, f, touching)[E] ** s * mE).sum())
         den = R * mass ** (1.0 / t - 1.0 / s) * energy ** (1.0 / s)
         return num / den if den > 0 else 0.0
 
@@ -197,48 +202,41 @@ class Family:
 # -- measured profile helpers ---------------------------------------------
 
 
-def measure_poincare(space, s, lam=2.0):
-    """Empirical weak (s, s) Poincare constant over 16 sampled centers.
+def measure_poincare(space, s):
+    """Empirical weak (s, s) Poincare constant, lam = 2, over 16 sampled
+    centers.
 
     Maximizes the mean-oscillation to gradient-average ratio over a small
     canonical family; floored at 1.0 so downstream constants stay
     conservative.
     """
-    return max(_sampled_poincare(space, s, lam), 1.0)
+    return max(_sampled_poincare(space, s), 1.0)
 
 
-def _sampled_poincare(space, s, lam):
+def _sampled_poincare(space, s):
     """The unfloored maximum of measure_poincare.
 
-    Each center's row is read to lam * r plus the longest edge, which
-    covers every edge touching lamB, and the slope is taken on those edges
-    only.
+    On each ball B = B_r(x) this is the oscillation ratio on (B, 2B) times
+    (m(2B)/m(B))^(1/s), which turns both norms into averages.  Each row is
+    read to twice the largest radius plus the longest edge, which covers
+    every edge touching 2B.
     """
     best = 0.0
-    e0, e1 = space.edges[:, 0], space.edges[:, 1]
     longest = float(space.lengths.max()) if len(space.lengths) else 0.0
-    samples = default_profile_samples(space, max_centers=16)
-    for dx, picks in rows_by_center(space, samples, lambda r: lam * r + longest):
-        for _, r in picks:
+    centers, radii = default_profile_samples(space, max_centers=16)
+    for x in centers:
+        dx = space.dist_from(x, limit=2.0 * radii[-1] + longest)
+        for r in radii:
             B = np.flatnonzero(dx < r)
             if len(B) < 2:
                 continue
-            in_lam = dx < lam * r
-            lamB = np.flatnonzero(in_lam)
-            touching = np.flatnonzero(in_lam[e0] | in_lam[e1])
-            mB, mlamB = space.measure[B], space.measure[lamB]
-
-            def ratio(f):
-                g = lip(space, f, touching)
-                fB = float((f[B] * mB).sum() / mB.sum())
-                num = float((np.abs(f[B] - fB) ** s * mB).sum() / mB.sum()) ** (1.0 / s)
-                den = r * float((g[lamB] ** s * mlamB).sum() / mlamB.sum()) ** (1.0 / s)
-                return num / den if den > 0 else 0.0
-
+            B2 = np.flatnonzero(dx < 2.0 * r)
+            scale = float(space.measure[B2].sum() / space.measure[B].sum()) ** (1.0 / s)
             cands = [dx, np.maximum(0.0, 1.0 - dx / r)]
             if space.coords is not None:
                 cands.append(space.coords[:, 0] + space.coords[:, 1])
-            best = max(best, _sweep(enumerate(cands), ratio)[0])
+            osc = _oscillation_ratio(space, B, B2, r, s, s)
+            best = max(best, scale * _sweep(enumerate(cands), osc)[0])
     return best
 
 
@@ -248,10 +246,9 @@ def eta_fit(space, o):
     Every sample radius is at least the resolution, so every ball holds o
     and has positive mass.
     """
-    radii = default_radial_samples(space, o)
+    radii, masses = _radial_masses(space, o)
     if len(radii) < 2:
         return 0.0
-    masses = [space.ball_mass(o, r) for r in radii]
     return float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
 
 
@@ -297,7 +294,7 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
     covering of A with the counting Neumann constant of the net graph.
     """
     t0 = time.perf_counter()
-    A = np.asarray(sorted(set(int(v) for v in A)), dtype=np.int64)
+    A = np.unique(np.asarray(A, dtype=np.int64))
     d = space.dist_from(o)[A]
     if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
         raise NotInAnnulus("A is not inside [R, alpha R)")
@@ -417,15 +414,14 @@ def ahlfors_sobolev_check(space, o, s, t, family, kappa=2.0):
     """Sobolev inequality with the pure power-of-distance weight.
 
     For t = s the weight collapses to the Hardy weight, so the check
-    delegates to hardy_check (constants included).
+    delegates to hardy_check (constants included) and fits no Ahlfors
+    parameters.
     """
-    from .space import ahlfors_fit
-
-    params = ahlfors_fit(space)
     if t == s:
         rep = hardy_check(space, o, s, family, kappa=kappa)
         rep.inequality = "ahlfors-sobolev"
         return rep
+    params = ahlfors_fit(space)
     w = weight_density(space, o, "ahlfors", s=s, t=t, Q=params.Q)
     return _weighted_check(
         space, o, s, t, family, kappa, w, "ahlfors-sobolev",
@@ -435,42 +431,17 @@ def ahlfors_sobolev_check(space, o, s, t, family, kappa=2.0):
 
 # -- report output ---------------------------------------------------------
 
-CSV_COLUMNS = [
-    "inequality",
-    "s",
-    "t",
-    "kappa",
-    "Q1",
-    "Q2",
-    "C1",
-    "C2",
-    "empirical_best",
-    "theoretical",
-    "witness",
-    "pass",
-    "hypotheses_violated",
-    "seconds",
-]
+CSV_COLUMNS = ["pass" if f.name == "passed" else f.name for f in fields(InequalityReport)]
 
 
 def _row(rep, zero_seconds):
-    vals = {
-        "inequality": rep.inequality,
-        "s": f"{rep.s:.12g}",
-        "t": f"{rep.t:.12g}",
-        "kappa": f"{rep.kappa:.12g}",
-        "Q1": f"{rep.Q1:.12g}",
-        "Q2": f"{rep.Q2:.12g}",
-        "C1": f"{rep.C1:.12g}",
-        "C2": f"{rep.C2:.12g}",
-        "empirical_best": f"{rep.empirical_best:.12g}",
-        "theoretical": f"{rep.theoretical:.12g}",
-        "witness": rep.witness,
-        "pass": str(rep.passed),
-        "hypotheses_violated": rep.hypotheses_violated,
-        "seconds": "0" if zero_seconds else f"{rep.seconds:.6f}",
-    }
-    return [vals[c] for c in CSV_COLUMNS]
+    cells = []
+    for name, v in asdict(rep).items():
+        if name == "seconds":
+            cells.append("0" if zero_seconds else f"{v:.6f}")
+        else:
+            cells.append(f"{v:.12g}" if isinstance(v, float) else str(v))
+    return cells
 
 
 def write_reports_csv(reports, path, zero_seconds=False):

@@ -335,7 +335,7 @@ def test_c05_representation_formula():
     for sp, a in cases:
         R = sp.eccentricity(a) / 3.0
         Q = doubling_profile(sp).Q
-        C_P = measure_poincare(sp, s, lam)
+        C_P = measure_poincare(sp, s)
         rng = np.random.default_rng(17)
         ball = sp.ball(a, R)
         sample = rng.choice(ball[ball != a], size=min(12, len(ball) - 1), replace=False)

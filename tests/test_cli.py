@@ -251,3 +251,42 @@ def test_verify_rejects_count_below_five(tmp_path, capsys, count):
     assert run("verify", "--space", str(space), "--ineq", "hardy", "--count", count) == 1
     assert "--count" in capsys.readouterr().err
     assert run("verify", "--space", str(space), "--ineq", "hardy", "--count", "5") == 0
+
+
+_HEADER = (
+    "inequality,s,t,kappa,Q1,Q2,C1,C2,empirical_best,theoretical,witness,pass,"
+    "hypotheses_violated,seconds"
+)
+
+
+@pytest.mark.parametrize(
+    "ineq, extra, row",
+    [
+        ("hardy", [],
+         "hardy,1,1,2,6,8,1.82754093436e+35,2.47626132264,3.13900683264,1.56509858722e+39,"
+         "radial_power[0.2500],True,,0"),
+        ("weighted-sobolev", ["--s", "1", "--t", "2"],
+         "weighted-sobolev,1,2,2,6,8,1.39108303696e+33,22.271101279,1.65938764864,"
+         "5.3535084981e+37,radial_power[0.2500],True,,0"),
+        ("annulus", [],
+         "annulus-poincare,1,1,0,7410.21927634,539.359259255,1,641438389.908,0.623988311916,"
+         '2.81550473068e+23,"indicator_smooth[12,12.8658,3.5305]",True,,0'),
+        ("local-sobolev", [],
+         "local-sobolev,1,1,0,0,0,1,73591682.1768,0.374199800848,73591682.1768,"
+         '"indicator_smooth[12,12.8658,3.5305]",True,,0'),
+        ("ahlfors", ["--s", "1", "--t", "1"],
+         "ahlfors-sobolev,1,1,2,6,8,1.82754093436e+35,2.47626132264,3.13900683264,"
+         "1.56509858722e+39,radial_power[0.2500],True,,0"),
+    ],
+)
+def test_verify_report_bytes_are_pinned(tmp_path, ineq, extra, row):
+    # pinned rows: a refactor must keep every report byte-identical, and a
+    # change meant to move a report updates its row here
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "16", "-o", str(space))
+    rep = tmp_path / "rep.csv"
+    assert run(
+        "verify", "--space", str(space), "--ineq", ineq, *extra,
+        "--deterministic-output", "-o", str(rep),
+    ) == 0
+    assert rep.read_text() == f"{_HEADER}\n{row}\n"

@@ -30,7 +30,7 @@ from pilab.space import (
     doubling_profile,
     reverse_doubling_fit,
 )
-from pilab.verify import _sampled_poincare, make_family
+from pilab.verify import _sampled_poincare, eta_fit, make_family
 
 
 def test_single_vertex_space():
@@ -343,8 +343,8 @@ def _reader_results(sp):
     hides most ratios."""
     out = {
         "doubling": doubling_profile(sp),
-        "poincare_1": _sampled_poincare(sp, 1.0, 2.0),
-        "poincare_2": _sampled_poincare(sp, 2.0, 2.0),
+        "poincare_1": _sampled_poincare(sp, 1.0),
+        "poincare_2": _sampled_poincare(sp, 2.0),
         "family": [(name, np.asarray(v, dtype=float).tobytes()) for name, v in make_family(sp, 0, 5)],
     }
     try:
@@ -364,12 +364,18 @@ SMALL_GALLERY = [
 SMALL_GALLERY_IDS = ["grid_quadrant", "sector_union", "radial_profile", "cone_grid", "path"]
 
 
+def _dense(sp):
+    return csgraph.shortest_path(_reference_graph(sp), method="D", directed=False)
+
+
 def _dense_doubling(sp):
     """C_D over the default samples from a dense all-pairs matrix."""
-    dense = csgraph.shortest_path(_reference_graph(sp), method="D", directed=False)
+    dense = _dense(sp)
     best = 1.0
-    for x, r in default_profile_samples(sp):
-        best = max(best, sp.measure[dense[x] < 2 * r].sum() / sp.measure[dense[x] < r].sum())
+    centers, radii = default_profile_samples(sp)
+    for x in centers:
+        for r in radii:
+            best = max(best, sp.measure[dense[x] < 2 * r].sum() / sp.measure[dense[x] < r].sum())
     return best
 
 
@@ -398,3 +404,98 @@ def test_doubling_matches_dense_brute_force(make):
     sp = make()
     assert sp.n <= 300
     assert doubling_profile(sp).C_D == _dense_doubling(sp)
+
+
+def _dense_poincare(sp, s):
+    """Weak (s, s) Poincare sup over the 16-center grid at lam = 2, from
+    full dense rows: (avg over B of |f - f_B|^s)^(1/s) over r (avg over 2B
+    of lip f^s)^(1/s), the slope taken on every edge."""
+    dense = _dense(sp)
+    e0, e1 = sp.edges[:, 0], sp.edges[:, 1]
+    m = sp.measure
+    centers, radii = default_profile_samples(sp, max_centers=16)
+    best = 0.0
+    for x in centers:
+        d = dense[x]
+        for r in radii:
+            B, B2 = d < r, d < 2 * r
+            if B.sum() < 2:
+                continue
+            cands = [d, np.maximum(0.0, 1.0 - d / r)]
+            if sp.coords is not None:
+                cands.append(sp.coords[:, 0] + sp.coords[:, 1])
+            for f in cands:
+                slope = np.zeros(sp.n)
+                edge_slope = np.abs(f[e0] - f[e1]) / sp.lengths
+                np.maximum.at(slope, e0, edge_slope)
+                np.maximum.at(slope, e1, edge_slope)
+                fB = np.average(f[B], weights=m[B])
+                osc = np.average(np.abs(f[B] - fB) ** s, weights=m[B]) ** (1 / s)
+                grad = np.average(slope[B2] ** s, weights=m[B2]) ** (1 / s)
+                if grad > 0:
+                    best = max(best, osc / (r * grad))
+    return best
+
+
+def _dense_ahlfors(sp):
+    """(Q, C_A) of the log-log fit over the default grid, or the NotAhlfors
+    message."""
+    dense = _dense(sp)
+    centers, radii = default_profile_samples(sp)
+    if len(radii) < 2:
+        return "degenerate sample set"
+    r = np.array([r for _ in centers for r in radii])
+    mass = np.array([sp.measure[dense[x] < r].sum() for x in centers for r in radii])
+    Q = np.polyfit(np.log(r), np.log(mass), 1)[0]
+    C_A = max(1.0, np.max(np.maximum(mass / r**Q, r**Q / mass)))
+    if C_A > space_module.AHLFORS_CAP:
+        return f"C_A={C_A:.3g} exceeds cap {space_module.AHLFORS_CAP}"
+    return Q, C_A
+
+
+def _dense_radial(sp, o, eta):
+    """(eta fit, C_o at exponent eta) over dyadic radii from the resolution
+    to the eccentricity of o, from a dense row."""
+    d = _dense(sp)[o]
+    radii = [sp.resolution]
+    while 2 * radii[-1] <= d.max():
+        radii.append(2 * radii[-1])
+    if radii[-1] < d.max():
+        radii.append(d.max())
+    mass = [sp.measure[d < r].sum() for r in radii]
+    fit = np.polyfit(np.log(radii), np.log(mass), 1)[0] if len(radii) > 1 else 0.0
+    C_o = min(
+        (mass[j] / mass[i]) * (radii[i] / radii[j]) ** eta
+        for i in range(len(radii))
+        for j in range(i, len(radii))
+    )
+    return fit, C_o
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
+def test_sampled_poincare_matches_dense_averages(make, s):
+    sp = make()
+    assert _sampled_poincare(sp, s) == pytest.approx(_dense_poincare(sp, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
+def test_ahlfors_fit_matches_dense_fit(make):
+    sp = make()
+    expected = _dense_ahlfors(sp)
+    if isinstance(expected, str):
+        with pytest.raises(NotAhlfors) as exc:
+            ahlfors_fit(sp)
+        assert str(exc.value) == expected
+    else:
+        params = ahlfors_fit(sp)
+        assert (params.Q, params.C_A) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
+def test_radial_fits_match_dense_fits(make):
+    sp = make()
+    eta = eta_fit(sp, 0)
+    assert (eta, reverse_doubling_fit(sp, 0, eta)) == pytest.approx(
+        _dense_radial(sp, 0, eta), rel=1e-12
+    )

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilab.constants import annulus_constant, patching_constant
+from pilab.errors import NotAhlfors
 from pilab.gallery import (
     grid_quadrant,
     path_space,
@@ -240,6 +242,22 @@ def test_ahlfors_matches_hardy_when_t_equals_s():
     ra = ahlfors_sobolev_check(sp, 0, 1.0, 1.0, fam)
     assert ra.empirical_best == pytest.approx(rh.empirical_best, abs=1e-9)
     assert ra.theoretical == pytest.approx(rh.theoretical, rel=1e-9)
+
+
+def test_ahlfors_at_t_equals_s_needs_no_ahlfors_fit():
+    # radial_profile(256, 12) is far from Ahlfors regular (C_A ~ 1e26): at
+    # t = s the weight is the Hardy weight and the fit is never read, so
+    # only t != s may raise
+    sp = radial_profile(256, 12.0)
+    fam = make_family(sp, 0, seed=1, count=20)
+    rh = asdict(hardy_check(sp, 0, 1.0, fam))
+    ra = asdict(ahlfors_sobolev_check(sp, 0, 1.0, 1.0, fam))
+    assert ra["inequality"] == "ahlfors-sobolev"
+    for rep in (rh, ra):
+        del rep["inequality"], rep["seconds"]
+    assert ra == rh
+    with pytest.raises(NotAhlfors, match="exceeds cap"):
+        ahlfors_sobolev_check(sp, 0, 1.0, 2.0, fam)
 
 
 def test_csv_deterministic(tmp_path):
