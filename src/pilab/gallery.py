@@ -16,8 +16,10 @@ arrays are allocated.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import json.scanner
 import math
 from dataclasses import dataclass
 
@@ -262,14 +264,152 @@ def save_space(space, path):
 def load_space(path):
     """Load and validate a space file; raises SchemaError with the bad field.
 
-    Arrays are built straight from the decoded lists.  Only a file that
-    fails a check is walked entry by entry, to name the first bad entry.
+    The `edges` and `coords` lists are decoded in blocks of about _BLOCK
+    characters, each turned into arrays at once, so the decoded tree of
+    the whole file is never held.  Only a file that the block reader
+    cannot take apart, or that fails a check, is decoded whole and walked
+    entry by entry, to name the first bad entry.
     """
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("json", str(exc)) from exc
+        text = fh.read()
+    enabled = gc.isenabled()
+    gc.disable()  # decoded JSON holds no cycle for the collector to find
+    try:
+        fields = _read_blocks(text) or _read_tree(text)
+    finally:
+        if enabled:
+            gc.enable()
+    del text
+    return FiniteMetricMeasureSpace(*fields)
+
+
+_BLOCK = 1 << 16  # characters of list text decoded at a time
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+_skip = json.decoder.WHITESPACE.match
+
+
+class _Unreadable(Exception):
+    """The block reader cannot take the text apart."""
+
+
+def _read_blocks(text):
+    """(n, edges, lengths, measure, coords) of a valid space file, or None.
+
+    Walks the top-level object with json's scanner.  The lists of flat
+    lists under `edges` and `coords` are converted block by block;
+    every other value is decoded whole.  Any fault gives None, and the
+    caller decodes the file whole to name it.
+    """
+    fields = {}
+    try:
+        idx = _skip(text).end()
+        if not text.startswith("{", idx):
+            raise _Unreadable
+        end = "{"
+        while end != "}":
+            idx = _skip(text, idx + 1).end()
+            if not text.startswith('"', idx):
+                raise _Unreadable
+            key, idx = _scan(text, idx)
+            idx = _skip(text, idx).end()
+            if not text.startswith(":", idx):
+                raise _Unreadable
+            idx = _skip(text, idx + 1).end()
+            if key in _BLOCK_FIELDS and text.startswith("[", idx):
+                fields[key], idx = _read_list(text, idx, _BLOCK_FIELDS[key])
+            else:
+                fields[key], idx = _scan(text, idx)
+            idx = _skip(text, idx).end()
+            end = text[idx : idx + 1]
+            if end not in (",", "}"):
+                raise _Unreadable
+        if _skip(text, idx + 1).end() != len(text):
+            raise _Unreadable
+        n = fields.get("vertices")
+        if type(n) is not int or n < 1:
+            raise _Unreadable
+        measure = _number_array(fields.get("measure"), n, "measure", positive=True)
+        edges, lengths = _joined(fields["edges"]) if "edges" in fields else _edge_block([])
+        coords = fields.get("coords")
+        if coords is not None:
+            (coords,) = _joined(coords)
+            if len(coords) != n:
+                raise _Unreadable
+        if not (edges < n).all():
+            raise _Unreadable
+    except (_Unreadable, SchemaError, ValueError, StopIteration):
+        return None
+    return n, edges, lengths, measure, coords
+
+
+class _Blocks(list):
+    """The converted blocks of one list field, as tuples of arrays."""
+
+
+def _joined(blocks):
+    """The arrays of a list field, each joined over its blocks."""
+    if type(blocks) is not _Blocks:
+        raise _Unreadable
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _read_list(text, idx, convert):
+    """(_Blocks of convert(entries), end) for the JSON list opening at text[idx].
+
+    Each block runs from an entry's start to the first `]` after _BLOCK
+    more characters and is decoded at once in brackets.  When the list
+    closes inside a block, the decode stops at its closing bracket.
+    """
+    idx = _skip(text, idx + 1).end()
+    if text.startswith("]", idx):
+        return _Blocks([convert([])]), idx + 1
+    blocks = _Blocks()
+    while True:
+        cut = text.find("]", idx + _BLOCK) + 1 or len(text)
+        block = "[" + text[idx:cut] + "]"
+        entries, end = _scan(block, 0)
+        if not entries:  # a trailing comma
+            raise _Unreadable
+        blocks.append(convert(entries))
+        if end < len(block):  # the list closed inside the block
+            return blocks, idx + end - 1
+        idx = _skip(text, cut).end()
+        if text.startswith("]", idx):
+            return blocks, idx + 1
+        if not text.startswith(",", idx):
+            raise _Unreadable
+        idx = _skip(text, idx + 1).end()
+
+
+def _edge_block(entries):
+    """(endpoints, lengths) of a block of edges; the bound on endpoints is
+    checked once the vertex count is known."""
+    return _edge_arrays(entries, _ANY_VERTEX)
+
+
+def _coord_block(entries):
+    """((k, 2) coordinates,) of a block of k (x, y) entries."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        raise _Unreadable
+    flat = list(itertools.chain.from_iterable(entries))
+    return (_number_array(flat, len(flat), "coords").reshape(-1, 2),)
+
+
+_ANY_VERTEX = np.iinfo(np.int64).max
+_BLOCK_FIELDS = {"edges": _edge_block, "coords": _coord_block}
+
+
+def _read_tree(text):
+    """(n, edges, lengths, measure, coords) from the whole decoded file.
+
+    Reached only for a file the block reader did not take; for one that
+    fails a check, raises the SchemaError naming the field and its first
+    bad entry.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
+        raise SchemaError("json", str(exc)) from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise SchemaError("vertices", "missing")
     n = doc["vertices"]
@@ -287,7 +427,7 @@ def load_space(path):
             raise SchemaError("coords", f"entry {k} is not (x, y)")
         x, y = zip(*coords)
         coords = np.column_stack([_number_array(list(c), n, "coords") for c in (x, y)])
-    return FiniteMetricMeasureSpace(n, edges, lengths, measure, coords)
+    return n, edges, lengths, measure, coords
 
 
 _NUMBER = {int, float}

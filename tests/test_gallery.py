@@ -1,9 +1,12 @@
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pilab import gallery
 from pilab.cli import main
@@ -21,7 +24,7 @@ from pilab.gallery import (
     sector_union_origin,
     spaces_equal,
 )
-from pilab.space import build_space
+from pilab.space import FiniteMetricMeasureSpace, build_space
 
 
 def test_grid_quadrant_counts():
@@ -186,6 +189,205 @@ def test_malformed_space_file_raises_schema_error(tmp_path, capsys, fields, fiel
         assert f": entry {entry} " in str(exc.value)
     assert main(["verify", "--space", str(path), "--ineq", "hardy"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+# -- block reader ---------------------------------------------------------------
+# load_space decodes `edges` and `coords` about gallery._BLOCK characters at a
+# time.  The oracle decodes the whole document with json.loads.
+
+
+def _tree_oracle(text):
+    """The space of a valid document, built from its whole decoded tree."""
+    doc = json.loads(text)
+    edges = doc.get("edges", [])
+    coords = doc.get("coords")
+    return FiniteMetricMeasureSpace(
+        doc["vertices"],
+        np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2),
+        np.array([e[2] for e in edges], dtype=float),
+        np.array(doc["measure"], dtype=float),
+        None if coords is None else np.array(coords, dtype=float),
+    )
+
+
+_WS = ["", " ", "\n", "\t", "\r\n  ", " \n\n "]
+
+
+def _dumps(value, rnd):
+    """JSON text of `value` with random whitespace around every token."""
+    if isinstance(value, (dict, list)):
+        pairs = value.items() if isinstance(value, dict) else [(None, v) for v in value]
+        items = [
+            rnd.choice(_WS)
+            + ("" if k is None else json.dumps(k) + rnd.choice(_WS) + ":" + rnd.choice(_WS))
+            + _dumps(v, rnd)
+            + rnd.choice(_WS)
+            for k, v in pairs
+        ]
+        ends = "{}" if isinstance(value, dict) else "[]"
+        return ends[0] + (",".join(items) or rnd.choice(_WS)) + ends[1]
+    return json.dumps(value)
+
+
+_LENGTHS = st.one_of(
+    st.integers(1, 2**70),
+    st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+)
+_COORDS = st.one_of(st.integers(-(2**60), 2**60), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def space_documents(draw):
+    """A valid, connected space document: a random spanning tree plus
+    chords in random order and orientation, with or without coordinates,
+    its keys (and sometimes one unknown key) in random order."""
+    n = draw(st.integers(1, 40))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        pairs += draw(st.lists(chords, max_size=30))
+    edges = [[*(p[::-1] if draw(st.booleans()) else p), draw(_LENGTHS)] for p in pairs]
+    doc = {"vertices": n, "edges": draw(st.permutations(edges)), "measure": draw(st.lists(_LENGTHS, min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        doc["coords"] = [[draw(_COORDS), draw(_COORDS)] for _ in range(n)]
+    if n == 1 and draw(st.booleans()):
+        del doc["edges"]
+    if draw(st.booleans()):
+        doc["note"] = {"made by": ["a test", [1, 2.5, None, True]]}
+    keys = draw(st.permutations(list(doc)))
+    return {k: doc[k] for k in keys}
+
+
+def _no_fallback(text):
+    raise AssertionError("a valid document reached the whole-tree decode")
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=space_documents(), rnd=st.randoms(use_true_random=False), block=st.integers(1, 300))
+def test_block_reader_matches_whole_tree_decode(tmp_path_factory, doc, rnd, block):
+    path = tmp_path_factory.mktemp("blocks") / "space.json"
+    path.write_text(rnd.choice(_WS) + _dumps(doc, rnd) + rnd.choice(_WS))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gallery, "_BLOCK", block)
+        mp.setattr(gallery, "_read_tree", _no_fallback)
+        loaded = load_space(path)
+    assert spaces_equal(loaded, _tree_oracle(path.read_text()))
+
+
+# (text replaced in the path document) that makes it invalid JSON
+SYNTAX = {
+    "edges_trailing_comma": ("1.0]]", "1.0], ]"),
+    "coords_trailing_comma": ("[2, 0]]", "[2, 0],]"),
+    "missing_comma": ("1.0], [1, 2", "1.0] [1, 2"),
+    "unclosed_edges": ("1.0]], ", "1.0], "),
+    "extra_data": ("[2, 0]]}", "[2, 0]]} []"),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, field, entry",
+    [*MALFORMED.values(), *[(text, "json", None) for text in SYNTAX.values()]],
+    ids=[*MALFORMED, *SYNTAX],
+)
+def test_malformed_file_fails_alike_at_every_block_size(tmp_path, monkeypatch, fields, field, entry):
+    if isinstance(fields, dict):
+        text = json.dumps({**PATH_DOC, **fields})
+    else:
+        text = json.dumps(PATH_DOC)
+        assert text.count(fields[0]) == 1
+        text = text.replace(*fields)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for block in range(1, len(text) + 1):
+        monkeypatch.setattr(gallery, "_BLOCK", block)
+        with pytest.raises(SchemaError) as exc:
+            load_space(path)
+        assert exc.value.field == field
+        if entry is not None:
+            assert f": entry {entry} " in str(exc.value)
+
+
+# A bad entry this deep in a 12 000-vertex path lies several blocks into its list.
+DEEP = 10_000
+DEEP_MALFORMED = {
+    "endpoint_string": ("edges", [DEEP, "a", 0.5]),
+    "endpoint_float": ("edges", [DEEP, DEEP + 1.0, 0.5]),
+    "endpoint_nested": ("edges", [DEEP, [DEEP + 1], 0.5]),
+    "endpoint_missing_vertex": ("edges", [DEEP, 12_000, 0.5]),
+    "length_nan": ("edges", [DEEP, DEEP + 1, math.nan]),
+    "length_zero": ("edges", [DEEP, DEEP + 1, 0]),
+    "edge_too_short": ("edges", [DEEP, DEEP + 1]),
+    "edge_not_a_list": ("edges", 7),
+    "edge_string_with_brackets": ("edges", "]], [[0, 1, 0.5"),
+    "coords_ragged": ("coords", [DEEP]),
+    "coords_string": ("coords", [DEEP, "x"]),
+    "coords_infinity": ("coords", [math.inf, 0]),
+}
+
+
+def _long_path_doc(n=12_000):
+    return {
+        "vertices": n,
+        "edges": [[k, k + 1, 0.5] for k in range(n - 1)],
+        "measure": [1] * n,
+        "coords": [[k + 0.5, -0.25] for k in range(n)],
+    }
+
+
+@pytest.mark.parametrize("field, entry", DEEP_MALFORMED.values(), ids=list(DEEP_MALFORMED))
+def test_malformed_entry_beyond_first_block_keeps_its_index(tmp_path, field, entry):
+    doc = _long_path_doc()
+    assert len(json.dumps(doc[field][:DEEP])) > 2 * gallery._BLOCK
+    doc[field][DEEP] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load_space(path)
+    assert exc.value.field == field
+    assert f": entry {DEEP} " in str(exc.value)
+
+
+def test_int_of_too_many_digits_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": 2, "edges": [[0, 1, 1%s]], "measure": [1, 1]}' % ("0" * 5000))
+    with pytest.raises(SchemaError) as exc:
+        load_space(path)
+    assert exc.value.field == "json"
+    assert main(["verify", "--space", str(path), "--ineq", "hardy"]) == 1
+    assert capsys.readouterr().err.startswith("error: json: ")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_space_restores_the_collector_state(tmp_path, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(PATH_DOC))
+    bad.write_text(json.dumps({**PATH_DOC, "measure": 7}))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_space(good)
+        assert gc.isenabled() == enabled
+        with pytest.raises(SchemaError):
+            load_space(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_space_peak_memory_on_sector_file(tmp_path):
+    """Loading holds one block of decoded entries at a time; decoding the
+    whole 1.5 MB file at once peaked at 21.2 MB traced."""
+    sp = sector_union(0.25)
+    path = tmp_path / "sector.json"
+    save_space(sp, path)
+    assert spaces_equal(sp, load_space(path))
+    tracemalloc.start()
+    try:
+        load_space(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13e6
 
 
 def test_path_space_utility():

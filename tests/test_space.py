@@ -30,7 +30,7 @@ from pilab.space import (
     doubling_profile,
     reverse_doubling_fit,
 )
-from pilab.verify import _sampled_poincare, eta_fit, make_family
+from pilab.verify import _sampled_poincare, eta_fit, lip, make_family
 
 
 def test_single_vertex_space():
@@ -499,3 +499,85 @@ def test_radial_fits_match_dense_fits(make):
     assert (eta, reverse_doubling_fit(sp, 0, eta)) == pytest.approx(
         _dense_radial(sp, 0, eta), rel=1e-12
     )
+
+
+def _per_radius_poincare(sp, s):
+    """_sampled_poincare as the sweep of each (center, radius) on its own:
+    every candidate's slope taken afresh over all edges from a full row,
+    the largest ratio scaled once per ball."""
+    best = 0.0
+    centers, radii = default_profile_samples(sp, max_centers=16)
+    for x in centers:
+        dx = sp.dist_from(x)
+        for r in radii:
+            B, B2 = np.flatnonzero(dx < r), np.flatnonzero(dx < 2.0 * r)
+            if len(B) < 2:
+                continue
+            mB, m2B = sp.measure[B], sp.measure[B2]
+            scale = float(m2B.sum() / mB.sum()) ** (1.0 / s)
+            cands = [dx, np.maximum(0.0, 1.0 - dx / r)]
+            if sp.coords is not None:
+                cands.append(sp.coords[:, 0] + sp.coords[:, 1])
+            ball_best = 0.0
+            for f in cands:
+                fA = float((f[B] * mB).sum() / float(mB.sum()))
+                num = float((np.abs(f[B] - fA) ** s * mB).sum()) ** (1.0 / s)
+                energy = float((lip(sp, f)[B2] ** s * m2B).sum())
+                den = r * energy ** (1.0 / s)
+                ratio = num / den if den > 0 else 0.0
+                if ratio > ball_best:
+                    ball_best = ratio
+            best = max(best, scale * ball_best)
+    return best
+
+
+def _coordless_path():
+    k = np.arange(29)
+    return build_space(30, list(zip(k, k + 1, np.full(29, 0.5))), np.linspace(1.0, 3.0, 30))
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "make", [*SMALL_GALLERY, _coordless_path], ids=[*SMALL_GALLERY_IDS, "coordless_path"]
+)
+def test_sampled_poincare_equals_per_radius_reference(make, s):
+    sp = make()
+    assert _sampled_poincare(sp, s) == _per_radius_poincare(make(), s)
+
+
+def _ten_pass_random_lipschitz(sp, seed, count):
+    """The family's random-Lipschitz members, projected for all 10 passes.
+
+    Replays the family's draws in order (tents: a center and a width;
+    annulus cutoffs: two dyadic indices) to reach the same generator state.
+    """
+    rng = np.random.default_rng(seed)
+    per = max(1, count // 5)
+    diam = max(sp.diameter(), sp.resolution)
+    for _ in range(per):
+        rng.integers(sp.n)
+        rng.uniform()
+    n_dyadic = int(math.log2(diam / sp.resolution)) + 1
+    for _ in range(per):
+        if n_dyadic >= 2:
+            rng.integers(int(rng.integers(n_dyadic - 1)) + 1, n_dyadic)
+    out = []
+    for _ in range(per):
+        L = float(rng.uniform(0.1, 2.0))
+        vals = rng.uniform(0.0, L * diam / 8.0, sp.n)
+        for _ in range(10):
+            np.minimum.at(vals, sp.edges[:, 0], vals[sp.edges[:, 1]] + L * sp.lengths)
+            np.minimum.at(vals, sp.edges[:, 1], vals[sp.edges[:, 0]] + L * sp.lengths)
+        out.append((f"random_lipschitz[{len(out)},{L:.4f}]", vals))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
+def test_random_lipschitz_members_equal_ten_pass_reference(make, seed):
+    sp = make()
+    members = [(k, v) for k, v in make_family(sp, 0, seed, 60) if k.startswith("random_lipschitz")]
+    expected = _ten_pass_random_lipschitz(sp, seed, 60)
+    assert [k for k, _ in members] == [k for k, _ in expected]
+    for (_, got), (_, want) in zip(members, expected):
+        assert np.array_equal(got, want)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilab.constants import annulus_constant, patching_constant
-from pilab.errors import NotAhlfors
+from pilab.errors import EmptyPiece, NotAhlfors
 from pilab.gallery import (
     grid_quadrant,
     path_space,
@@ -167,6 +167,14 @@ def test_local_sobolev_t_equals_s():
     fam = make_family(sp, 0, seed=2, count=40)
     rep = local_sobolev_check(sp, 0, 6.0, 1.0, 1.0, fam)
     assert rep.passed
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0])
+def test_local_sobolev_on_one_vertex_ball_raises(R):
+    # B_R(40) is {40} for R <= 1 on the unit grid: every oscillation on it is zero
+    sp = grid_quadrant(8)
+    with pytest.raises(EmptyPiece, match="fewer than two vertices"):
+        local_sobolev_check(sp, 40, R, 1.0, 1.0, make_family(sp, 0, 1, 20))
 
 
 def test_annulus_piece_check_poincare():
