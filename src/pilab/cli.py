@@ -27,37 +27,38 @@ def _seed(args):
     return int(env) if env else 0
 
 
+def _checked(convert, ok, requirement):
+    """An argparse type: `convert` the text, and keep the value if it is `ok`."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(requirement)
+        return value
+
+    return parse
+
+
+_kappa = _checked(float, lambda k: k > 1, "kappa must be > 1")
+_family_count = _checked(int, lambda c: c >= 5, "count must be >= 5, one function per generator")
+_exponent = _checked(float, lambda x: 1 <= x < math.inf, "exponent must be finite and >= 1")
+
+
 def _positive_kappa(text):
-    if text == "auto":
-        return "auto"
-    try:
-        k = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad kappa {text!r}") from exc
-    if k <= 1:
-        raise argparse.ArgumentTypeError("kappa must be > 1")
-    return k
-
-
-def _family_count(text):
-    try:
-        count = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
-    if count < 5:
-        raise argparse.ArgumentTypeError("count must be >= 5, one function per generator")
-    return count
+    return "auto" if text == "auto" else _kappa(text)
 
 
 def _resolve_kappa(args, space, o):
     if args.kappa != "auto":
         return args.kappa
-    prof = doubling_profile(space)
+    Q, C_P = verify._profile(space, 1.0)
     eta = verify.eta_fit(space, o)
     C_o = reverse_doubling_fit(space, o, eta)
-    C_P = verify.measure_poincare(space, 1.0)
     try:
-        k = constants.rca_kappa(max(prof.Q, 1.0), 1.0, 2.0, C_P, eta, max(C_o, 1e-9))
+        k = constants.rca_kappa(Q, 1.0, 2.0, C_P, eta, max(C_o, 1e-9))
     except PilabError:
         k = 2.0
     cap = max(2.0, space.diameter() / 4.0)
@@ -297,8 +298,8 @@ def build_parser():
         choices=["weighted-sobolev", "hardy", "local-sobolev", "ahlfors", "annulus"],
     )
     _add_base(ve)
-    ve.add_argument("--s", type=float, default=1.0)
-    ve.add_argument("--t", type=float, default=None)
+    ve.add_argument("--s", type=_exponent, default=1.0)
+    ve.add_argument("--t", type=_exponent, default=None)
     ve.add_argument("--kappa", type=_positive_kappa, default=2.0)
     ve.add_argument("--seed", type=int, default=None)
     ve.add_argument("--count", type=_family_count, default=200)

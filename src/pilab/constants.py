@@ -1,7 +1,8 @@
 """Closed-form constants of the patching argument, each written once:
 local ball constants from chains of balls, annulus constants, the
 decomposition's counting constants, the upgrade of a 1-Poincare constant,
-the RCA scale factor, and the patching step that joins them.
+the RCA scale factor, and the patching step that joins them into the
+weighted constants.
 
 Overflow policy: a constant beyond the float range is math.inf.  Every
 power that can overflow is taken inside `_inf_on_overflow`, and a check
@@ -104,11 +105,11 @@ def neumann_constant(N, K, s):
 
 
 @dataclass
-class AnnulusConstant:
-    """Constant `value` of an annulus piece and the factors patched into it."""
+class Constant:
+    """Constant `value` of a check and the factors patched into it."""
 
-    C_ball: float
-    C_neu: float
+    C1: float
+    C2: float
     Q1: float
     Q2: float
     value: float
@@ -117,18 +118,43 @@ class AnnulusConstant:
 def annulus_constant(Q, C_P, alpha, delta, s, t, flavor, flags):
     """Constant of a piece of A(o, R, alpha R) fattened by delta R.
 
-    The ball constant is the local Sobolev constant (lam = 2) for
+    The ball constant C1 is the local Sobolev constant (lam = 2) for
     flavor="sobolev" and C_P otherwise.  The piece's net graph has N balls
-    meeting any one and K-comparable masses; 60^Q and 18^Q are its overlap
-    and measure-comparison numbers.
+    meeting any one and K-comparable masses, Neumann constant C2, and
+    overlap and measure-comparison numbers 60^Q and 18^Q.
     """
-    C_ball = local_sobolev_constant(Q, C_P, 2.0, s, flags) if flavor == "sobolev" else C_P
+    C1 = local_sobolev_constant(Q, C_P, 2.0, s, flags) if flavor == "sobolev" else C_P
     N = _power(4.0 * (6.0 * alpha / delta + 1.0), Q)
     K = _power(1.0 + 2.0 * alpha / delta, Q)
-    C_neu = neumann_constant(N, K, s)
+    C2 = neumann_constant(N, K, s)
     Q1, Q2 = _power(60.0, Q), _power(18.0, Q)
-    value = patching_constant(C_ball, C_neu, Q1, Q2, s, t) ** (1.0 / t)
-    return AnnulusConstant(C_ball, C_neu, Q1, Q2, value)
+    value = _power(patching_constant(C1, C2, Q1, Q2, s, t), 1.0 / t)
+    return Constant(C1, C2, Q1, Q2, value)
+
+
+def weighted_constant(
+    Q, C_P, kappa, C_disc, A, B, Q1, Q2, s, t, flags, local_scale=1.0, global_scale=1.0
+):
+    """Constant of a weighted (s, t) inequality patched over a kappa-covering
+    with overlap numbers Q1, Q2.  C1 is local_scale * 2 kappa^3 times the
+    constant of sobolev annulus pieces at alpha = kappa^2, delta = 1/2; C2
+    is the covering graph's 1-Poincare constant C_disc, upgraded to t > 1
+    with the graph's profile (A, B); `global_scale` multiplies the value."""
+    C2 = C_disc if t <= 1 else upgrade_constant(C_disc, A, B, t)
+    ann = annulus_constant(Q, C_P, _power(kappa, 2), 0.5, s, t, "sobolev", flags)
+    C1 = local_scale * (ann.value * 2.0 * _power(kappa, 3))
+    value = _power(patching_constant(C1, C2, Q1, Q2, s, t), 1.0 / t) * global_scale
+    return Constant(C1, C2, float(Q1), float(Q2), value)
+
+
+def hardy_factor(s, kappa):
+    """Extra factor 2^s kappa^(2s) of the Hardy annulus estimate."""
+    return _power(2.0, s) * _power(kappa, 2.0 * s)
+
+
+def ahlfors_factor(C_A, s, t):
+    """Factor C_A^(1/s - 1/t) of the pure power-of-distance weight."""
+    return _power(C_A, 1.0 / s - 1.0 / t)
 
 
 @_inf_on_overflow

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix, identity, triu
 
-from .errors import (
-    KappaOutOfRange,
-    NoBasePoint,
-    PieceNotInAnnulus,
-    RhoBelowResolution,
-)
+from .errors import KappaOutOfRange, NoBasePoint, NotInAnnulus, RhoBelowResolution
 
 
 @dataclass
@@ -307,6 +302,14 @@ def greedy_net(space, subset, radius):
     return net
 
 
+def _require_in_annulus(space, o, R, alpha, A):
+    """Raise NotInAnnulus unless the vertex set A is non-empty and inside
+    the annulus [R, alpha R) around o."""
+    d = space.dist_from(o)[A]
+    if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
+        raise NotInAnnulus("A is not inside the annulus [R, alpha R)")
+
+
 def annulus_piece_covering(space, o, R, alpha, delta, A, flavor):
     """Ball covering of a connected subset A of the annulus A(o, R, alpha R).
 
@@ -319,9 +322,7 @@ def annulus_piece_covering(space, o, R, alpha, delta, A, flavor):
     if rho < space.resolution:
         raise RhoBelowResolution(f"rho={rho} < resolution={space.resolution}")
     A = np.sort(np.asarray(A, dtype=np.int64))
-    d = space.dist_from(o)[A]
-    if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
-        raise PieceNotInAnnulus("A is not inside the annulus [R, alpha R)")
+    _require_in_annulus(space, o, R, alpha, A)
     if flavor == "sobolev":
         net_r, radii = rho / 3, (rho / 3, rho, rho)
     elif flavor == "poincare":

@@ -41,10 +41,6 @@ class KappaOutOfRange(PilabError):
     pass
 
 
-class PieceNotInAnnulus(PilabError):
-    pass
-
-
 class RhoBelowResolution(PilabError):
     pass
 

@@ -1,8 +1,9 @@
 """Inequality verification: energies, test families, checks, and reports.
 
-Each headline check sweeps a deterministic family of test functions,
-records the worst ratio of the two sides, assembles the matching
-theoretical constant from measured profile data, and reports both.
+Each check is a ratio of the two sides of its inequality and a constant:
+`_verdict` sweeps the ratio over a deterministic family of test functions
+and judges the worst one against the constant that `pilab.constants`
+assembles from measured profile data; the report carries both.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .constants import (
+    Constant,
+    ahlfors_factor,
     annulus_constant,
+    hardy_factor,
     local_sobolev_constant,
-    patching_constant,
-    upgrade_constant,
+    weighted_constant,
 )
-from .covering import expand_covering, kappa_decomposition, validate_covering
-from .errors import EmptyPiece, NotConnected, NotInAnnulus
+from .covering import _require_in_annulus, expand_covering, kappa_decomposition, validate_covering
+from .errors import EmptyPiece, NotConnected
 from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
 from .space import (
@@ -76,26 +79,30 @@ def cheeger_energy(space, f, s):
     return float((lip(space, f) ** s * space.measure).sum())
 
 
-def _passes(best, theoretical, tol, flags):
-    """Verdict of a check: a non-finite constant certifies nothing, so it
-    fails and is flagged `constant_nonfinite`."""
-    if not math.isfinite(theoretical):
-        flags.append("constant_nonfinite")
-        return False
-    return best <= theoretical * (1 + tol)
+def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
+    """Report of a check begun at perf_counter() = t0: the largest ratio(f)
+    over the (id, f) pairs of the family, witnessed by its id (0 and "" when
+    no ratio is positive), judged against the Constant `const` within
+    relative tolerance `tol`.
 
-
-def _sweep(family, ratio):
-    """Largest ratio(f) over the (name, f) pairs of a family, with its name.
-
-    Returns (0.0, "") when no ratio is positive.
+    A non-finite constant certifies nothing, so the check fails and is
+    flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
+    fails too.
     """
     best, witness = 0.0, ""
-    for name, vals in family:
+    for fid, vals in family:
         r = ratio(np.asarray(vals, dtype=float))
         if r > best:
-            best, witness = r, name
-    return best, witness
+            best, witness = r, fid
+    finite = math.isfinite(const.value)
+    if not finite:
+        flags.append("constant_nonfinite")
+    passed = finite and "covering_axiom_failed" not in flags and best <= const.value * (1 + tol)
+    # the fields in the order of the CSV columns
+    return InequalityReport(
+        name, s, t, kappa, const.Q1, const.Q2, const.C1, const.C2, best, const.value,
+        witness, passed, ";".join(flags), time.perf_counter() - t0,
+    )
 
 
 def _oscillation_ratio(space, A, E, R, s, t):
@@ -251,11 +258,17 @@ def _sampled_poincare(space, s):
             scale = float(space.measure[B2].sum() / space.measure[B].sum()) ** (1.0 / s)
             osc = _oscillation_ratio(space, B, B2, r, s, s)
             for f, slope in [row, (np.maximum(0.0, 1.0 - dx / r), None), *fixed]:
-                # as in _sweep: only a larger ratio counts, so NaN never does
+                # as in _verdict: only a larger ratio counts, so NaN never does
                 ratio = scale * osc(f, slope)
                 if ratio > best:
                     best = ratio
     return best
+
+
+def _profile(space, s):
+    """(max(Q, 1), C_P): the doubling dimension, at least 1, and the
+    measured Poincare constant, as the patched constants read them."""
+    return max(doubling_profile(space).Q, 1.0), measure_poincare(space, s)
 
 
 def eta_fit(space, o):
@@ -281,29 +294,12 @@ def local_sobolev_check(space, a, R, s, t, family):
     if len(B) < 2:
         raise EmptyPiece("B_R(a) holds fewer than two vertices, on which every oscillation is zero")
     flags = []
-    best, witness = _sweep(family, _oscillation_ratio(space, B, B, R, s, t))
-
-    prof = doubling_profile(space)
-    C_P = measure_poincare(space, s)
-    C_s = local_sobolev_constant(prof.Q, C_P, 2.0, s, flags)
+    Q, C_P = doubling_profile(space).Q, measure_poincare(space, s)
+    C_s = local_sobolev_constant(Q, C_P, 2.0, s, flags)
+    ratio = _oscillation_ratio(space, B, B, R, s, t)
     tol = REL_TOL + 3.0 * space.resolution / R
-    passed = _passes(best, C_s, tol, flags)
-    return InequalityReport(
-        inequality="local-sobolev",
-        s=s,
-        t=t,
-        kappa=0.0,
-        Q1=0.0,
-        Q2=0.0,
-        C1=C_P,
-        C2=C_s,
-        empirical_best=best,
-        theoretical=C_s,
-        witness=witness,
-        passed=passed,
-        hypotheses_violated=";".join(flags),
-        seconds=time.perf_counter() - t0,
-    )
+    const = Constant(C_P, C_s, 0.0, 0.0, C_s)
+    return _verdict("local-sobolev", s, t, 0.0, family, ratio, const, tol, flags, t0)
 
 
 def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poincare"):
@@ -315,9 +311,7 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
     """
     t0 = time.perf_counter()
     A = np.unique(np.asarray(A, dtype=np.int64))
-    d = space.dist_from(o)[A]
-    if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
-        raise NotInAnnulus("A is not inside [R, alpha R)")
+    _require_in_annulus(space, o, R, alpha, A)
     if len(A) < 2:
         raise EmptyPiece("A is a single vertex, on which every oscillation is zero")
     ncomp, _ = space.induced_components(A)
@@ -326,67 +320,35 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
 
     rho = delta * R
     fat = np.flatnonzero(space.dist_to_set(A, limit=rho) < rho)
-    best, witness = _sweep(family, _oscillation_ratio(space, A, fat, R, s, t))
-
-    prof = doubling_profile(space)
-    Q = max(prof.Q, 1.0)
-    C_P = measure_poincare(space, s)
+    ratio = _oscillation_ratio(space, A, fat, R, s, t)
     flags = []
-    ann = annulus_constant(Q, C_P, alpha, delta, s, t, flavor, flags)
+    const = annulus_constant(*_profile(space, s), alpha, delta, s, t, flavor, flags)
     tol = REL_TOL + 3.0 * space.resolution / R
-    passed = _passes(best, ann.value, tol, flags)
-    return InequalityReport(
-        inequality=f"annulus-{flavor}",
-        s=s,
-        t=t,
-        kappa=0.0,
-        Q1=ann.Q1,
-        Q2=ann.Q2,
-        C1=ann.C_ball,
-        C2=ann.C_neu,
-        empirical_best=best,
-        theoretical=ann.value,
-        witness=witness,
-        passed=passed,
-        hypotheses_violated=";".join(flags),
-        seconds=time.perf_counter() - t0,
-    )
+    return _verdict(f"annulus-{flavor}", s, t, 0.0, family, ratio, const, tol, flags, t0)
 
 
 # -- headline weighted checks ---------------------------------------------
 
 
-def _weighted_check(
-    space, o, s, t, family, kappa, weight, name, local_scale=1.0, global_scale=1.0
-):
+def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
     """Shared pipeline: decompose, validate, graph constants, sweep.
-
-    `global_scale` multiplies the assembled theoretical constant.
-    """
+    `scale` is the local_scale or global_scale of weighted_constant."""
     t0 = time.perf_counter()
-    flags = []
-    eta = eta_fit(space, o)
-    if eta <= s:
-        flags.append("eta_not_above_s")
-    prof = doubling_profile(space)
-    Q = max(prof.Q, 1.0)
-
-    decomp = kappa_decomposition(space, o, kappa)
-    covering = expand_covering(space, decomp)
+    flags = ["eta_not_above_s"] if eta_fit(space, o) <= s else []
+    covering = expand_covering(space, kappa_decomposition(space, o, kappa))
     val = validate_covering(covering, space, weight=weight)
+    # the patching argument holds only on a good covering
+    if not val.all_pass:
+        flags.append("covering_axiom_failed")
     graph = build_covering_graph(space, covering, weight=weight)
     gp = graph_profile(graph)
     # masses beyond the float range leave the LP nothing to certify
     finite = np.isfinite(graph.vmass).all()
     C_disc = 1.0 / isoperimetric_constant(graph).I if finite else math.inf
-    C2 = C_disc if t <= 1 else upgrade_constant(C_disc, gp.A, gp.B, t)
-    C_P = measure_poincare(space, s)
-    # The annulus pieces are sobolev pieces at delta = 1/2 and alpha =
-    # kappa^2; the patching step multiplies their constant by 2 kappa^3.
-    ann = annulus_constant(Q, C_P, kappa**2, 0.5, s, t, "sobolev", flags)
-    C1 = local_scale * (ann.value * 2.0 * kappa**3)
-    theoretical = patching_constant(C1, C2, val.Q1_emp, val.Q2_emp, s, t) ** (1.0 / t)
-    theoretical *= global_scale
+    Q, C_P = _profile(space, s)
+    const = weighted_constant(
+        Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
+    )
 
     mu = weight * space.measure
 
@@ -396,24 +358,7 @@ def _weighted_check(
             return 0.0
         return float((np.abs(f) ** t * mu).sum()) ** (1.0 / t) / en ** (1.0 / s)
 
-    best, witness = _sweep(family, ratio)
-    passed = _passes(best, theoretical, REL_TOL, flags)
-    return InequalityReport(
-        inequality=name,
-        s=s,
-        t=t,
-        kappa=kappa,
-        Q1=float(val.Q1_emp),
-        Q2=float(val.Q2_emp),
-        C1=C1,
-        C2=C2,
-        empirical_best=best,
-        theoretical=theoretical,
-        witness=witness,
-        passed=passed,
-        hypotheses_violated=";".join(flags),
-        seconds=time.perf_counter() - t0,
-    )
+    return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0)
 
 
 def weighted_sobolev_check(space, o, s, t, family, kappa=2.0):
@@ -426,7 +371,7 @@ def hardy_check(space, o, s, family, kappa=2.0):
     """Hardy inequality with weight d(o, .)^(-s); the local constant
     carries the extra 2^s kappa^(2s) factor of the annulus estimate."""
     w = weight_density(space, o, "mu_s", s=s)
-    scale = 2.0**s * kappa ** (2.0 * s)
+    scale = hardy_factor(s, kappa)
     return _weighted_check(space, o, s, s, family, kappa, w, "hardy", local_scale=scale)
 
 
@@ -443,10 +388,8 @@ def ahlfors_sobolev_check(space, o, s, t, family, kappa=2.0):
         return rep
     params = ahlfors_fit(space)
     w = weight_density(space, o, "ahlfors", s=s, t=t, Q=params.Q)
-    return _weighted_check(
-        space, o, s, t, family, kappa, w, "ahlfors-sobolev",
-        global_scale=params.C_A ** (1.0 / s - 1.0 / t),
-    )
+    scale = ahlfors_factor(params.C_A, s, t)
+    return _weighted_check(space, o, s, t, family, kappa, w, "ahlfors-sobolev", global_scale=scale)
 
 
 # -- report output ---------------------------------------------------------

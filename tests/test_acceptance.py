@@ -231,10 +231,10 @@ def test_c01_constant_formulas():
     ok &= abs(patching_constant(1, 1, 1, 1, 2, 2) - 10.0) <= 1e-12
     ok &= abs(rca_kappa(2.0, 1.0, 2.0, 1.0, 2.0, 1.0) - 3_748_096.0) <= 1e-6
     ok &= abs(excess_constant(2.0, 2.0) - 1024.0) <= 1e-12
-    # Q=1, alpha=2, delta=1/2: N = 100, K = 9, C_neu = 2*100*81 = 16200, and
+    # Q=1, alpha=2, delta=1/2: N = 100, K = 9, C2 = 2*100*81 = 16200, and
     # the patching constant is 60 + (2*16200)*18*60^3 at s = t = 1
     ann = annulus_constant(1.0, 1.0, 2.0, 0.5, 1.0, 1.0, "poincare", [])
-    ok &= abs(ann.C_neu - 16_200.0) <= 1e-12
+    ok &= abs(ann.C2 - 16_200.0) <= 1e-12
     ok &= abs(ann.value - 125_971_200_060.0) <= 1e-12 * 125_971_200_060.0
     # s >= Q: the fallback C_P (4 lam)^max(Q, 1), flagged
     flags = []

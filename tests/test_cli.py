@@ -10,6 +10,9 @@ from pilab.gallery import load_space
 from pilab.space import FiniteMetricMeasureSpace
 
 
+_INEQS = ("hardy", "weighted-sobolev", "annulus", "local-sobolev", "ahlfors")
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -225,7 +228,7 @@ def test_verify_reports_unchanged_by_truncated_rows(tmp_path, monkeypatch, kind,
 
     def reports(tag):
         out = {}
-        for ineq in ("hardy", "weighted-sobolev", "annulus", "local-sobolev", "ahlfors"):
+        for ineq in _INEQS:
             rep = tmp_path / f"{tag}-{ineq}.csv"
             assert run(
                 "verify", "--space", str(space), "--ineq", ineq, "--s", "1", "--t", "2",
@@ -282,11 +285,66 @@ _HEADER = (
 def test_verify_report_bytes_are_pinned(tmp_path, ineq, extra, row):
     # pinned rows: a refactor must keep every report byte-identical, and a
     # change meant to move a report updates its row here
-    space = tmp_path / "g.json"
-    run("gen", "--kind", "grid_quadrant", "--n", "16", "-o", str(space))
+    code, text = _report(tmp_path, ["grid_quadrant", "16", "2"], ["--ineq", ineq, *extra])
+    assert (code, text) == (0, f"{_HEADER}\n{row}\n")
+
+
+@pytest.mark.parametrize(
+    "gen, extra, code, row",
+    [
+        (["radial_profile", "64", "1"], ["--ineq", "hardy", "--s", "2"], 0,
+         "hardy,2,2,2,5,10.0327677664,2.66116309475e+16,454.271845854,6.67355692413,"
+         '1.21087048789e+21,"annulus_cutoff[1.0000,32.0000]",True,eta_not_above_s;s_not_below_Q,0'),
+        (["grid_quadrant", "16", "2"], ["--ineq", "local-sobolev", "--s", "3", "--t", "3"], 0,
+         "local-sobolev,3,3,0,0,0,1,92.345408,0.430962251093,92.345408,"
+         '"tent[24,13.0194]",True,s_not_below_Q,0'),
+        (["radial_profile", "256", "12"], ["--ineq", "weighted-sobolev", "--s", "1", "--t", "2"], 2,
+         "weighted-sobolev,1,2,2,7,40821354.7077,inf,36142.5510773,540994.927856,inf,"
+         '"indicator_smooth[194,124.5083,38.3615]",False,constant_nonfinite,0'),
+    ],
+)
+def test_verify_flagged_report_bytes_are_pinned(tmp_path, gen, extra, code, row):
+    # flags are joined in the order the check raises them
+    assert _report(tmp_path, gen, extra) == (code, f"{_HEADER}\n{row}\n")
+
+
+def _report(tmp_path, gen, extra):
+    """Exit code and CSV report of a deterministic `pilab verify` run on
+    the space `gen` = (kind, n, eta)."""
+    kind, n, eta = gen
+    space = tmp_path / "s.json"
+    run("gen", "--kind", kind, "--n", n, "--eta", eta, "-o", str(space))
     rep = tmp_path / "rep.csv"
-    assert run(
-        "verify", "--space", str(space), "--ineq", ineq, *extra,
-        "--deterministic-output", "-o", str(rep),
-    ) == 0
-    assert rep.read_text() == f"{_HEADER}\n{row}\n"
+    code = run("verify", "--space", str(space), *extra, "--deterministic-output", "-o", str(rep))
+    return code, rep.read_text()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--s", "0"), ("--s", "-1"), ("--s", "0.5"), ("--s", "inf"), ("--s", "nan"), ("--t", "-2")],
+)
+def test_verify_rejects_exponent_below_one_or_nonfinite(tmp_path, capsys, flag, value):
+    # s = 0 and t = 0 divided by zero, and the other values ran to a verdict
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    capsys.readouterr()
+    for ineq in _INEQS:
+        assert run("verify", "--space", str(space), "--ineq", ineq, "--s", "1", flag, value) == 1
+        assert f"argument {flag}: exponent must be finite and >= 1" in capsys.readouterr().err
+
+
+def test_verify_hardy_at_large_s_ends_cleanly(tmp_path, capsys):
+    # 2^s kappa^(2s) leaves the float range at s = 600, kappa = 2: the run
+    # must end in a pilab error or a flagged report, not an OverflowError
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    capsys.readouterr()
+    rep = tmp_path / "rep.csv"
+    code = run("verify", "--space", str(space), "--ineq", "hardy", "--s", "600", "-o", str(rep))
+    if code == 1:
+        assert capsys.readouterr().err.startswith("error: ")
+    else:
+        assert code == 2
+        with open(rep, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert "constant_nonfinite" in row["hypotheses_violated"].split(";")

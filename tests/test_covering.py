@@ -13,7 +13,7 @@ from pilab.covering import (
 from pilab.errors import (
     KappaOutOfRange,
     NoBasePoint,
-    PieceNotInAnnulus,
+    NotInAnnulus,
     RhoBelowResolution,
 )
 from pilab.gallery import build_space, grid_quadrant, path_space, radial_profile
@@ -228,7 +228,7 @@ def test_annulus_piece_covering_errors():
     A = np.flatnonzero((d >= 4) & (d < 8))
     with pytest.raises(RhoBelowResolution):
         annulus_piece_covering(sp, 0, 4.0, 2.0, 0.1, A, "sobolev")
-    with pytest.raises(PieceNotInAnnulus):
+    with pytest.raises(NotInAnnulus):
         annulus_piece_covering(sp, 0, 4.0, 2.0, 0.5, [0, 1], "sobolev")
 
 

@@ -1,11 +1,16 @@
-"""Every name a pilab module imports is referenced in that module."""
+"""Every name a pilab module imports is referenced in that module, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pilab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pilab"
 
 
 def unused_imports(source):
@@ -48,3 +53,19 @@ def test_unused_imports_finds_and_exempts():
 )
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_tracer_targets_resolve():
+    # The tracer skips a target it cannot find, and that layer's metric
+    # then reads 0: a renamed function must fail here instead.  It counts
+    # swept functions from each check's `family` argument.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, name in tracer.TARGETS:
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), f"{module}.{attr}"
+        if name == "verify.check":
+            assert "family" in inspect.signature(fn).parameters, f"{module}.{attr}"
+    module, cls, attr, _ = tracer.DIST_TARGET
+    assert callable(getattr(getattr(importlib.import_module(module), cls), attr, None))

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilab.constants import annulus_constant, patching_constant
+from pilab import verify
+from pilab.constants import (
+    ahlfors_factor,
+    annulus_constant,
+    hardy_factor,
+    patching_constant,
+    weighted_constant,
+)
 from pilab.errors import EmptyPiece, NotAhlfors
 from pilab.gallery import (
     grid_quadrant,
@@ -52,7 +59,22 @@ def test_patching_constant_values():
     assert patching_constant(1e200, 1e200, 1, 1, 1, 2) == math.inf
     # every overflowing factor of the annulus constant is inf, not an error
     ann = annulus_constant(200.0, 1.0, 2.0, 0.5, 1.0, 1.0, "sobolev", [])
-    assert ann.C_ball == ann.Q1 == ann.value == math.inf
+    assert ann.C1 == ann.Q1 == ann.value == math.inf
+
+
+def test_weighted_constant_factors_overflow_to_inf():
+    # 2^s kappa^(2s) at s = 600, kappa = 2 and (1e300)^3 leave the float
+    # range: inf, not OverflowError, and an infinite factor makes the
+    # constant infinite
+    assert hardy_factor(600.0, 2.0) == math.inf
+    assert ahlfors_factor(1e300, 0.25, 1.0) == math.inf
+    flags = []
+    const = weighted_constant(
+        2.0, 1.0, 2.0, 1.0, 1.0, 1.0, 6, 8.0, 600.0, 600.0, flags, local_scale=math.inf
+    )
+    assert const.C1 == const.value == math.inf
+    assert (const.Q1, const.Q2) == (6.0, 8.0)
+    assert flags == ["s_not_below_Q"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,6 +246,24 @@ def test_measure_scaling_invariance_t_equals_s():
     r2 = hardy_check(sp2, 0, 1.0, fam)
     assert r1.empirical_best == pytest.approx(r2.empirical_best, rel=1e-9)
     assert r1.passed == r2.passed
+
+
+def test_failed_covering_axiom_fails_the_check(monkeypatch):
+    sp = grid_quadrant(16)
+    fam = make_family(sp, 0, seed=4, count=20)
+    good = hardy_check(sp, 0, 1.0, fam)
+    validate = verify.validate_covering
+
+    def one_axiom_fails(*args, **kwargs):
+        val = validate(*args, **kwargs)
+        val.axioms_pass["axiom2_cover"] = False
+        return val
+
+    monkeypatch.setattr(verify, "validate_covering", one_axiom_fails)
+    bad = hardy_check(sp, 0, 1.0, fam)
+    assert good.passed and good.hypotheses_violated == ""
+    assert not bad.passed and bad.hypotheses_violated == "covering_axiom_failed"
+    assert (bad.empirical_best, bad.theoretical) == (good.empirical_best, good.theoretical)
 
 
 def test_eta_flag_on_uniform_path():
