@@ -299,7 +299,7 @@ def build_parser():
     )
     _add_base(ve)
     ve.add_argument("--s", type=_exponent, default=1.0)
-    ve.add_argument("--t", type=_exponent, default=None)
+    ve.add_argument("--t", type=_exponent, help="default s; --ineq hardy takes t = s, ignoring --t")
     ve.add_argument("--kappa", type=_positive_kappa, default=2.0)
     ve.add_argument("--seed", type=int, default=None)
     ve.add_argument("--count", type=_family_count, default=200)
@@ -326,6 +326,8 @@ def main(argv=None):
         return 1 if exc.code else 0
     if getattr(args, "t", None) is None and hasattr(args, "s"):
         args.t = args.s
+    elif getattr(args, "ineq", None) == "hardy" and args.t != args.s:
+        print("warning: --ineq hardy takes t = s; --t is ignored", file=sys.stderr)
     try:
         return args.fn(args)
     except (PilabError, OSError, ValueError) as exc:

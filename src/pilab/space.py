@@ -10,14 +10,18 @@ builds no transpose per row).  A full row is kept in a least-recently-used
 cache capped in bytes, so memory stays bounded however many rows are read.
 A row asked for only up to a `limit` stops its search there and bypasses the
 cache; readers that sweep many centers ask for each row only as far as their
-balls reach.
+balls reach.  Slopes and Lipschitz projections read one neighbour table:
+vertices sit at positions by decreasing degree, so those with more than k
+neighbours are a prefix, whose k-th neighbours (int32) and edge lengths
+slot k lists.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,6 +36,8 @@ ROW_CACHE_BYTES = 256 * 2**20
 
 # Largest Ahlfors regularity constant C_A that `ahlfors_fit` accepts.
 AHLFORS_CAP = 100.0
+
+NeighbourTable = namedtuple("NeighbourTable", "order position slots nbr length")
 
 
 class FiniteMetricMeasureSpace:
@@ -88,6 +94,22 @@ class FiniteMetricMeasureSpace:
             raise NonPositiveMass("measure length does not match vertex count")
         if len(self.edges) and (self.edges.min() < 0 or self.edges.max() >= self.n):
             raise DisconnectedGraph("edge endpoint out of range")
+
+    @cached_property
+    def neighbours(self):
+        """The NeighbourTable, built on first use: order[p] is the vertex at
+        position p, position its inverse, and entry a + p of slot k = (a, b)
+        holds the k-th neighbour `nbr` of order[p], p < b - a, and its `length`."""
+        adj = self.adjacency
+        deg = np.diff(adj.indptr)
+        order = np.argsort(-deg, kind="stable")
+        # sizes[k]: how many vertices have more than k neighbours
+        sizes = np.searchsorted(-deg[order], -np.arange(deg.max(initial=0)))
+        start = adj.indptr[order]
+        entries = np.concatenate([start[:c] + k for k, c in enumerate(sizes)] or [start[:0]])
+        stops = [0, *np.cumsum(sizes).tolist()]
+        slots = tuple(zip(stops, stops[1:]))
+        return NeighbourTable(order, np.argsort(order), slots, adj.indices[entries], adj.data[entries])
 
     # -- metric queries ----------------------------------------------------
 

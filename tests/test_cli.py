@@ -221,10 +221,21 @@ def test_short_o_still_names_the_output_file(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("kind, n", [("grid_quadrant", "16"), ("cone_grid", "20")])
-def test_verify_reports_unchanged_by_truncated_rows(tmp_path, monkeypatch, kind, n):
+@pytest.mark.parametrize(
+    "gen",
+    [
+        pytest.param(["--kind", "grid_quadrant", "--n", "16"], id="grid_quadrant-16"),
+        pytest.param(["--kind", "cone_grid", "--n", "20"], id="cone_grid-20"),
+        # the sampled Poincare rows hold inf beyond their reach, so a slope
+        # read there would raise on inf - inf
+        pytest.param(
+            ["--kind", "sector_union", "--resolution", "1", "--r-max", "8"], id="sector_union-1-8"
+        ),
+    ],
+)
+def test_verify_reports_unchanged_by_truncated_rows(tmp_path, monkeypatch, gen):
     space = tmp_path / "s.json"
-    run("gen", "--kind", kind, "--n", n, "--eta", "2", "-o", str(space))
+    run("gen", *gen, "--eta", "2", "-o", str(space))
 
     def reports(tag):
         out = {}
@@ -243,6 +254,23 @@ def test_verify_reports_unchanged_by_truncated_rows(tmp_path, monkeypatch, kind,
         FiniteMetricMeasureSpace, "dist_from", lambda self, x, limit=math.inf: full(self, x)
     )
     assert reports("full") == truncated
+
+
+def test_verify_hardy_warns_that_it_ignores_t(tmp_path, capsys):
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    capsys.readouterr()
+    outcomes = []
+    for extra in ([], ["--t", "2"], ["--t", "1.5"]):
+        rep = tmp_path / "rep.csv"
+        code = run(
+            "verify", "--space", str(space), "--ineq", "hardy", "--s", "1.5", *extra,
+            "--deterministic-output", "-o", str(rep),
+        )
+        outcomes.append((code, rep.read_bytes(), capsys.readouterr().err))
+    warning = "warning: --ineq hardy takes t = s; --t is ignored\n"
+    assert [err for _, _, err in outcomes] == ["", warning, ""]
+    assert len({(code, text) for code, text, _ in outcomes}) == 1
 
 
 @pytest.mark.parametrize("count", ["4", "0", "-5", "x"])

@@ -545,8 +545,63 @@ def test_sampled_poincare_equals_per_radius_reference(make, s):
     assert _sampled_poincare(sp, s) == _per_radius_poincare(make(), s)
 
 
-def _ten_pass_random_lipschitz(sp, seed, count):
-    """The family's random-Lipschitz members, projected for all 10 passes.
+def _edge_list_slope(sp, f, edges=slice(None)):
+    """Slope from the edge list: |df|/length per edge, scattered to both
+    ends by np.maximum.at; exact at the vertices whose edges are all kept."""
+    out = np.zeros(sp.n)
+    e, lengths = sp.edges[edges], sp.lengths[edges]
+    slopes = np.abs(f[e[:, 0]] - f[e[:, 1]]) / lengths
+    np.maximum.at(out, e[:, 0], slopes)
+    np.maximum.at(out, e[:, 1], slopes)
+    return out
+
+
+def _multigraph():
+    """Two parallel 0-1 edges of different lengths and a self-loop at 2."""
+    edges = [(0, 1, 1.0), (0, 1, 0.5), (1, 2, 2.0), (2, 2, 0.7), (2, 3, 1.5), (3, 0, 0.25)]
+    return build_space(4, edges, np.ones(4))
+
+
+def _with_nonfinite(rng, n):
+    f = rng.normal(size=n)
+    special = rng.random(n) < 0.25
+    f[special] = rng.choice([np.inf, -np.inf, np.nan], int(special.sum()))
+    return f
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("make", [*SMALL_GALLERY, _multigraph], ids=[*SMALL_GALLERY_IDS, "multigraph"])
+def test_lip_equals_edge_list_slope(make):
+    sp = make()
+    rng = np.random.default_rng(3)
+    fixed = [np.resize([np.inf, 1.0, -np.inf, np.nan, 2.0], sp.n), np.full(sp.n, np.inf)]
+    for f in [*(_with_nonfinite(rng, sp.n) for _ in range(8)), *fixed]:
+        assert lip(sp, f).tobytes() == _edge_list_slope(sp, f).tobytes()
+        for size in (0, 1, max(1, sp.n // 3), sp.n):
+            at = rng.choice(sp.n, size, replace=False)
+            got = lip(sp, f, at)
+            want = _edge_list_slope(sp, f, np.isin(sp.edges, at).any(axis=1))
+            assert got[at].tobytes() == want[at].tobytes()
+            assert not np.delete(got, at).any()
+
+
+@pytest.mark.parametrize("make", [*SMALL_GALLERY, _multigraph], ids=[*SMALL_GALLERY_IDS, "multigraph"])
+def test_lip_at_reads_f_only_at_its_vertices_and_their_neighbours(make):
+    sp = make()
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=sp.n)
+    E = rng.choice(sp.n, max(1, sp.n // 3), replace=False)
+    near = np.zeros(sp.n, dtype=bool)
+    near[E] = True
+    near[sp.edges[near[sp.edges].any(axis=1)]] = True
+    assert near.sum() < sp.n
+    got = lip(sp, np.where(near, f, np.nan), E)
+    assert got[E].tobytes() == lip(sp, f, E)[E].tobytes()
+
+
+def _random_lipschitz_draws(sp, seed, count):
+    """(L, noise) of each random-Lipschitz member of the family, before its
+    projection.
 
     Replays the family's draws in order (tents: a center and a width;
     annulus cutoffs: two dyadic indices) to reach the same generator state.
@@ -561,10 +616,15 @@ def _ten_pass_random_lipschitz(sp, seed, count):
     for _ in range(per):
         if n_dyadic >= 2:
             rng.integers(int(rng.integers(n_dyadic - 1)) + 1, n_dyadic)
-    out = []
     for _ in range(per):
         L = float(rng.uniform(0.1, 2.0))
-        vals = rng.uniform(0.0, L * diam / 8.0, sp.n)
+        yield L, rng.uniform(0.0, L * diam / 8.0, sp.n)
+
+
+def _ten_pass_random_lipschitz(sp, seed, count):
+    """The family's random-Lipschitz members, projected for all 10 passes."""
+    out = []
+    for L, vals in _random_lipschitz_draws(sp, seed, count):
         for _ in range(10):
             np.minimum.at(vals, sp.edges[:, 0], vals[sp.edges[:, 1]] + L * sp.lengths)
             np.minimum.at(vals, sp.edges[:, 1], vals[sp.edges[:, 0]] + L * sp.lengths)
@@ -581,3 +641,35 @@ def test_random_lipschitz_members_equal_ten_pass_reference(make, seed):
     assert [k for k, _ in members] == [k for k, _ in expected]
     for (_, got), (_, want) in zip(members, expected):
         assert np.array_equal(got, want)
+
+
+def _exact_projection(sp, L, v0):
+    """min_w v0(w) + L d(., w): one Dijkstra from a super-source joined to
+    every vertex w by an edge of weight v0(w), over L * adjacency."""
+    n = sp.n
+    g = (L * sp.adjacency).tocoo()
+    rows = np.concatenate([g.row, np.full(n, n)])
+    cols = np.concatenate([g.col, np.arange(n)])
+    graph = csr_matrix((np.concatenate([g.data, v0]), (rows, cols)), shape=(n + 1, n + 1))
+    return csgraph.dijkstra(graph, directed=True, indices=n)[:n]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*SMALL_GALLERY, lambda: radial_profile(256, 2.0), lambda: radial_profile(2048, 1.0)],
+    ids=[*SMALL_GALLERY_IDS, "radial_profile_256_2", "radial_profile_2048_1"],
+)
+def test_random_lipschitz_members_are_the_exact_projection(make):
+    # on the two radial paths ten relaxation passes stop short of the
+    # projection: 6/40 and 40/40 members, worst slope 4.1 L and 82.8 L
+    sp = make()
+    members = [v for k, v in make_family(sp, 0, 1, 200) if k.startswith("random_lipschitz")]
+    draws = list(_random_lipschitz_draws(sp, 1, 200))
+    assert len(members) == len(draws) == 40
+    e0, e1 = sp.edges[:, 0], sp.edges[:, 1]
+    for got, (L, v0) in zip(members, draws):
+        assert np.array_equal(got, _exact_projection(sp, L, v0))
+        # v(u) = v(w) + L l rounded, so a difference can exceed L l by the
+        # rounding of the values, not of the slope
+        slack = 2.0 * np.spacing(got.max()) / sp.lengths.min()
+        assert (np.abs(got[e0] - got[e1]) / sp.lengths).max() <= L + slack
