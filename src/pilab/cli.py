@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import covering as cov
-from . import constants, gallery, graph_ineq, verify
+from . import gallery, graph_ineq, verify
 from .errors import NotAhlfors, NotInAnnulus, PilabError
 from .space import ahlfors_fit, doubling_profile, reverse_doubling_fit
 
@@ -45,6 +45,9 @@ def _checked(convert, ok, requirement):
 _kappa = _checked(float, lambda k: k > 1, "kappa must be > 1")
 _family_count = _checked(int, lambda c: c >= 5, "count must be >= 5, one function per generator")
 _exponent = _checked(float, lambda x: 1 <= x < math.inf, "exponent must be finite and >= 1")
+AUTO_KAPPAS = (1.2, 1.5, 2.0, 3.0, 4.0)
+_KAPPA_HELP = ("scale > 1, or 'auto': the smallest of 1.2, 1.5, 2, 3, 4 with relatively connected "
+               "annuli at every tested radius and pieces on two levels; else 2, with a warning")
 
 
 def _positive_kappa(text):
@@ -54,18 +57,13 @@ def _positive_kappa(text):
 def _resolve_kappa(args, space, o):
     if args.kappa != "auto":
         return args.kappa
-    Q, C_P = verify._profile(space, 1.0)
-    eta = verify.eta_fit(space, o)
-    C_o = reverse_doubling_fit(space, o, eta)
-    try:
-        k = constants.rca_kappa(Q, 1.0, 2.0, C_P, eta, max(C_o, 1e-9))
-    except PilabError:
-        k = 2.0
-    cap = max(2.0, space.diameter() / 4.0)
-    if k > cap:
-        print(f"warning: rca kappa {k:.6g} capped at diameter/4 = {cap:.6g}", file=sys.stderr)
-        k = cap
-    return k
+    for kappa in AUTO_KAPPAS:
+        # pieces on two levels leave the covering graph an interior
+        pieces = cov.kappa_decomposition(space, o, kappa).pieces
+        if len({p.level for p in pieces}) > 1 and graph_ineq.rca_check(space, o, kappa).passed:
+            return kappa
+    print("warning: --kappa auto: annuli not relatively connected; using 2", file=sys.stderr)
+    return 2.0
 
 
 def _cmd_gen(args):
@@ -176,7 +174,7 @@ def _cmd_verify(args):
                 "space": verify.space_hash(space),
                 "o": args.o,
                 "s": args.s,
-                "t": args.t,
+                "t": rep.t,
                 "kappa": kappa,
                 "count": args.count,
             }
@@ -280,13 +278,13 @@ def build_parser():
     de = sub.add_parser("decompose", help="kappa-decomposition and covering validation")
     de.add_argument("--space", required=True)
     _add_base(de)
-    de.add_argument("--kappa", type=_positive_kappa, default=2.0)
+    de.add_argument("--kappa", type=_positive_kappa, default=2.0, help=_KAPPA_HELP)
     de.set_defaults(fn=_cmd_decompose)
 
     gr = sub.add_parser("graph", help="covering graph constants")
     gr.add_argument("--space", required=True)
     _add_base(gr)
-    gr.add_argument("--kappa", type=_positive_kappa, default=2.0)
+    gr.add_argument("--kappa", type=_positive_kappa, default=2.0, help=_KAPPA_HELP)
     gr.add_argument("-o", "--out", default=None, help="optional DOT output")
     gr.set_defaults(fn=_cmd_graph)
 
@@ -300,7 +298,7 @@ def build_parser():
     _add_base(ve)
     ve.add_argument("--s", type=_exponent, default=1.0)
     ve.add_argument("--t", type=_exponent, help="default s; --ineq hardy takes t = s, ignoring --t")
-    ve.add_argument("--kappa", type=_positive_kappa, default=2.0)
+    ve.add_argument("--kappa", type=_positive_kappa, default=2.0, help=_KAPPA_HELP)
     ve.add_argument("--seed", type=int, default=None)
     ve.add_argument("--count", type=_family_count, default=200)
     ve.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -312,7 +310,7 @@ def build_parser():
     re = sub.add_parser("render", help="SVG rendering of a 2D space")
     re.add_argument("--space", required=True)
     _add_base(re)
-    re.add_argument("--kappa", type=_positive_kappa, default=None)
+    re.add_argument("--kappa", type=_positive_kappa, default=None, help=_KAPPA_HELP)
     re.add_argument("-o", "--out", dest="out", required=True)
     re.set_defaults(fn=_cmd_render)
     return p

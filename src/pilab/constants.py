@@ -119,10 +119,11 @@ def annulus_constant(Q, C_P, alpha, delta, s, t, flavor, flags):
     """Constant of a piece of A(o, R, alpha R) fattened by delta R.
 
     The ball constant C1 is the local Sobolev constant (lam = 2) for
-    flavor="sobolev" and C_P otherwise.  The piece's net graph has N balls
-    meeting any one and K-comparable masses, Neumann constant C2, and
-    overlap and measure-comparison numbers 60^Q and 18^Q.
+    flavor="sobolev" and C_P otherwise.  The net graph has N balls meeting
+    any one, K-comparable masses, Neumann constant C2, and overlap and
+    measure-comparison numbers 60^Q and 18^Q, with Q floored at 1.
     """
+    Q = max(Q, 1.0)
     C1 = local_sobolev_constant(Q, C_P, 2.0, s, flags) if flavor == "sobolev" else C_P
     N = _power(4.0 * (6.0 * alpha / delta + 1.0), Q)
     K = _power(1.0 + 2.0 * alpha / delta, Q)

@@ -267,9 +267,8 @@ def _sampled_poincare(space, s):
 
 
 def _profile(space, s):
-    """(max(Q, 1), C_P): the doubling dimension, at least 1, and the
-    measured Poincare constant, as the patched constants read them."""
-    return max(doubling_profile(space).Q, 1.0), measure_poincare(space, s)
+    """(Q, C_P): the raw doubling and Poincare fits, as every check reads them."""
+    return doubling_profile(space).Q, measure_poincare(space, s)
 
 
 def eta_fit(space, o):
@@ -295,7 +294,7 @@ def local_sobolev_check(space, a, R, s, t, family):
     if len(B) < 2:
         raise EmptyPiece("B_R(a) holds fewer than two vertices, on which every oscillation is zero")
     flags = []
-    Q, C_P = doubling_profile(space).Q, measure_poincare(space, s)
+    Q, C_P = _profile(space, s)
     C_s = local_sobolev_constant(Q, C_P, 2.0, s, flags)
     ratio = _oscillation_ratio(space, B, B, R, s, t)
     tol = REL_TOL + 3.0 * space.resolution / R
@@ -306,9 +305,10 @@ def local_sobolev_check(space, a, R, s, t, family):
 def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poincare"):
     """Sobolev/Poincare inequality on a connected annulus piece A.
 
-    The right side integrates the slope over the delta*R fattening of A;
-    the theoretical constant patches per-ball estimates through the net
-    covering of A with the counting Neumann constant of the net graph.
+    The right side integrates the slope over the delta*R fattening of A.
+    The constant is annulus_constant's closed form in Q: N = (4(6a + 1))^Q,
+    K = (1 + 2a)^Q, Q1 = 60^Q and Q2 = 18^Q with a = alpha/delta.  No net
+    covering of A is built.
     """
     t0 = time.perf_counter()
     A = np.unique(np.asarray(A, dtype=np.int64))

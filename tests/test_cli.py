@@ -6,7 +6,7 @@ import pytest
 
 from pilab import verify
 from pilab.cli import main
-from pilab.gallery import load_space
+from pilab.gallery import load_space, sector_union_origin
 from pilab.space import FiniteMetricMeasureSpace
 
 
@@ -271,6 +271,80 @@ def test_verify_hardy_warns_that_it_ignores_t(tmp_path, capsys):
     warning = "warning: --ineq hardy takes t = s; --t is ignored\n"
     assert [err for _, _, err in outcomes] == ["", warning, ""]
     assert len({(code, text) for code, text, _ in outcomes}) == 1
+
+
+def test_verify_hardy_json_provenance_records_the_t_it_ran_with(tmp_path):
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    rep = tmp_path / "rep.json"
+    assert run(
+        "verify", "--space", str(space), "--ineq", "hardy", "--s", "1.5", "--t", "2",
+        "--format", "json", "-o", str(rep),
+    ) == 0
+    doc = json.loads(rep.read_text())
+    assert doc["provenance"]["t"] == doc["reports"][0]["t"] == 1.5
+
+
+@pytest.mark.parametrize("kappa", ["2", "auto"])
+def test_verify_profiles_once_per_call(tmp_path, monkeypatch, kappa):
+    # wrapped under the names the checks look up, as perfbench's tracer does
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "16", "-o", str(space))
+    calls = []
+
+    def counted(name):
+        fit = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fit(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("doubling_profile", "measure_poincare"):
+        monkeypatch.setattr(verify, name, counted(name))
+    for ineq in _INEQS:
+        calls.clear()
+        assert run(
+            "verify", "--space", str(space), "--ineq", ineq, "--kappa", kappa, "--count", "30"
+        ) in (0, 2)
+        assert sorted(calls) == ["doubling_profile", "measure_poincare"], ineq
+
+
+@pytest.mark.parametrize(
+    "gen, ineq, code, kappa, flags, warned",
+    [
+        (["grid_quadrant", "--n", "32"], "hardy", 0, 1.5, "", False),
+        (["cone_grid", "--n", "50"], "hardy", 0, 1.2, "", False),
+        (["radial_profile", "--n", "256", "--eta", "12"], "weighted-sobolev", 2, 1.2,
+         "constant_nonfinite", False),
+        # no kappa in AUTO_KAPPAS makes the sector's annuli relatively connected
+        (["sector_union", "--resolution", "1"], "hardy", 0, 2.0, "", True),
+    ],
+    ids=["grid_quadrant-32", "cone_grid-50", "radial_profile-256-12", "sector_union-1"],
+)
+def test_verify_kappa_auto_picks_the_smallest_rca_kappa(tmp_path, capsys, gen, ineq, code, kappa,
+                                                        flags, warned):
+    space = tmp_path / "s.json"
+    run("gen", "--kind", *gen, *([] if "--eta" in gen else ["--eta", "2"]), "-o", str(space))
+    o = sector_union_origin(load_space(space)) if gen[0] == "sector_union" else 0
+    rep = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert run(
+        "verify", "--space", str(space), "--ineq", ineq, "--base", str(o), "--s", "1", "--t", "2",
+        "--kappa", "auto", "--format", "json", "-o", str(rep),
+    ) == code
+    (report,) = json.loads(rep.read_text())["reports"]
+    assert (report["kappa"], report["hypotheses_violated"]) == (kappa, flags)
+    assert ("warning: --kappa auto" in capsys.readouterr().err) == warned
+
+
+def test_decompose_kappa_auto(tmp_path, capsys):
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "32", "-o", str(space))
+    capsys.readouterr()
+    assert run("decompose", "--space", str(space), "--kappa", "auto") in (0, 2)
+    assert "kappa 1.5" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("count", ["4", "0", "-5", "x"])

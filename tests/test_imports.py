@@ -1,7 +1,9 @@
-"""Every name a pilab module imports is referenced in that module, and
-every name the benchmark's tracer wraps exists."""
+"""Every name a pilab module imports is referenced in that module, every
+private helper pilab defines has a caller, and every name the benchmark's
+tracer wraps exists."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -53,6 +55,51 @@ def test_unused_imports_finds_and_exempts():
 )
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def uncalled_private_defs(sources):
+    """`_name` functions and classes defined in the module texts `sources`
+    that no name, attribute or import in them references outside the
+    definition itself.  Dunder methods are exempt."""
+    trees = [ast.parse(source) for source in sources]
+
+    def refs(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    total = collections.Counter(name for tree in trees for name in refs(tree))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, defs)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and total[node.name] == sum(name == node.name for name in refs(node))
+    ]
+
+
+def test_uncalled_private_defs_finds_and_exempts():
+    helpers = (
+        "def _used():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Box:\n    def __len__(self):\n        return _used()\n"
+        "    def _method(self):\n        return 0\n"
+    )
+    caller = "from helpers import _Box\nbox = _Box()\nbox._method()\n"
+    assert uncalled_private_defs([helpers, caller]) == ["_recursive"]
+    assert uncalled_private_defs([helpers]) == ["_recursive", "_Box", "_method"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert uncalled_private_defs(sources) == []
 
 
 def test_tracer_targets_resolve():

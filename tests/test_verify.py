@@ -77,6 +77,22 @@ def test_weighted_constant_factors_overflow_to_inf():
     assert flags == ["s_not_below_Q"]
 
 
+@pytest.mark.parametrize(
+    "constant",
+    [
+        lambda Q, flags: annulus_constant(Q, 1.5, 2.0, 0.5, 1.0, 2.0, "poincare", flags),
+        lambda Q, flags: annulus_constant(Q, 1.5, 2.0, 0.5, 1.0, 2.0, "sobolev", flags),
+        lambda Q, flags: weighted_constant(Q, 1.5, 2.0, 3.0, 4.0, 2.0, 6, 8.0, 1.0, 2.0, flags),
+    ],
+    ids=["annulus-poincare", "annulus-sobolev", "weighted"],
+)
+def test_patched_constants_floor_Q_at_one(constant):
+    # the checks pass the raw doubling dimension; the constants floor it
+    low, one = [], []
+    assert constant(0.5, low) == constant(1.0, one)
+    assert low == one
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.5, 5.0),
