@@ -16,7 +16,7 @@ import numpy as np
 
 from . import covering as cov
 from . import gallery, graph_ineq, verify
-from .errors import NotAhlfors, NotInAnnulus, PilabError
+from .errors import NoBasePoint, NotAhlfors, NotInAnnulus, PilabError
 from .space import ahlfors_fit, doubling_profile, reverse_doubling_fit
 
 
@@ -66,6 +66,14 @@ def _resolve_kappa(args, space, o):
     return 2.0
 
 
+def _load(args):
+    """The space file of `args`, once its base point is known to be a vertex."""
+    space = gallery.load_space(args.space)
+    if not 0 <= args.o < space.n:
+        raise NoBasePoint(f"--base {args.o} is outside the vertices 0..{space.n - 1}")
+    return space
+
+
 def _cmd_gen(args):
     spec = gallery.GallerySpec(
         kind=args.kind,
@@ -81,7 +89,7 @@ def _cmd_gen(args):
 
 
 def _cmd_profile(args):
-    space = gallery.load_space(args.space)
+    space = _load(args)
     prof = doubling_profile(space)
     print(f"C_D {prof.C_D:.6g}")
     print(f"Q {prof.Q:.6g}")
@@ -98,14 +106,14 @@ def _cmd_profile(args):
 
 
 def _cmd_decompose(args):
-    space = gallery.load_space(args.space)
+    space = _load(args)
     kappa = _resolve_kappa(args, space, args.o)
     decomp = cov.kappa_decomposition(space, args.o, kappa)
     covering = cov.expand_covering(space, decomp)
     val = cov.validate_covering(covering, space)
     print(f"kappa {kappa:.6g}")
     print(f"pieces {len(decomp.pieces)}")
-    print(f"levels {len(set(decomp.levels))}")
+    print(f"levels {len({p.level for p in decomp.pieces})}")
     print(f"truncated {len(decomp.truncated)}")
     print(f"Q1_emp {val.Q1_emp}")
     print(f"Q2_emp {val.Q2_emp:.6g}")
@@ -115,7 +123,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_graph(args):
-    space = gallery.load_space(args.space)
+    space = _load(args)
     kappa = _resolve_kappa(args, space, args.o)
     decomp = cov.kappa_decomposition(space, args.o, kappa)
     covering = cov.expand_covering(space, decomp)
@@ -147,7 +155,7 @@ def _write_dot(graph, path):
 
 
 def _cmd_verify(args):
-    space = gallery.load_space(args.space)
+    space = _load(args)
     seed = _seed(args)
     family = verify.make_family(space, args.o, seed, count=args.count)
     kappa = _resolve_kappa(args, space, args.o)
@@ -205,7 +213,7 @@ _PALETTE = [
 
 
 def _cmd_render(args):
-    space = gallery.load_space(args.space)
+    space = _load(args)
     if space.coords is None:
         print("render: space has no 2D coords", file=sys.stderr)
         return 1

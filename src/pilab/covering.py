@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix, identity, triu
 
-from .errors import KappaOutOfRange, NoBasePoint, NotInAnnulus, RhoBelowResolution
+from .errors import KappaOutOfRange, NotInAnnulus, RhoBelowResolution
 
 
 @dataclass
@@ -28,29 +28,30 @@ class Piece:
 
 @dataclass
 class KappaDecomposition:
-    o: int
-    kappa: float
     pieces: list
     owner: np.ndarray  # vertex -> index into pieces; -1 for o and truncated
     truncated: np.ndarray  # vertices beyond the last complete level
-    levels: list
 
 
 @dataclass
 class GoodCovering:
     """Triples (U, U*, U#) with piece adjacency.
 
-    `adjacency` lists the pairs (i, j), i < j, of pieces whose closures
-    touch (share a vertex or an ambient edge).  The designated piece k(i, j)
-    of an adjacent pair is always the smaller index min(i, j); U*_k contains
-    both U_i and U_j.
+    `adjacency` holds the pairs (i, j), i < j, of pieces whose closures
+    touch (share a vertex or an ambient edge), one per row.  The designated
+    piece k(i, j) of an adjacent pair is always the smaller index min(i, j);
+    U*_k contains both U_i and U_j.  Axiom (2) counts the `excluded`
+    vertices (o and the truncated tail of a decomposition) as covered.
     """
 
     triples: list  # list of (U, Ustar, Usharp) index arrays
     levels: list
-    adjacency: list
-    o: int = -1
-    kappa: float = 0.0
+    adjacency: np.ndarray
+    excluded: np.ndarray = ()
+
+    def __post_init__(self):
+        self.adjacency = np.asarray(self.adjacency, dtype=np.int64).reshape(-1, 2)
+        self.excluded = np.asarray(self.excluded, dtype=np.int64)
 
     @property
     def n_pieces(self):
@@ -88,8 +89,6 @@ def kappa_decomposition(space, o, kappa):
     """
     if kappa <= 1:
         raise KappaOutOfRange(f"kappa={kappa}")
-    if not (0 <= o < space.n):
-        raise NoBasePoint(str(o))
     n = space.n
     d = space.dist_from(o)
     d_max = float(d.max())
@@ -100,7 +99,7 @@ def kappa_decomposition(space, o, kappa):
     kept = np.flatnonzero(keep)
     owner = np.full(n, -1, dtype=np.int64)
     if len(kept) == 0:
-        return KappaDecomposition(o, kappa, [], owner, truncated, [])
+        return KappaDecomposition([], owner, truncated)
     levels = np.unique(lev[kept]).tolist()
 
     # Raw pieces are the components of each shell, numbered by (level,
@@ -154,7 +153,7 @@ def kappa_decomposition(space, o, kappa):
     sizes = np.bincount(owner[kept], minlength=len(alive))
     members = np.split(by_owner, np.cumsum(sizes)[:-1])
     pieces = [Piece(level=i, members=m) for i, m in zip(plevel[alive].tolist(), members)]
-    return KappaDecomposition(o, kappa, pieces, owner, truncated, levels)
+    return KappaDecomposition(pieces, owner, truncated)
 
 
 def _membership(n, sets):
@@ -170,7 +169,7 @@ def _within(X, Y):
 
 
 def _touching_pairs(space, sets):
-    """Pairs (i, j), i < j, of vertex sets whose closures touch.
+    """(m, 2) array of the pairs (i, j), i < j, of sets whose closures touch.
 
     Two sets touch when they share a vertex or an ambient edge joins them,
     i.e. when entry (i, j) of M (A + I) M^T is nonzero, with M the
@@ -181,12 +180,12 @@ def _touching_pairs(space, sets):
     touch = triu(M @ closure @ M.T, k=1, format="csr")
     touch.sort_indices()
     rows = np.repeat(np.arange(len(sets)), np.diff(touch.indptr))
-    return list(zip(rows.tolist(), touch.indices.tolist()))
+    return np.column_stack((rows, touch.indices))
 
 
-def _piece_distances(n, adj_pairs):
+def _piece_distances(n, adjacency):
     """Hop distances between pieces in the piece graph."""
-    a, b = np.asarray(adj_pairs, dtype=np.int64).reshape(-1, 2).T
+    a, b = adjacency.T
     mat = csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
     return csgraph.shortest_path(mat, unweighted=True, directed=False)
 
@@ -206,30 +205,24 @@ def expand_covering(space, decomp):
     for i, p in enumerate(decomp.pieces):
         near = hops[i][decomp.owner]
         triples.append((p.members, np.flatnonzero(near <= 1), np.flatnonzero(near <= 4)))
-    return GoodCovering(
-        triples=triples,
-        levels=[p.level for p in decomp.pieces],
-        adjacency=adj,
-        o=decomp.o,
-        kappa=decomp.kappa,
-    )
+    levels = [p.level for p in decomp.pieces]
+    return GoodCovering(triples, levels, adj, excluded=np.flatnonzero(decomp.owner < 0))
 
 
-def validate_covering(covering, space, weight=None):
+def validate_covering(covering, space, mu=None):
     """Check good-covering axioms (1), (2) and (4) plus the overlap-sum
     corollaries.
 
-    Axiom (4) is checked with both the base measure m and mu = weight * m.
+    Axiom (4) is checked with both the base measure m and mu (m if None).
     U# sets are unions of pieces within piece-graph distance 4, so two U#
     closures touch exactly when their pieces are within distance 9; the
     overlap count Q1 is computed from that distance matrix.
     """
     m = space.measure
-    w = np.ones(space.n) if weight is None else np.asarray(weight, dtype=float)
-    mu = w * m
+    mu = m if mu is None else mu
     n = covering.n_pieces
     U, star, sharp = (_membership(space.n, [t[j] for t in covering.triples]) for j in range(3))
-    a, b = np.asarray(covering.adjacency, dtype=np.int64).reshape(-1, 2).T
+    a, b = covering.adjacency.T
     k = np.minimum(a, b)
     ends, ks = np.concatenate([a, b]), np.concatenate([k, k])
 
@@ -237,15 +230,8 @@ def validate_covering(covering, space, weight=None):
     ax4 = bool(_within(U[ends], star[ks]).all())
 
     covered = np.asarray(U.sum(axis=0)).ravel() > 0
-    if covering.o >= 0:
-        covered[covering.o] = True
+    covered[covering.excluded] = True
     uncovered = np.flatnonzero(~covered)
-    # truncated tail vertices (beyond the last complete level) are declared
-    # exclusions, like the base point
-    if covering.kappa > 1 and covering.o >= 0 and len(uncovered):
-        d = space.dist_from(covering.o)
-        top = max(covering.levels) if covering.levels else 0
-        uncovered = uncovered[d[uncovered] < covering.kappa**top]
     ax2 = len(uncovered) == 0
 
     Q1_emp = int((_piece_distances(n, covering.adjacency) <= 9).sum(axis=1).max()) if n else 0
@@ -337,10 +323,4 @@ def annulus_piece_covering(space, o, R, alpha, delta, A, flavor):
         if len(U) == 0:
             U = np.array([x], dtype=np.int64)
         triples.append((U, np.flatnonzero(row < radii[1]), np.flatnonzero(row < radii[2])))
-    return GoodCovering(
-        triples=triples,
-        levels=[0] * len(net),
-        adjacency=_touching_pairs(space, [U for U, _, _ in triples]),
-        o=o,
-        kappa=0.0,
-    )
+    return GoodCovering(triples, [0] * len(net), _touching_pairs(space, [U for U, _, _ in triples]))

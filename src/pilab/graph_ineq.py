@@ -28,36 +28,27 @@ from .errors import NoBoundary, PilabError, ZeroMass
 @dataclass
 class CoveringGraph:
     n: int
-    edges: list  # unordered vertex pairs
+    edges: np.ndarray  # (m, 2) int64 vertex pairs
     vmass: np.ndarray
     emass: np.ndarray
     boundary: np.ndarray  # bool mask, Dirichlet layer
     levels: list
 
+    def __post_init__(self):
+        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+
     @property
     def interior(self):
         return np.flatnonzero(~self.boundary)
 
-    @property
-    def edge_array(self):
-        """The edges as an (m, 2) integer array."""
-        return np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-
 
 @dataclass
 class GraphProfile:
-    """Degree/mass statistics feeding the discrete Poincare bounds.
-
-    A bounds the vertex degree, B the mass ratio across any edge, and K the
-    two-sided comparability of all vertex and edge masses with a common
-    level L (chosen to minimize K).
-    """
+    """Degree/mass statistics feeding the discrete Poincare bounds: A
+    bounds the vertex degree and B the mass ratio across any edge."""
 
     A: float
     B: float
-    N: int
-    K: float
-    L: float
 
 
 @dataclass
@@ -83,46 +74,37 @@ class RcaResult:
     passed: bool
 
 
-def build_covering_graph(space, covering, weight=None):
+def build_covering_graph(space, covering, mu=None):
     """Weighted graph on covering pieces with a designated boundary layer.
 
-    Vertex mass is the mu-mass of the piece's U set; edge mass is the
-    smaller endpoint mass.  The outermost decomposition level is marked as
-    boundary.
+    Vertex mass is the mu-mass (base measure if None) of the piece's U set;
+    edge mass is the smaller endpoint mass.  The outermost decomposition
+    level is marked as boundary.
     """
     if covering.n_pieces == 0:
         raise NoBoundary("the covering has no pieces")
-    w = np.ones(space.n) if weight is None else np.asarray(weight, dtype=float)
-    mu = w * space.measure
+    mu = space.measure if mu is None else mu
     vmass = np.array([mu[U].sum() for U, _, _ in covering.triples])
     if np.any(vmass <= 0):
         raise ZeroMass("a covering piece has zero mu-mass")
-    edges = list(covering.adjacency)
-    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    emass = np.minimum(vmass[a], vmass[b])
+    a, b = covering.adjacency.T
     levels = list(covering.levels)
-    top = max(levels, default=None)
-    boundary = np.array([lv == top for lv in levels], dtype=bool)
     return CoveringGraph(
         n=covering.n_pieces,
-        edges=edges,
+        edges=covering.adjacency,
         vmass=vmass,
-        emass=emass,
-        boundary=boundary,
+        emass=np.minimum(vmass[a], vmass[b]),
+        boundary=np.asarray(levels) == max(levels),
         levels=levels,
     )
 
 
 def graph_profile(graph):
-    a, b = graph.edge_array.T
+    a, b = graph.edges.T
     deg = np.bincount(np.r_[a, b], minlength=graph.n)
     ratio = graph.vmass[a] / graph.vmass[b]
     B = float(np.max(np.r_[1.0, ratio, 1.0 / ratio]))
-    masses = np.concatenate([graph.vmass, graph.emass]) if len(graph.emass) else graph.vmass
-    lo, hi = float(masses.min()), float(masses.max())
-    L = math.sqrt(lo * hi)
-    K = math.sqrt(hi / lo)
-    return GraphProfile(A=float(deg.max()) if graph.n else 0.0, B=B, N=graph.n, K=K, L=L)
+    return GraphProfile(A=float(deg.max()) if graph.n else 0.0, B=B)
 
 
 def dirichlet_incidence(graph):
@@ -136,7 +118,7 @@ def dirichlet_incidence(graph):
     interior = graph.interior
     pos = np.full(graph.n, -1, dtype=np.int64)
     pos[interior] = np.arange(len(interior))
-    ends = pos[graph.edge_array]
+    ends = pos[graph.edges]
     inside = ends >= 0
     ii = inside.all(axis=1)
     ib = inside[:, 0] != inside[:, 1]
@@ -259,19 +241,20 @@ def neumann_check(graph, f, s):
 
     The mean is taken over the support of f, the convention that makes
     constant functions trivially pass.  Uniform masses use the sharp
-    counting constant N(N-1)^(s-1); otherwise `neumann_constant` applies.
+    counting constant N(N-1)^(s-1); otherwise `neumann_constant` applies,
+    with K = sqrt(max / min) over all vertex and edge masses.
     """
     f = np.asarray(f, dtype=float)
     N = graph.n
-    masses = np.concatenate([graph.vmass, graph.emass]) if len(graph.emass) else graph.vmass
-    uniform = float(masses.max() - masses.min()) <= 1e-12 * float(masses.max())
-    K = graph_profile(graph).K
-    const = N * (N - 1) ** (s - 1.0) if uniform else neumann_constant(N, K, s)
+    masses = np.concatenate([graph.vmass, graph.emass])
+    lo, hi = float(masses.min()), float(masses.max())
+    uniform = hi - lo <= 1e-12 * hi
+    const = N * (N - 1) ** (s - 1.0) if uniform else neumann_constant(N, math.sqrt(hi / lo), s)
     supp = np.abs(f) > 0
     denom = float(graph.vmass[supp].sum())
     mean = float((f * graph.vmass).sum() / denom) if denom > 0 else 0.0
     lhs = float((np.abs(f - mean) ** s * graph.vmass).sum())
-    a, b = graph.edge_array.T
+    a, b = graph.edges.T
     rhs = const * float((graph.emass * np.abs(f[a] - f[b]) ** s).sum())
     return NeumannResult(lhs, rhs, const, mean, lhs <= rhs * (1 + 1e-9))
 

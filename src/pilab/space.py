@@ -27,11 +27,13 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 
-from .errors import DisconnectedGraph, NonPositiveLength, NonPositiveMass, NotAhlfors
+from .errors import DisconnectedGraph, NoBasePoint, NonPositiveLength, NonPositiveMass, NotAhlfors
 
 # Byte cap of the per-source distance row cache; the least recently used
-# rows are evicted first.  The largest single check on the gallery reads
-# under 27 MB of rows, so this cap leaves room for reuse across checks.
+# rows are evicted first.  Truncated rows are never cached, so the checks
+# hold few rows: hardy plus weighted-sobolev leave 4, 7 and 3 full rows
+# (0.14, 1.41 and 0.49 MB) on grid_quadrant(64), sector_union(0.25) and
+# cone_grid(101, 2), and the cap leaves room for reuse across checks.
 ROW_CACHE_BYTES = 256 * 2**20
 
 # Largest Ahlfors regularity constant C_A that `ahlfors_fit` accepts.
@@ -122,8 +124,10 @@ class FiniteMetricMeasureSpace:
         (Dijkstra's value at v is the minimum over neighbours settled before
         v, whatever comes after), every other entry is inf.  Such a row is
         neither read from nor written to the cache, so a cached row is
-        always complete.
+        always complete.  A source outside 0..n-1 raises NoBasePoint.
         """
+        if not 0 <= x < self.n:
+            raise NoBasePoint(f"vertex {x} is outside 0..{self.n - 1}")
         if limit != np.inf:
             return csgraph.dijkstra(self.adjacency, directed=True, indices=x, limit=limit)
         row = self._dist_cache.get(x)

@@ -336,12 +336,13 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
     `scale` is the local_scale or global_scale of weighted_constant."""
     t0 = time.perf_counter()
     flags = ["eta_not_above_s"] if eta_fit(space, o) <= s else []
+    mu = weight * space.measure
     covering = expand_covering(space, kappa_decomposition(space, o, kappa))
-    val = validate_covering(covering, space, weight=weight)
+    val = validate_covering(covering, space, mu=mu)
     # the patching argument holds only on a good covering
     if not val.all_pass:
         flags.append("covering_axiom_failed")
-    graph = build_covering_graph(space, covering, weight=weight)
+    graph = build_covering_graph(space, covering, mu=mu)
     gp = graph_profile(graph)
     # masses beyond the float range leave the LP nothing to certify
     finite = np.isfinite(graph.vmass).all()
@@ -350,8 +351,6 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
     const = weighted_constant(
         Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
     )
-
-    mu = weight * space.measure
 
     def ratio(f):
         en = cheeger_energy(space, f, s)
@@ -422,12 +421,16 @@ def space_hash(space):
 
 
 def write_reports_json(reports, path, provenance=None, zero_seconds=False):
+    """Reports as strict JSON: non-finite floats become the CSV's strings."""
     docs = []
     for rep in reports:
-        doc = asdict(rep)
+        doc = {
+            k: f"{v:.12g}" if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(rep).items()
+        }
         if zero_seconds:
             doc["seconds"] = 0
         docs.append(doc)
     payload = {"provenance": provenance or {}, "reports": docs}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)

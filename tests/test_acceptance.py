@@ -176,7 +176,7 @@ def sector_covering_graphs():
         weight_density(sp, o, "mu_s", s=1.0),
         weight_density(sp, o, "mu_st", s=1.0, t=2.0),
     ]
-    return [build_covering_graph(sp, covering, weight=w) for w in weights]
+    return [build_covering_graph(sp, covering, mu=w * sp.measure) for w in weights]
 
 
 def _lp_best_poincare_1(graph):

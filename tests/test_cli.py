@@ -150,7 +150,15 @@ def test_render_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-@pytest.mark.parametrize("eta", ["12", "20", "120"])
+@pytest.mark.parametrize(
+    "eta",
+    [
+        "12",
+        "20",
+        # the weighted masses overflow in float64 (ROADMAP item 9)
+        pytest.param("120", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ],
+)
 def test_verify_nonfinite_constant_fails_with_flag(tmp_path, eta):
     # At eta=12 the assembled constant is inf; at eta=20 it overflows; at
     # eta=120 the weighted masses overflow before the covering-graph LP.
@@ -167,6 +175,26 @@ def test_verify_nonfinite_constant_fails_with_flag(tmp_path, eta):
     assert row["pass"] == "False"
     assert not math.isfinite(float(row["theoretical"]))
     assert "constant_nonfinite" in row["hypotheses_violated"].split(";")
+
+
+def test_verify_json_report_is_strict_json_with_nonfinite_constant(tmp_path):
+    # at eta=12 C1 and the assembled constant are inf; JSON has no token
+    # for them, so the report carries the CSV's strings
+    space = tmp_path / "r.json"
+    rep = tmp_path / "rep.json"
+    run("gen", "--kind", "radial_profile", "--n", "256", "--eta", "12", "-o", str(space))
+    code = run(
+        "verify", "--space", str(space), "--ineq", "weighted-sobolev", "--s", "1",
+        "--t", "2", "--format", "json", "--out", str(rep),
+    )
+    assert code == 2
+
+    def reject(token):
+        raise ValueError(f"bare {token} in a JSON report")
+
+    (report,) = json.loads(rep.read_text(), parse_constant=reject)["reports"]
+    assert report["C1"] == "inf"
+    assert report["theoretical"] == "inf"
 
 
 @pytest.mark.parametrize(
@@ -209,6 +237,38 @@ def test_base_flag_and_its_alias_write_identical_reports(tmp_path):
     assert other.read_bytes() != outs[0]
 
 
+@pytest.fixture(scope="module")
+def grid8(tmp_path_factory):
+    space = tmp_path_factory.mktemp("grid8") / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    return space
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["base-1", "base-n"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile"],
+        ["decompose"],
+        ["graph"],
+        ["verify", "--ineq", "hardy"],
+        ["verify", "--ineq", "annulus"],
+        ["verify", "--ineq", "local-sobolev"],
+        ["render", "--kappa", "2", "-o", "out.svg"],
+    ],
+    ids=["profile", "decompose", "graph", "hardy", "annulus", "local-sobolev", "render"],
+)
+def test_base_outside_the_vertices_is_an_error(grid8, tmp_path, monkeypatch, capsys, argv, above):
+    # -1 used to read as the last vertex, and n to end in scipy's error
+    monkeypatch.chdir(tmp_path)
+    n = load_space(grid8).n
+    base = str(n if above else -1)
+    assert run(*argv[:1], "--space", str(grid8), "--base", base, *argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: --base {base} is outside the vertices 0..{n - 1}"]
+
+
 def test_short_o_still_names_the_output_file(tmp_path, capsys):
     space = tmp_path / "g.json"
     run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
@@ -220,7 +280,6 @@ def test_short_o_still_names_the_output_file(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "gen",
     [

@@ -147,8 +147,25 @@ def test_validation_with_weight():
     dec = kappa_decomposition(sp, 0, 2.0)
     cov = expand_covering(sp, dec)
     w = 1.0 / (1.0 + sp.dist_from(0))
-    val = validate_covering(cov, sp, weight=w)
+    val = validate_covering(cov, sp, mu=w * sp.measure)
     assert val.all_pass
+
+
+@pytest.mark.parametrize("sp", [path_space(9), grid_quadrant(16)], ids=["path9", "grid16"])
+def test_covering_excludes_what_the_decomposition_leaves_out(sp):
+    dec = kappa_decomposition(sp, 0, 2.0)
+    cov = expand_covering(sp, dec)
+    assert set(cov.excluded.tolist()) == {0, *dec.truncated.tolist()}
+    val = validate_covering(cov, sp)
+    assert val.all_pass and len(val.uncovered) == 0
+    # every other vertex counts only through its U
+    for i, (U, Ustar, Usharp) in enumerate(cov.triples):
+        triples = list(cov.triples)
+        triples[i] = (U[:-1], Ustar, Usharp)
+        dropped = GoodCovering(triples, cov.levels, cov.adjacency, cov.excluded)
+        val = validate_covering(dropped, sp)
+        assert not val.axioms_pass["axiom2_cover"]
+        assert val.uncovered.tolist() == [U[-1]]
 
 
 def test_adjacent_pieces_share_star():
@@ -206,9 +223,9 @@ def test_annulus_piece_adjacency_matches_pairwise_oracle():
                     for u, v in edges
                 )
                 if sets[i] & sets[j] or joined:
-                    expected.append((i, j))
+                    expected.append([i, j])
         assert len(expected) > 0
-        assert cov.adjacency == expected
+        assert cov.adjacency.tolist() == expected
 
 
 def test_greedy_net_separation_and_coverage():
