@@ -20,13 +20,6 @@ from .errors import NoBasePoint, NotAhlfors, NotInAnnulus, PilabError
 from .space import ahlfors_fit, doubling_profile, reverse_doubling_fit
 
 
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PILAB_SEED")
-    return int(env) if env else 0
-
-
 def _checked(convert, ok, requirement):
     """An argparse type: `convert` the text, and keep the value if it is `ok`."""
 
@@ -45,6 +38,20 @@ def _checked(convert, ok, requirement):
 _kappa = _checked(float, lambda k: k > 1, "kappa must be > 1")
 _family_count = _checked(int, lambda c: c >= 5, "count must be >= 5, one function per generator")
 _exponent = _checked(float, lambda x: 1 <= x < math.inf, "exponent must be finite and >= 1")
+_seed_value = _checked(int, lambda v: v >= 0, "seed must be an integer >= 0")
+
+
+def _seed(args):
+    """--seed, else PILAB_SEED, else 0; checked before the space is loaded."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("PILAB_SEED")
+    try:
+        return _seed_value(env) if env else 0
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"PILAB_SEED: {exc}") from exc
+
+
 AUTO_KAPPAS = (1.2, 1.5, 2.0, 3.0, 4.0)
 _KAPPA_HELP = ("scale > 1, or 'auto': the smallest of 1.2, 1.5, 2, 3, 4 with relatively connected "
                "annuli at every tested radius and pieces on two levels; else 2, with a warning")
@@ -155,8 +162,8 @@ def _write_dot(graph, path):
 
 
 def _cmd_verify(args):
-    space = _load(args)
     seed = _seed(args)
+    space = _load(args)
     family = verify.make_family(space, args.o, seed, count=args.count)
     kappa = _resolve_kappa(args, space, args.o)
     if args.ineq == "weighted-sobolev":
@@ -307,7 +314,7 @@ def build_parser():
     ve.add_argument("--s", type=_exponent, default=1.0)
     ve.add_argument("--t", type=_exponent, help="default s; --ineq hardy takes t = s, ignoring --t")
     ve.add_argument("--kappa", type=_positive_kappa, default=2.0, help=_KAPPA_HELP)
-    ve.add_argument("--seed", type=int, default=None)
+    ve.add_argument("--seed", type=_seed_value, default=None)
     ve.add_argument("--count", type=_family_count, default=200)
     ve.add_argument("--format", choices=["csv", "json"], default="csv")
     ve.add_argument("--deterministic-output", action="store_true")

@@ -42,16 +42,21 @@ class GoodCovering:
     piece k(i, j) of an adjacent pair is always the smaller index min(i, j);
     U*_k contains both U_i and U_j.  Axiom (2) counts the `excluded`
     vertices (o and the truncated tail of a decomposition) as covered.
+    `hops` holds the hop distances between pieces in the piece graph,
+    computed from `adjacency` when not given.
     """
 
     triples: list  # list of (U, Ustar, Usharp) index arrays
     levels: list
     adjacency: np.ndarray
     excluded: np.ndarray = ()
+    hops: np.ndarray = None
 
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=np.int64).reshape(-1, 2)
         self.excluded = np.asarray(self.excluded, dtype=np.int64)
+        if self.hops is None:
+            self.hops = _piece_distances(self.n_pieces, self.adjacency)
 
     @property
     def n_pieces(self):
@@ -199,14 +204,15 @@ def expand_covering(space, decomp):
     """
     n = len(decomp.pieces)
     adj = _touching_pairs(space, [p.members for p in decomp.pieces])
+    hops = _piece_distances(n, adj)
     # the appended column, read by owner -1 (o and truncated), is never near
-    hops = np.hstack([_piece_distances(n, adj), np.full((n, 1), np.inf)])
+    padded = np.hstack([hops, np.full((n, 1), np.inf)])
     triples = []
     for i, p in enumerate(decomp.pieces):
-        near = hops[i][decomp.owner]
+        near = padded[i][decomp.owner]
         triples.append((p.members, np.flatnonzero(near <= 1), np.flatnonzero(near <= 4)))
     levels = [p.level for p in decomp.pieces]
-    return GoodCovering(triples, levels, adj, excluded=np.flatnonzero(decomp.owner < 0))
+    return GoodCovering(triples, levels, adj, np.flatnonzero(decomp.owner < 0), hops)
 
 
 def validate_covering(covering, space, mu=None):
@@ -216,7 +222,7 @@ def validate_covering(covering, space, mu=None):
     Axiom (4) is checked with both the base measure m and mu (m if None).
     U# sets are unions of pieces within piece-graph distance 4, so two U#
     closures touch exactly when their pieces are within distance 9; the
-    overlap count Q1 is computed from that distance matrix.
+    overlap count Q1 is computed from that distance matrix, `covering.hops`.
     """
     m = space.measure
     mu = m if mu is None else mu
@@ -234,7 +240,7 @@ def validate_covering(covering, space, mu=None):
     uncovered = np.flatnonzero(~covered)
     ax2 = len(uncovered) == 0
 
-    Q1_emp = int((_piece_distances(n, covering.adjacency) <= 9).sum(axis=1).max()) if n else 0
+    Q1_emp = int((covering.hops <= 9).sum(axis=1).max()) if n else 0
 
     # Q2 = max over adjacent pairs of meas(U*_k) / min(meas(U_a), meas(U_b));
     # the min keeps U_a on ties and NaN, and fmax skips NaN ratios.

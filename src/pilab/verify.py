@@ -3,7 +3,8 @@
 Each check is a ratio of the two sides of its inequality and a constant:
 `_verdict` sweeps the ratio over a deterministic family of test functions
 and judges the worst one against the constant that `pilab.constants`
-assembles from measured profile data; the report carries both.
+assembles from measured profile data; the report carries both.  A member
+is finished only when a cheap upper bound on its ratio beats the best so far.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .space import (
 from .weights import weight_density
 
 REL_TOL = 1e-6
+# Relative slack of the bounds: sums of n < 2^31 terms >= 0 in two orders differ by < 2^-20
+SLACK = 2.0**-16
 
 
 @dataclass
@@ -86,19 +89,37 @@ def cheeger_energy(space, f, s):
     return float((lip(space, f) ** s * space.measure).sum())
 
 
-def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
+def _energy_floor(space, s, at=None):
+    """f -> a lower bound on the float slope energy sum m lip(f)^s over `at`
+    (all vertices when None): it adds m(x) (|f(x) - f(y)| / d(x, y))^s, y the
+    first neighbour of x, one of the quotients that lip(f)(x) maximizes."""
+    tab = space.neighbours
+    pos = np.arange(space.n) if at is None else tab.position[at]
+    pos = pos[pos < (tab.slots[0][1] if tab.slots else 0)]
+    x, y, ell, m = tab.order[pos], tab.nbr[pos], tab.length[pos], space.measure[tab.order[pos]]
+    return lambda f: float((np.abs(f.take(x) - f.take(y)) / ell) ** s @ m) * (1.0 - SLACK)
+
+
+def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0, member_bound=None):
     """Report of a check begun at perf_counter() = t0: the largest ratio(f)
     over the (id, f) pairs of the family, witnessed by its id (0 and "" when
     no ratio is positive), judged against the Constant `const` within
     relative tolerance `tol`.
+
+    `ratio(f, best=b)` may return any value <= b once a bound shows the
+    ratio is <= b, and a Family drops a random-Lipschitz member whose
+    `member_bound(v1, lam, moved)` is <= best: a ratio counts only when
+    strictly above the best, so this is exact.  NaN or inf never skips.
 
     A non-finite constant certifies nothing, so the check fails and is
     flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
     fails too.
     """
     best, witness = 0.0, ""
+    if member_bound is not None and isinstance(family, Family):
+        family = family.members(lambda v1, lam, moved: member_bound(v1, lam, moved) <= best)
     for fid, vals in family:
-        r = ratio(np.asarray(vals, dtype=float))
+        r = ratio(np.asarray(vals, dtype=float), best=best)
         if r > best:
             best, witness = r, fid
     finite = math.isfinite(const.value)
@@ -118,18 +139,26 @@ def _oscillation_ratio(space, A, E, R, s, t):
     The mean f_A and both norms use the base measure; the ratio is 0 when
     the slope energy on E vanishes.  The slope is read at E only, so f is
     read only at A, E and the neighbours of E.  The ratio takes an optional
-    precomputed `slope` of f, read on E only.
+    precomputed `slope` of f, read on E only, or a `best` as _verdict does.
     """
     mA, mE = space.measure[A], space.measure[E]
     mass = float(mA.sum())
+    scale = R * mass ** (1.0 / t - 1.0 / s)
+    floor = None  # built on the first call with a `best`
 
-    def ratio(f, slope=None):
+    def ratio(f, slope=None, best=None):
+        nonlocal floor
         fA = float((f[A] * mA).sum() / mass)
         num = float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
+        if slope is None and best is not None:
+            floor = floor or _energy_floor(space, s, E)
+            den = scale * floor(f) ** (1.0 / s)
+            if den > 0 and num / den <= best:
+                return num / den
         if slope is None:
             slope = lip(space, f, E)
         energy = float((slope[E] ** s * mE).sum())
-        den = R * mass ** (1.0 / t - 1.0 / s) * energy ** (1.0 / s)
+        den = scale * energy ** (1.0 / s)
         return num / den if den > 0 else 0.0
 
     return ratio
@@ -167,6 +196,16 @@ class Family:
         return 5 * max(1, self.count // 5)
 
     def __iter__(self):
+        return self.members()
+
+    def members(self, prune=None):
+        """The (id, values) pairs, less each random-Lipschitz member f for
+        which prune(v1, lam, moved) holds after the first pass: 0 <= f <= v1,
+        and lip f >= lam on `moved` = v1 < v0.  A moved x is no source of
+        the fixed point, so f(x) = fl(f(y) + fl(L l)) for some neighbour y;
+        that sum rounds by eps/2 (max v0 + L l), the rest by eps/2 relative
+        each, so |f(x) - f(y)| / l >= L (1 - delta), delta = eps (4 + max v0
+        / (L l_min)), which grows with diam / l_min: no pruning past 1/2."""
         space = self.space
         rng = np.random.default_rng(self.seed)
         d = space.dist_from(self.o)
@@ -200,11 +239,17 @@ class Family:
             # v <- min(v, v[nbr] + L len) until a pass changes nothing: any order, same bits
             v, caps, before = vals[tab.order], L * tab.length, None
             while not np.array_equal(v, before):
-                before = v.copy()
+                first, before = before is None, v.copy()
                 for a, b in tab.slots:
                     np.minimum(v[: b - a], v[nbr[a:b]] + caps[a:b], out=v[: b - a])
-            vals[tab.order] = v
-            yield f"random_lipschitz[{k},{L:.4f}]", vals
+                if first and prune is not None:
+                    delta = np.finfo(float).eps * (4.0 + before.max() / (L * space.resolution))
+                    v1 = v[tab.position]
+                    if delta < 0.5 and prune(v1, L * (1.0 - delta), v1 < vals):
+                        break  # pruned: the else below does not yield it
+            else:
+                vals[tab.order] = v
+                yield f"random_lipschitz[{k},{L:.4f}]", vals
 
         for _ in range(per):
             c = int(rng.integers(space.n))
@@ -352,13 +397,27 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
         Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
     )
 
-    def ratio(f):
+    floor = _energy_floor(space, s)
+
+    def norm(f):
+        return float((np.abs(f) ** t * mu).sum()) ** (1.0 / t)
+
+    def ratio(f, best=None):
+        num = norm(f)
+        if best is not None:
+            den = floor(f) ** (1.0 / s)
+            if den > 0 and num / den <= best:
+                return num / den
         en = cheeger_energy(space, f, s)
         if en <= 0:
             return 0.0
-        return float((np.abs(f) ** t * mu).sum()) ** (1.0 / t) / en ** (1.0 / s)
+        return num / en ** (1.0 / s)
 
-    return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0)
+    def member_bound(v1, lam, moved):
+        den = lam * ((1.0 - SLACK) * float(space.measure[moved].sum())) ** (1.0 / s)
+        return norm(v1) * (1.0 + SLACK) / den if den > 0 else math.inf
+
+    return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0, member_bound)
 
 
 def weighted_sobolev_check(space, o, s, t, family, kappa=2.0):

@@ -1,0 +1,190 @@
+"""The bounded sweep of `verify._verdict` against a full-sweep oracle.
+
+The oracle finishes every member of `list(make_family(...))` and takes its
+slopes from the edge list, not from the space's neighbour table, so it
+shares neither the bounds nor the table with the code under test.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from pilab import verify
+from pilab.cli import _largest_annulus_component
+from pilab.errors import NotAhlfors
+from pilab.gallery import cone_grid, grid_quadrant, radial_profile
+from pilab.space import FiniteMetricMeasureSpace, ahlfors_fit
+from pilab.weights import weight_density
+
+
+def _slopes(sp, f):
+    """lip f: the largest |f(x) - f(y)| / l over the edges at x."""
+    a, b = sp.edges.T
+    q = np.abs(f[a] - f[b]) / sp.lengths
+    out = np.zeros(sp.n)
+    np.maximum.at(out, a, q)
+    np.maximum.at(out, b, q)
+    return out
+
+
+def _weighted(sp, mu, s, t):
+    def ratio(f):
+        en = float((_slopes(sp, f) ** s * sp.measure).sum())
+        return float((np.abs(f) ** t * mu).sum()) ** (1 / t) / en ** (1 / s) if en > 0 else 0.0
+
+    return ratio
+
+
+def _oscillation(sp, A, E, R, s, t):
+    m = sp.measure
+
+    def ratio(f):
+        fA = (f[A] * m[A]).sum() / m[A].sum()
+        num = float((np.abs(f[A] - fA) ** t * m[A]).sum()) ** (1 / t)
+        en = float((_slopes(sp, f)[E] ** s * m[E]).sum())
+        den = R * float(m[A].sum()) ** (1 / t - 1 / s) * en ** (1 / s)
+        return num / den if den > 0 else 0.0
+
+    return ratio
+
+
+def _cases(sp, o, kappa=2.0):
+    """(name, run, oracle ratio) per check: run(family) is the check's report."""
+    m = sp.measure
+    yield (
+        "hardy",
+        lambda fam: verify.hardy_check(sp, o, 1.0, fam, kappa=kappa),
+        _weighted(sp, weight_density(sp, o, "mu_s", s=1.0) * m, 1.0, 1.0),
+    )
+    for s, t in [(1.0, 2.0), (1.5, 3.0)]:
+        yield (
+            f"weighted-sobolev-{s:g}-{t:g}",
+            lambda fam, s=s, t=t: verify.weighted_sobolev_check(sp, o, s, t, fam, kappa=kappa),
+            _weighted(sp, weight_density(sp, o, "mu_st", s=s, t=t) * m, s, t),
+        )
+    try:
+        Q = ahlfors_fit(sp).Q
+    except NotAhlfors:
+        Q = None
+    if Q is not None:
+        yield (
+            "ahlfors",
+            lambda fam: verify.ahlfors_sobolev_check(sp, o, 1.0, 2.0, fam, kappa=kappa),
+            _weighted(sp, weight_density(sp, o, "ahlfors", s=1.0, t=2.0, Q=Q) * m, 1.0, 2.0),
+        )
+    # the radii and the annulus piece of `pilab verify`
+    diam = sp.diameter()
+    R = max(diam / 8.0, 4 * sp.resolution)
+    A = _largest_annulus_component(sp, o, R, 2.0) if len(sp.annulus(o, R, 2 * R)) else []
+    if len(A) >= 2:
+        fat = np.flatnonzero(sp.dist_to_set(A, limit=R / 2) < R / 2)
+        yield (
+            "annulus",
+            lambda fam: verify.annulus_piece_check(sp, o, R, 2.0, 0.5, A, 1.0, 1.0, fam),
+            _oscillation(sp, A, fat, R, 1.0, 1.0),
+        )
+    r = max(diam / 4.0, 2 * sp.resolution)
+    B = sp.ball(o, r)
+    if len(B) >= 2:
+        yield (
+            "local-sobolev",
+            lambda fam: verify.local_sobolev_check(sp, o, r, 1.0, 2.0, fam),
+            _oscillation(sp, B, B, r, 1.0, 2.0),
+        )
+
+
+class RandomLipschitzOnly(verify.Family):
+    """The family's random-Lipschitz members alone.
+
+    In a full family they are far below the best (0.02-0.2 against 2-7 on
+    the gallery inputs), so their bound decides nothing there; alone, each
+    one is judged against ratios of its own size.
+    """
+
+    def members(self, prune=None):
+        for fid, vals in super().members(prune):
+            if fid.startswith("random_lipschitz"):
+                yield fid, vals
+
+
+def _mismatches(sp, o, seed, count, family=verify.Family):
+    """The checks whose (empirical_best, witness) differ from the oracle's."""
+    members = list(family(sp, o, seed, count))
+    bad = []
+    for name, run, ratio in _cases(sp, o):
+        ratios = {fid: ratio(f) for fid, f in members}
+        best = max([0.0, *ratios.values()])
+        rep = run(family(sp, o, seed, count))
+        # the witness is a maximizer; rounding may reorder near ties
+        same = rep.empirical_best == pytest.approx(best, rel=1e-9) and (
+            ratios[rep.witness] == pytest.approx(best, rel=1e-9) if best > 0 else rep.witness == ""
+        )
+        if not same:
+            bad.append((name, rep.empirical_best, rep.witness, best))
+    return bad
+
+
+GALLERY = {
+    "grid_quadrant_16": lambda: grid_quadrant(16),
+    "cone_grid_20_1": lambda: cone_grid(20, 1.0),
+    "radial_profile_256_2": lambda: radial_profile(256, 2.0),
+}
+
+
+FAMILIES = {"family": verify.Family, "random_lipschitz_only": RandomLipschitzOnly}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES.values()), ids=list(FAMILIES))
+@pytest.mark.parametrize("seed", [1, 17])
+@pytest.mark.parametrize("make", list(GALLERY.values()), ids=list(GALLERY))
+def test_bounded_sweep_matches_full_sweep_oracle(make, seed, family):
+    assert _mismatches(make(), 0, seed, 200, family) == []
+
+
+@st.composite
+def connected_spaces(draw):
+    """A k x k grid, some diagonals added, with random lengths and masses."""
+    k = draw(st.integers(5, 10))
+    idx = np.arange(k * k).reshape(k, k)
+    edges = [*zip(idx[:, :-1].ravel(), idx[:, 1:].ravel()), *zip(idx[:-1].ravel(), idx[1:].ravel())]
+    diagonals = list(zip(idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()))
+    edges += draw(st.lists(st.sampled_from(diagonals), max_size=k))
+    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=len(edges), max_size=len(edges)))
+    masses = draw(st.lists(st.floats(0.25, 4.0), min_size=k * k, max_size=k * k))
+    return FiniteMetricMeasureSpace(k * k, edges, lengths, masses)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_spaces(), st.integers(0, 2**16), st.sampled_from(list(FAMILIES.values())))
+def test_bounded_sweep_matches_full_sweep_oracle_random(sp, seed, family):
+    assert _mismatches(sp, 0, seed, 40, family) == []
+
+
+def _scaled_floor(factor):
+    floor = verify._energy_floor
+    return lambda *args, **kw: (lambda g: lambda f: factor * g(f))(floor(*args, **kw))
+
+
+def _scaled_lam(factor):
+    members = verify.Family.members
+
+    def scaled(self, prune=None):
+        if prune is None:
+            return members(self)
+        return members(self, lambda v1, lam, moved: prune(v1, factor * lam, moved))
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "target, mutant",
+    [("_energy_floor", _scaled_floor(4.0)), ("members", _scaled_lam(4.0))],
+    ids=["slope_bound_x4", "lam_x4"],
+)
+def test_oracle_catches_a_bound_too_small(monkeypatch, target, mutant):
+    monkeypatch.setattr(verify.Family if target == "members" else verify, target, mutant)
+    found = []
+    for make in GALLERY.values():
+        for family in FAMILIES.values():
+            found += _mismatches(make(), 0, 1, 200, family)
+    assert found

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pilab import verify
+from pilab import gallery, verify
 from pilab.cli import main
 from pilab.gallery import load_space, sector_union_origin
 from pilab.space import FiniteMetricMeasureSpace
@@ -415,6 +415,35 @@ def test_verify_rejects_count_below_five(tmp_path, capsys, count):
     assert run("verify", "--space", str(space), "--ineq", "hardy", "--count", count) == 1
     assert "--count" in capsys.readouterr().err
     assert run("verify", "--space", str(space), "--ineq", "hardy", "--count", "5") == 0
+
+
+@pytest.mark.parametrize(
+    "flags, env, option",
+    [
+        (["--seed", "-3"], None, "--seed"),
+        (["--seed", "abc"], None, "--seed"),
+        ([], "-4", "PILAB_SEED"),
+        ([], "abc", "PILAB_SEED"),
+    ],
+    ids=["seed-negative", "seed-text", "env-negative", "env-text"],
+)
+def test_verify_rejects_a_bad_seed_before_loading(tmp_path, capsys, monkeypatch, flags, env, option):
+    # the seed used to be read first by the family's generator, after the
+    # load, the profile, the covering and the LP, in numpy's own words
+    space = tmp_path / "g.json"
+    run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
+    capsys.readouterr()
+    if env is None:
+        monkeypatch.delenv("PILAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PILAB_SEED", env)
+    loads = []
+    monkeypatch.setattr(gallery, "load_space", loads.append)
+    assert run("verify", "--space", str(space), "--ineq", "hardy", *flags) == 1
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert out == "" and loads == []
+    assert len(errors) == 1 and option in errors[0], err
 
 
 _HEADER = (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pilab import covering
 from pilab.constants import layer_bound, theoretical_Q1, theoretical_Q2
 from pilab.covering import (
     GoodCovering,
@@ -265,3 +266,19 @@ def test_annulus_piece_covering_covers():
             fat |= set(int(v) for v in sp.ball(int(x), reach))
         for _, _, Usharp in cov.triples:
             assert set(int(v) for v in Usharp) <= fat
+
+
+def test_piece_hops_are_computed_once_per_covering(monkeypatch):
+    # validation reads Q1 from the hop matrix the covering was built from;
+    # a covering built by hand computes its own
+    sp = grid_quadrant(16)
+    decomp = kappa_decomposition(sp, 0, 2.0)
+    calls, hops = [], covering._piece_distances
+    monkeypatch.setattr(covering, "_piece_distances", lambda *a: calls.append(a) or hops(*a))
+    cov = expand_covering(sp, decomp)
+    val = validate_covering(cov, sp)
+    assert len(calls) == 1
+    hand = GoodCovering(cov.triples, cov.levels, cov.adjacency, cov.excluded)
+    assert len(calls) == 2 and np.array_equal(hand.hops, cov.hops)
+    assert validate_covering(hand, sp).Q1_emp == val.Q1_emp
+    assert np.array_equal(cov.hops, hops(cov.n_pieces, cov.adjacency))

@@ -169,6 +169,32 @@ def test_family_memory_does_not_grow_with_count():
     assert peaks[400] <= peaks[40] + 0.5 * 2**20
 
 
+def test_bounded_sweep_finishes_few_members(monkeypatch):
+    # grid_quadrant(32), seed 1, count 200: the slope bound leaves 5 of 200
+    # members to finish and the first-pass bound 0 of the 40 random-Lipschitz
+    # projections; the sixth full-space slope is the Poincare estimate's
+    # coordinate sum.  A full sweep makes 201 and 40.
+    sp = grid_quadrant(32)
+    slopes, projections = [], []
+    full_lip, members = verify.lip, verify.Family.members
+
+    def counting_lip(space, f, at=None):
+        slopes.append(at is None)
+        return full_lip(space, f, at)
+
+    def counting_members(self, prune=None):
+        for fid, vals in members(self, prune):
+            projections.append(fid.startswith("random_lipschitz"))
+            yield fid, vals
+
+    monkeypatch.setattr(verify, "lip", counting_lip)
+    monkeypatch.setattr(verify.Family, "members", counting_members)
+    rep = hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 200))
+    assert rep.witness == "indicator_smooth[506,31.3151,14.9767]"
+    assert sum(slopes) <= 10
+    assert sum(projections) <= 2
+
+
 def test_family_tent_lip_bound():
     sp = grid_quadrant(10)
     fam = make_family(sp, 0, seed=5, count=40)
