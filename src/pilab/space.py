@@ -10,10 +10,9 @@ builds no transpose per row).  A full row is kept in a least-recently-used
 cache capped in bytes, so memory stays bounded however many rows are read.
 A row asked for only up to a `limit` stops its search there and bypasses the
 cache; readers that sweep many centers ask for each row only as far as their
-balls reach.  Slopes and Lipschitz projections read one neighbour table:
-vertices sit at positions by decreasing degree, so those with more than k
-neighbours are a prefix, whose k-th neighbours (int32) and edge lengths
-slot k lists.
+balls reach.  Slopes read one neighbour table: vertices sit at positions
+by decreasing degree, so those with more than k neighbours are a prefix,
+whose k-th neighbours (int32) and edge lengths slot k lists.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .space import (
 from .weights import weight_density
 
 REL_TOL = 1e-6
-# Relative slack of the bounds: sums of n < 2^31 terms >= 0 in two orders differ by < 2^-20
+# Relative slack of the energy floor: sums of n < 2^31 terms >= 0 in two orders differ by < 2^-20
 SLACK = 2.0**-16
 
 
@@ -100,24 +100,21 @@ def _energy_floor(space, s, at=None):
     return lambda f: float((np.abs(f.take(x) - f.take(y)) / ell) ** s @ m) * (1.0 - SLACK)
 
 
-def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0, member_bound=None):
+def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
     """Report of a check begun at perf_counter() = t0: the largest ratio(f)
     over the (id, f) pairs of the family, witnessed by its id (0 and "" when
     no ratio is positive), judged against the Constant `const` within
     relative tolerance `tol`.
 
     `ratio(f, best=b)` may return any value <= b once a bound shows the
-    ratio is <= b, and a Family drops a random-Lipschitz member whose
-    `member_bound(v1, lam, moved)` is <= best: a ratio counts only when
-    strictly above the best, so this is exact.  NaN or inf never skips.
+    ratio is <= b: a ratio counts only when strictly above the best, so
+    this is exact.  NaN or inf never skips.
 
     A non-finite constant certifies nothing, so the check fails and is
     flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
     fails too.
     """
     best, witness = 0.0, ""
-    if member_bound is not None and isinstance(family, Family):
-        family = family.members(lambda v1, lam, moved: member_bound(v1, lam, moved) <= best)
     for fid, vals in family:
         r = ratio(np.asarray(vals, dtype=float), best=best)
         if r > best:
@@ -178,10 +175,9 @@ def make_family(space, o, seed, count=200):
 
 @dataclass(frozen=True)
 class Family:
-    """Five generators in equal shares: radial powers d(o,.)^beta near the
-    critical exponents, tents, annulus cutoffs at dyadic radii, random
-    Lipschitz functions (noise v0 relaxed to its fixed point, the exact
-    projection min_w v0(w) + L d(., w)), and smoothed ball indicators.
+    """Four generators: radial powers d(o,.)^beta near the critical
+    exponents take two fifths; tents, annulus cutoffs at dyadic radii and
+    smoothed ball indicators take a fifth each.
 
     Each pass reruns the generators from `seed`, so a sweep holds one test
     function at a time and every pass yields the same (id, values) pairs.
@@ -196,23 +192,13 @@ class Family:
         return 5 * max(1, self.count // 5)
 
     def __iter__(self):
-        return self.members()
-
-    def members(self, prune=None):
-        """The (id, values) pairs, less each random-Lipschitz member f for
-        which prune(v1, lam, moved) holds after the first pass: 0 <= f <= v1,
-        and lip f >= lam on `moved` = v1 < v0.  A moved x is no source of
-        the fixed point, so f(x) = fl(f(y) + fl(L l)) for some neighbour y;
-        that sum rounds by eps/2 (max v0 + L l), the rest by eps/2 relative
-        each, so |f(x) - f(y)| / l >= L (1 - delta), delta = eps (4 + max v0
-        / (L l_min)), which grows with diam / l_min: no pruning past 1/2."""
         space = self.space
         rng = np.random.default_rng(self.seed)
         d = space.dist_from(self.o)
         diam = max(space.diameter(), space.resolution)
         per = len(self) // 5
 
-        for beta in np.linspace(0.25, 2.5, per):
+        for beta in np.linspace(0.25, 2.5, 2 * per):
             yield f"radial_power[{beta:.4f}]", d**beta
 
         for _ in range(per):
@@ -230,26 +216,6 @@ class Family:
                 j = int(rng.integers(i + 1, len(dyadic)))
                 r, R = dyadic[i], dyadic[j]
             yield f"annulus_cutoff[{r:.4f},{R:.4f}]", np.clip((R - d) / (R - r), 0.0, 1.0)
-
-        tab = space.neighbours
-        nbr = tab.position[tab.nbr]
-        for k in range(per):
-            L = float(rng.uniform(0.1, 2.0))
-            vals = rng.uniform(0.0, L * diam / 8.0, space.n)
-            # v <- min(v, v[nbr] + L len) until a pass changes nothing: any order, same bits
-            v, caps, before = vals[tab.order], L * tab.length, None
-            while not np.array_equal(v, before):
-                first, before = before is None, v.copy()
-                for a, b in tab.slots:
-                    np.minimum(v[: b - a], v[nbr[a:b]] + caps[a:b], out=v[: b - a])
-                if first and prune is not None:
-                    delta = np.finfo(float).eps * (4.0 + before.max() / (L * space.resolution))
-                    v1 = v[tab.position]
-                    if delta < 0.5 and prune(v1, L * (1.0 - delta), v1 < vals):
-                        break  # pruned: the else below does not yield it
-            else:
-                vals[tab.order] = v
-                yield f"random_lipschitz[{k},{L:.4f}]", vals
 
         for _ in range(per):
             c = int(rng.integers(space.n))
@@ -380,7 +346,8 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
     """Shared pipeline: decompose, validate, graph constants, sweep.
     `scale` is the local_scale or global_scale of weighted_constant."""
     t0 = time.perf_counter()
-    flags = ["eta_not_above_s"] if eta_fit(space, o) <= s else []
+    # eta = s is the borderline case, where the fit is s up to rounding
+    flags = ["eta_not_above_s"] if eta_fit(space, o) <= s * (1 + REL_TOL) else []
     mu = weight * space.measure
     covering = expand_covering(space, kappa_decomposition(space, o, kappa))
     val = validate_covering(covering, space, mu=mu)
@@ -399,11 +366,8 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
 
     floor = _energy_floor(space, s)
 
-    def norm(f):
-        return float((np.abs(f) ** t * mu).sum()) ** (1.0 / t)
-
     def ratio(f, best=None):
-        num = norm(f)
+        num = float((np.abs(f) ** t * mu).sum()) ** (1.0 / t)
         if best is not None:
             den = floor(f) ** (1.0 / s)
             if den > 0 and num / den <= best:
@@ -413,11 +377,7 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
             return 0.0
         return num / en ** (1.0 / s)
 
-    def member_bound(v1, lam, moved):
-        den = lam * ((1.0 - SLACK) * float(space.measure[moved].sum())) ** (1.0 / s)
-        return norm(v1) * (1.0 + SLACK) / den if den > 0 else math.inf
-
-    return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0, member_bound)
+    return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0)
 
 
 def weighted_sobolev_check(space, o, s, t, family, kappa=2.0):

@@ -456,20 +456,20 @@ _HEADER = (
     "ineq, extra, row",
     [
         ("hardy", [],
-         "hardy,1,1,2,6,8,1.82754093436e+35,2.47626132264,3.13900683264,1.56509858722e+39,"
-         "radial_power[0.2500],True,,0"),
+         "hardy,1,1,2,6,8,1.82754093436e+35,2.47626132264,11.1281324608,1.56509858722e+39,"
+         '"indicator_smooth[110,15.6469,6.4298]",True,,0'),
         ("weighted-sobolev", ["--s", "1", "--t", "2"],
-         "weighted-sobolev,1,2,2,6,8,1.39108303696e+33,22.271101279,1.65938764864,"
-         "5.3535084981e+37,radial_power[0.2500],True,,0"),
+         "weighted-sobolev,1,2,2,6,8,1.39108303696e+33,22.271101279,5.24547478525,"
+         '5.3535084981e+37,"indicator_smooth[110,15.6469,6.4298]",True,,0'),
         ("annulus", [],
-         "annulus-poincare,1,1,0,7410.21927634,539.359259255,1,641438389.908,0.623988311916,"
-         '2.81550473068e+23,"indicator_smooth[12,12.8658,3.5305]",True,,0'),
+         "annulus-poincare,1,1,0,7410.21927634,539.359259255,1,641438389.908,0.675261139095,"
+         '2.81550473068e+23,"indicator_smooth[187,7.4545,7.7624]",True,,0'),
         ("local-sobolev", [],
-         "local-sobolev,1,1,0,0,0,1,73591682.1768,0.374199800848,73591682.1768,"
-         '"indicator_smooth[12,12.8658,3.5305]",True,,0'),
+         "local-sobolev,1,1,0,0,0,1,73591682.1768,0.38392630556,73591682.1768,"
+         '"indicator_smooth[187,7.4545,7.7624]",True,,0'),
         ("ahlfors", ["--s", "1", "--t", "1"],
-         "ahlfors-sobolev,1,1,2,6,8,1.82754093436e+35,2.47626132264,3.13900683264,"
-         "1.56509858722e+39,radial_power[0.2500],True,,0"),
+         "ahlfors-sobolev,1,1,2,6,8,1.82754093436e+35,2.47626132264,11.1281324608,"
+         '1.56509858722e+39,"indicator_smooth[110,15.6469,6.4298]",True,,0'),
     ],
 )
 def test_verify_report_bytes_are_pinned(tmp_path, ineq, extra, row):
@@ -489,8 +489,8 @@ def test_verify_report_bytes_are_pinned(tmp_path, ineq, extra, row):
          "local-sobolev,3,3,0,0,0,1,92.345408,0.430962251093,92.345408,"
          '"tent[24,13.0194]",True,s_not_below_Q,0'),
         (["radial_profile", "256", "12"], ["--ineq", "weighted-sobolev", "--s", "1", "--t", "2"], 2,
-         "weighted-sobolev,1,2,2,7,40821354.7077,inf,36142.5510773,540994.927856,inf,"
-         '"indicator_smooth[194,124.5083,38.3615]",False,constant_nonfinite,0'),
+         "weighted-sobolev,1,2,2,7,40821354.7077,inf,36142.5510773,821133956.565,inf,"
+         '"indicator_smooth[162,126.8570,20.8255]",False,constant_nonfinite,0'),
     ],
 )
 def test_verify_flagged_report_bytes_are_pinned(tmp_path, gen, extra, code, row):

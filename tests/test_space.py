@@ -594,79 +594,3 @@ def test_lip_at_reads_f_only_at_its_vertices_and_their_neighbours(make):
     assert near.sum() < sp.n
     got = lip(sp, np.where(near, f, np.nan), E)
     assert got[E].tobytes() == lip(sp, f, E)[E].tobytes()
-
-
-def _random_lipschitz_draws(sp, seed, count):
-    """(L, noise) of each random-Lipschitz member of the family, before its
-    projection.
-
-    Replays the family's draws in order (tents: a center and a width;
-    annulus cutoffs: two dyadic indices) to reach the same generator state.
-    """
-    rng = np.random.default_rng(seed)
-    per = max(1, count // 5)
-    diam = max(sp.diameter(), sp.resolution)
-    for _ in range(per):
-        rng.integers(sp.n)
-        rng.uniform()
-    n_dyadic = int(math.log2(diam / sp.resolution)) + 1
-    for _ in range(per):
-        if n_dyadic >= 2:
-            rng.integers(int(rng.integers(n_dyadic - 1)) + 1, n_dyadic)
-    for _ in range(per):
-        L = float(rng.uniform(0.1, 2.0))
-        yield L, rng.uniform(0.0, L * diam / 8.0, sp.n)
-
-
-def _ten_pass_random_lipschitz(sp, seed, count):
-    """The family's random-Lipschitz members, projected for all 10 passes."""
-    out = []
-    for L, vals in _random_lipschitz_draws(sp, seed, count):
-        for _ in range(10):
-            np.minimum.at(vals, sp.edges[:, 0], vals[sp.edges[:, 1]] + L * sp.lengths)
-            np.minimum.at(vals, sp.edges[:, 1], vals[sp.edges[:, 0]] + L * sp.lengths)
-        out.append((f"random_lipschitz[{len(out)},{L:.4f}]", vals))
-    return out
-
-
-@pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
-def test_random_lipschitz_members_equal_ten_pass_reference(make, seed):
-    sp = make()
-    members = [(k, v) for k, v in make_family(sp, 0, seed, 60) if k.startswith("random_lipschitz")]
-    expected = _ten_pass_random_lipschitz(sp, seed, 60)
-    assert [k for k, _ in members] == [k for k, _ in expected]
-    for (_, got), (_, want) in zip(members, expected):
-        assert np.array_equal(got, want)
-
-
-def _exact_projection(sp, L, v0):
-    """min_w v0(w) + L d(., w): one Dijkstra from a super-source joined to
-    every vertex w by an edge of weight v0(w), over L * adjacency."""
-    n = sp.n
-    g = (L * sp.adjacency).tocoo()
-    rows = np.concatenate([g.row, np.full(n, n)])
-    cols = np.concatenate([g.col, np.arange(n)])
-    graph = csr_matrix((np.concatenate([g.data, v0]), (rows, cols)), shape=(n + 1, n + 1))
-    return csgraph.dijkstra(graph, directed=True, indices=n)[:n]
-
-
-@pytest.mark.parametrize(
-    "make",
-    [*SMALL_GALLERY, lambda: radial_profile(256, 2.0), lambda: radial_profile(2048, 1.0)],
-    ids=[*SMALL_GALLERY_IDS, "radial_profile_256_2", "radial_profile_2048_1"],
-)
-def test_random_lipschitz_members_are_the_exact_projection(make):
-    # on the two radial paths ten relaxation passes stop short of the
-    # projection: 6/40 and 40/40 members, worst slope 4.1 L and 82.8 L
-    sp = make()
-    members = [v for k, v in make_family(sp, 0, 1, 200) if k.startswith("random_lipschitz")]
-    draws = list(_random_lipschitz_draws(sp, 1, 200))
-    assert len(members) == len(draws) == 40
-    e0, e1 = sp.edges[:, 0], sp.edges[:, 1]
-    for got, (L, v0) in zip(members, draws):
-        assert np.array_equal(got, _exact_projection(sp, L, v0))
-        # v(u) = v(w) + L l rounded, so a difference can exceed L l by the
-        # rounding of the values, not of the slope
-        slack = 2.0 * np.spacing(got.max()) / sp.lengths.min()
-        assert (np.abs(got[e0] - got[e1]) / sp.lengths).max() <= L + slack
