@@ -62,27 +62,34 @@ class InequalityReport:
     seconds: float = 0.0
 
 
-def lip(space, f, at=None):
-    """Local slope max |f(x) - f(y)| / d(x, y) over the neighbours y of x,
-    at each vertex x of `at` (all when None) and zero elsewhere; f is read
-    only at `at` and its neighbours."""
+def lip(space, f):
+    """Local slope max |f(x) - f(y)| / d(x, y) over the neighbours y of x
+    (zero at a vertex with none), scattered from the edge list."""
     f = np.asarray(f, dtype=float)
-    tab = space.neighbours
-    pos = None if at is None else np.sort(tab.position[at])
-    x = tab.order if at is None else tab.order[pos]
-    fx = f.take(x)
-    slope = np.zeros(len(x))
-    for a, b in tab.slots:
-        # the vertices x with more than k neighbours are a prefix by position
-        j = b - a if at is None else int(np.searchsorted(pos, b - a))
-        e = slice(a, b) if at is None else a + pos[:j]
-        fy = f.take(tab.nbr[e])  # take(): [] would first copy the int32 nbr to intp
-        np.subtract(fx[:j], fy, out=fy)
-        np.divide(np.abs(fy, out=fy), tab.length[e], out=fy)
-        np.maximum(slope[:j], fy, out=slope[:j])
-    out = np.zeros(space.n)
-    out[x] = slope
+    a, b = space.edges.T
+    return _edge_max(space.n, a, b, np.abs(f[a] - f[b]) / space.lengths)
+
+
+def _edge_max(n, a, b, q):
+    """The largest q[e] over the edges e = (a[e], b[e]) at each of the n
+    vertices, zero at a vertex on none."""
+    out = np.zeros(n)
+    np.maximum.at(out, a, q)
+    np.maximum.at(out, b, q)
     return out
+
+
+def _slope_on(space, at):
+    """f -> lip(space, f) at the vertices `at`, or everywhere when None; f is
+    read only at `at` and their neighbours."""
+    if at is None:
+        return lambda f: lip(space, f)
+    inside = np.zeros(space.n, dtype=bool)
+    inside[at] = True
+    a, b = space.edges.T
+    e = np.flatnonzero(inside[a] | inside[b])
+    a, b, ell = a[e], b[e], space.lengths[e]
+    return lambda f: _edge_max(space.n, a, b, np.abs(f[a] - f[b]) / ell)[at]
 
 
 def cheeger_energy(space, f, s):
@@ -92,12 +99,43 @@ def cheeger_energy(space, f, s):
 def _energy_floor(space, s, at=None):
     """f -> a lower bound on the float slope energy sum m lip(f)^s over `at`
     (all vertices when None): it adds m(x) (|f(x) - f(y)| / d(x, y))^s, y the
-    first neighbour of x, one of the quotients that lip(f)(x) maximizes."""
-    tab = space.neighbours
-    pos = np.arange(space.n) if at is None else tab.position[at]
-    pos = pos[pos < (tab.slots[0][1] if tab.slots else 0)]
-    x, y, ell, m = tab.order[pos], tab.nbr[pos], tab.length[pos], space.measure[tab.order[pos]]
+    first neighbour of x in space.adjacency, one of the quotients that
+    lip(f)(x) maximizes."""
+    ptr = space.adjacency.indptr
+    x = np.arange(space.n) if at is None else np.asarray(at)
+    x = x[ptr[x] < ptr[x + 1]]
+    y, ell = space.adjacency.indices[ptr[x]], space.adjacency.data[ptr[x]]
+    m = space.measure[x]
     return lambda f: float((np.abs(f.take(x) - f.take(y)) / ell) ** s @ m) * (1.0 - SLACK)
+
+
+def _slope_ratio(space, num, s, at=None, scale=1.0):
+    """f -> num(f) / (scale ||lip f||_{L^s(at)}), the norm over every vertex
+    when `at` is None and in the base measure; 0.0 when the denominator is
+    not positive.  f is read where num reads it, at `at` and at the
+    neighbours of `at`.
+
+    This is the sweep's one skip rule: given a `best`, as _verdict passes
+    it, the ratio returns 0.0 as soon as the energy floor shows that it
+    cannot exceed best.  It returns 0.0 rather than the bound, which a
+    caller that rescales the ratio could round above its best.
+    """
+    m = space.measure if at is None else space.measure[at]
+    floor = slope = None  # each built when first needed
+
+    def ratio(f, best=None):
+        nonlocal floor, slope
+        top = num(f)
+        if best is not None:
+            floor = floor or _energy_floor(space, s, at)
+            den = scale * floor(f) ** (1.0 / s)
+            if den > 0 and top / den <= best:
+                return 0.0
+        slope = slope or _slope_on(space, at)
+        den = scale * float((slope(f) ** s * m).sum()) ** (1.0 / s)
+        return top / den if den > 0 else 0.0
+
+    return ratio
 
 
 def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
@@ -131,34 +169,17 @@ def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
 
 
 def _oscillation_ratio(space, A, E, R, s, t):
-    """f -> ||f - f_A||_{L^t(A)} / (R m(A)^(1/t - 1/s) ||lip f||_{L^s(E)}).
-
-    The mean f_A and both norms use the base measure; the ratio is 0 when
-    the slope energy on E vanishes.  The slope is read at E only, so f is
-    read only at A, E and the neighbours of E.  The ratio takes an optional
-    precomputed `slope` of f, read on E only, or a `best` as _verdict does.
-    """
-    mA, mE = space.measure[A], space.measure[E]
+    """f -> ||f - f_A||_{L^t(A)} / (R m(A)^(1/t - 1/s) ||lip f||_{L^s(E)}),
+    a _slope_ratio: the mean f_A and both norms use the base measure, and f
+    is read only at A, E and the neighbours of E."""
+    mA = space.measure[A]
     mass = float(mA.sum())
-    scale = R * mass ** (1.0 / t - 1.0 / s)
-    floor = None  # built on the first call with a `best`
 
-    def ratio(f, slope=None, best=None):
-        nonlocal floor
+    def num(f):
         fA = float((f[A] * mA).sum() / mass)
-        num = float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
-        if slope is None and best is not None:
-            floor = floor or _energy_floor(space, s, E)
-            den = scale * floor(f) ** (1.0 / s)
-            if den > 0 and num / den <= best:
-                return num / den
-        if slope is None:
-            slope = lip(space, f, E)
-        energy = float((slope[E] ** s * mE).sum())
-        den = scale * energy ** (1.0 / s)
-        return num / den if den > 0 else 0.0
+        return float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
 
-    return ratio
+    return _slope_ratio(space, num, s, E, R * mass ** (1.0 / t - 1.0 / s))
 
 
 # -- test-function families ------------------------------------------------
@@ -246,22 +267,19 @@ def _sampled_poincare(space, s):
     """The unfloored maximum of measure_poincare.
 
     On each ball B = B_r(x) this is the oscillation ratio on (B, 2B) times
-    (m(2B)/m(B))^(1/s), which turns both norms into averages.  Each row is
-    read to twice the largest radius plus the longest edge, which covers
-    every neighbour of 2B.  So the slope of the row, taken once per center
-    on the largest 2B, is exact on every 2B; the slope of the coordinate
-    sum is taken once.
+    (m(2B)/m(B))^(1/s), which turns both norms into averages, swept over
+    the row d(x, .), the tent 1 - d(x, .)/r and, when the space has
+    coordinates, their sum x + y.  Each row is read to twice the largest
+    radius plus the longest edge, which covers every neighbour of 2B.  As
+    in _verdict, a candidate is finished only when its bound can beat the
+    best so far, and only a larger ratio counts, so NaN never does.
     """
     best = 0.0
     longest = float(space.lengths.max()) if len(space.lengths) else 0.0
     centers, radii = default_profile_samples(space, max_centers=16)
-    fixed = []
-    if space.coords is not None:
-        coord_sum = space.coords[:, 0] + space.coords[:, 1]
-        fixed.append((coord_sum, lip(space, coord_sum)))
+    coord_sum = [] if space.coords is None else [space.coords[:, 0] + space.coords[:, 1]]
     for x in centers:
         dx = space.dist_from(x, limit=2.0 * radii[-1] + longest)
-        row = (dx, lip(space, dx, np.flatnonzero(dx < 2.0 * radii[-1])))
         for r in radii:
             B = np.flatnonzero(dx < r)
             if len(B) < 2:
@@ -269,9 +287,8 @@ def _sampled_poincare(space, s):
             B2 = np.flatnonzero(dx < 2.0 * r)
             scale = float(space.measure[B2].sum() / space.measure[B].sum()) ** (1.0 / s)
             osc = _oscillation_ratio(space, B, B2, r, s, s)
-            for f, slope in [row, (np.maximum(0.0, 1.0 - dx / r), None), *fixed]:
-                # as in _verdict: only a larger ratio counts, so NaN never does
-                ratio = scale * osc(f, slope)
+            for f in [dx, np.maximum(0.0, 1.0 - dx / r), *coord_sum]:
+                ratio = scale * osc(f, best=best / scale)
                 if ratio > best:
                     best = ratio
     return best
@@ -364,19 +381,7 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
         Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
     )
 
-    floor = _energy_floor(space, s)
-
-    def ratio(f, best=None):
-        num = float((np.abs(f) ** t * mu).sum()) ** (1.0 / t)
-        if best is not None:
-            den = floor(f) ** (1.0 / s)
-            if den > 0 and num / den <= best:
-                return num / den
-        en = cheeger_energy(space, f, s)
-        if en <= 0:
-            return 0.0
-        return num / en ** (1.0 / s)
-
+    ratio = _slope_ratio(space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s)
     return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0)
 
 

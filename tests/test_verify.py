@@ -174,20 +174,32 @@ def test_family_memory_does_not_grow_with_count():
 
 def test_bounded_sweep_finishes_few_members(monkeypatch):
     # grid_quadrant(32), seed 1, count 200: the slope bound leaves 1 of 200
-    # members to finish, the first; the other full-space slope is the
-    # Poincare estimate's coordinate sum.  A full sweep makes 201.
+    # members to finish, the first, and each finished member takes one
+    # full-space slope; the Poincare estimate takes only slopes on balls.
+    # A full sweep makes 200.
     sp = grid_quadrant(32)
     slopes = []
     full_lip = verify.lip
 
-    def counting_lip(space, f, at=None):
-        slopes.append(at is None)
-        return full_lip(space, f, at)
+    def counting_lip(space, f):
+        slopes.append(f)
+        return full_lip(space, f)
 
     monkeypatch.setattr(verify, "lip", counting_lip)
     rep = hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 200))
     assert rep.witness == "radial_power[0.2500]"
-    assert sum(slopes) <= 10
+    assert 1 <= len(slopes) <= 10
+
+
+def test_slope_ratio_returns_zero_for_a_member_it_skips():
+    # returning the bound instead could round above the best once the
+    # sampled Poincare estimate multiplies the ratio by a ball's scale
+    sp = grid_quadrant(8)
+    ratio = verify._slope_ratio(sp, lambda f: 1.0, 1.0, scale=3.0)
+    d = sp.dist_from(0)
+    assert ratio(d) > 0.0
+    assert ratio(d, best=0.0) == ratio(d)
+    assert ratio(d, best=2.0 * ratio(d)) == 0.0
 
 
 def test_family_tent_lip_bound():
