@@ -8,9 +8,9 @@ are never materialized all-pairs: each source's row is computed on demand by
 Dijkstra, run directed on the adjacency (symmetric by construction, so scipy
 builds no transpose per row).  A full row is kept in a least-recently-used
 cache capped in bytes, so memory stays bounded however many rows are read.
-A row asked for only up to a `limit` stops its search there and bypasses the
-cache; readers that sweep many centers ask for each row only as far as their
-balls reach.
+A row asked for only up to a `limit` is cut from a cached full row, or else
+stops its search there and is not cached; readers that sweep many centers
+ask for each row only as far as their balls reach.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from scipy.sparse import csgraph
 from .errors import DisconnectedGraph, NoBasePoint, NonPositiveLength, NonPositiveMass, NotAhlfors
 
 # Byte cap of the per-source distance row cache; the least recently used
-# rows are evicted first.  Truncated rows are never cached, so the checks
-# hold few rows: hardy plus weighted-sobolev leave 4, 7 and 3 full rows
-# (0.14, 1.41 and 0.49 MB) on grid_quadrant(64), sector_union(0.25) and
+# rows are evicted first.  Truncated rows are never cached (they are cut from
+# a cached row when there is one), so the checks hold few rows: hardy plus
+# weighted-sobolev leave the diameter's rows and o's, 4, 7 and 3 full rows
+# (0.14, 1.41 and 0.49 MB), on grid_quadrant(64), sector_union(0.25) and
 # cone_grid(101, 2), and the cap leaves room for reuse across checks.
 ROW_CACHE_BYTES = 256 * 2**20
 
@@ -98,18 +99,21 @@ class FiniteMetricMeasureSpace:
         """Distance row from vertex x.
 
         With `limit` = inf this is the full row, kept read-only in the LRU
-        cache.  A finite `limit` runs one Dijkstra that stops there:
-        entries with d <= limit are bit-identical to the full row
-        (Dijkstra's value at v is the minimum over neighbours settled before
-        v, whatever comes after), every other entry is inf.  Such a row is
-        neither read from nor written to the cache, so a cached row is
-        always complete.  A source outside 0..n-1 raises NoBasePoint.
+        cache.  A finite `limit` gives a row whose entries with d <= limit
+        are bit-identical to the full row (Dijkstra's value at v is the
+        minimum over neighbours settled before v, whatever comes after) and
+        whose every other entry is inf: cut from the cached full row when
+        there is one, else from one Dijkstra that stops at the limit.
+        Either way the cache is left as it was, so a cached row is always
+        complete.  A source outside 0..n-1 raises NoBasePoint.
         """
         if not 0 <= x < self.n:
             raise NoBasePoint(f"vertex {x} is outside 0..{self.n - 1}")
-        if limit != np.inf:
-            return csgraph.dijkstra(self.adjacency, directed=True, indices=x, limit=limit)
         row = self._dist_cache.get(x)
+        if limit != np.inf:
+            if row is not None:
+                return np.where(row <= limit, row, np.inf)
+            return csgraph.dijkstra(self.adjacency, directed=True, indices=x, limit=limit)
         if row is not None:
             self._dist_cache.move_to_end(x)
             return row
@@ -255,17 +259,18 @@ class AhlforsParams:
         assert self.C_A >= 1.0
 
 
-def default_profile_samples(space, max_centers=64):
+def default_profile_samples(space):
     """(centers, radii) product grid for profile estimation.
 
-    Every `max_centers`-th vertex is a center.  Radii run dyadically from
-    4x the resolution (smaller radii alias the lattice) up to a quarter of
-    the diameter, so the doubled ball stays below diameter/2.
+    Every max(1, n // 64)-th vertex is a center (65 on the gallery's
+    benchmark spaces).  Radii run dyadically from 4x the resolution
+    (smaller radii alias the lattice) up to a quarter of the diameter, so
+    the doubled ball stays below diameter/2.
     """
     diam = space.diameter()
     if diam <= 0:
         return [0], [space.resolution]
-    centers = range(0, space.n, max(1, space.n // max_centers))
+    centers = range(0, space.n, max(1, space.n // 64))
     r = 4.0 * space.resolution
     radii = []
     while r <= diam / 4 + 1e-12:
@@ -274,27 +279,35 @@ def default_profile_samples(space, max_centers=64):
     return centers, radii or [max(space.resolution, diam / 4)]
 
 
+def _row_masses(space, d, radii):
+    """m(B_r(x)) at each increasing positive radius r, from the row d of x:
+    each sums the same elements in the same order as measure[d < r].sum(),
+    from the ball of the largest radius, gathered once."""
+    ball = np.flatnonzero(d < radii[-1])
+    dB, mB = d[ball], space.measure[ball]
+    return [mB[dB < r].sum() for r in radii]
+
+
 def _ball_masses(space, centers, radii):
     """m(B_r(x)), one row per center x and one column per increasing
     positive radius r, each row read only as far as the largest radius."""
-    out = np.empty((len(centers), len(radii)))
-    for i, x in enumerate(centers):
-        d = space.dist_from(x, limit=radii[-1])
-        out[i] = [space.measure[d < r].sum() for r in radii]
-    return out
+    rows = (space.dist_from(x, limit=radii[-1]) for x in centers)
+    return np.array([_row_masses(space, d, radii) for d in rows])
+
+
+def _doubling(masses):
+    """SpaceProfile of a mass matrix whose every radius is twice the one
+    before, so that m(B_2r) is the next column."""
+    best = max(1.0, float((masses[:, 1:] / masses[:, :-1]).max()))
+    return SpaceProfile(best, math.log2(best))
 
 
 def doubling_profile(space):
     """Estimate the doubling constant C_D and dimension Q = log2 C_D over
     `default_profile_samples`, whose radii are all positive: every ball
-    holds its center and has positive mass.  Each radius is twice the one
-    before, so m(B_2r) is the next column of the mass matrix."""
-    if space.n == 1:
-        return SpaceProfile(1.0, 0.0)
+    holds its center and has positive mass (a single vertex gives C_D = 1)."""
     centers, radii = default_profile_samples(space)
-    m = _ball_masses(space, centers, radii + [2 * radii[-1]])
-    best = max(1.0, float((m[:, 1:] / m[:, :-1]).max()))
-    return SpaceProfile(best, math.log2(best))
+    return _doubling(_ball_masses(space, centers, radii + [2 * radii[-1]]))
 
 
 def _radial_masses(space, o):

@@ -32,15 +32,19 @@ from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
 from .space import (
     FiniteMetricMeasureSpace,
+    _doubling,
     _radial_masses,
+    _row_masses,
     ahlfors_fit,
     default_profile_samples,
-    doubling_profile,
+    doubling_profile,  # noqa: F401  (re-exported: perfbench's tracer wraps it here)
 )
 from .weights import weight_density
 
 REL_TOL = 1e-6
-# Relative slack of the energy floor: sums of n < 2^31 terms >= 0 in two orders differ by < 2^-20
+# Relative slack of the sweep's bounds: sums of n < 2^31 terms >= 0 in two orders
+# differ by < 2^-20; it also absorbs the few ulps per term of the floor's reordered
+# product m / d^s |df|^s and the rounding of the rows that a tent bound compares
 SLACK = 2.0**-16
 
 
@@ -98,42 +102,50 @@ def cheeger_energy(space, f, s):
 
 def _energy_floor(space, s, at=None):
     """f -> a lower bound on the float slope energy sum m lip(f)^s over `at`
-    (all vertices when None): it adds m(x) (|f(x) - f(y)| / d(x, y))^s, y the
+    (all vertices when None): it adds m(x) / d(x, y)^s |f(x) - f(y)|^s, y the
     first neighbour of x in space.adjacency, one of the quotients that
     lip(f)(x) maximizes."""
     ptr = space.adjacency.indptr
     x = np.arange(space.n) if at is None else np.asarray(at)
     x = x[ptr[x] < ptr[x + 1]]
-    y, ell = space.adjacency.indices[ptr[x]], space.adjacency.data[ptr[x]]
-    m = space.measure[x]
-    return lambda f: float((np.abs(f.take(x) - f.take(y)) / ell) ** s @ m) * (1.0 - SLACK)
+    y = space.adjacency.indices[ptr[x]]
+    w = space.measure[x] / space.adjacency.data[ptr[x]] ** s
+    every = at is None and len(x) == space.n  # x is 0..n-1
+    return lambda f: float(np.abs((f if every else f.take(x)) - f.take(y)) ** s @ w) * (1.0 - SLACK)
 
 
-def _slope_ratio(space, num, s, at=None, scale=1.0):
+def _slope_ratio(space, num, s, at=None, scale=1.0, bound=None):
     """f -> num(f) / (scale ||lip f||_{L^s(at)}), the norm over every vertex
     when `at` is None and in the base measure; 0.0 when the denominator is
-    not positive.  f is read where num reads it, at `at` and at the
-    neighbours of `at`.
+    not positive.  f is anything np.asarray turns into values, such as a
+    Tent; they are read where num reads them, at `at` and at the neighbours
+    of `at`.
 
     This is the sweep's one skip rule: given a `best`, as _verdict passes
-    it, the ratio returns 0.0 as soon as the energy floor shows that it
-    cannot exceed best.  It returns 0.0 rather than the bound, which a
-    caller that rescales the ratio could round above its best.
+    it, the ratio returns 0.0 as soon as an upper bound shows that it
+    cannot exceed best: first `bound(f)`, which reads no values (inf where
+    it knows none), then num(f) over the energy floor.  It returns 0.0
+    rather than the bound, which a caller that rescales the ratio could
+    round above its best.
     """
     m = space.measure if at is None else space.measure[at]
     floor = slope = None  # each built when first needed
 
     def ratio(f, best=None):
         nonlocal floor, slope
-        top = num(f)
         if best is not None:
-            floor = floor or _energy_floor(space, s, at)
-            den = scale * floor(f) ** (1.0 / s)
-            if den > 0 and top / den <= best:
+            up = bound(f) if bound else math.inf
+            if up > best:
+                f = np.asarray(f, dtype=float)
+                floor = floor or _energy_floor(space, s, at)
+                den = scale * floor(f) ** (1.0 / s)
+                up = num(f) / den if den > 0 else math.inf
+            if up <= best:
                 return 0.0
+        f = np.asarray(f, dtype=float)
         slope = slope or _slope_on(space, at)
         den = scale * float((slope(f) ** s * m).sum()) ** (1.0 / s)
-        return top / den if den > 0 else 0.0
+        return num(f) / den if den > 0 else 0.0
 
     return ratio
 
@@ -153,8 +165,8 @@ def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
     fails too.
     """
     best, witness = 0.0, ""
-    for fid, vals in family:
-        r = ratio(np.asarray(vals, dtype=float), best=best)
+    for fid, f in family:
+        r = ratio(f, best=best)
         if r > best:
             best, witness = r, fid
     finite = math.isfinite(const.value)
@@ -188,10 +200,22 @@ def _oscillation_ratio(space, A, E, R, s, t):
 def make_family(space, o, seed, count=200):
     """Deterministic family of (id, values) test functions, as a Family.
 
-    The family is lazy and re-iterable; `list(make_family(...))` keeps the
-    values.
+    The family is lazy and re-iterable; a tent's values are a Tent, which
+    np.asarray computes.
     """
     return Family(space, o, seed, count)
+
+
+@dataclass(frozen=True)
+class Tent:
+    """The tent (1 - d(c, .)/w)_+, its row read when np.asarray asks for it."""
+
+    space: FiniteMetricMeasureSpace
+    c: int
+    w: float
+
+    def __array__(self, dtype=None, copy=None):
+        return np.maximum(0.0, 1.0 - self.space.dist_from(self.c, limit=self.w) / self.w)
 
 
 @dataclass(frozen=True)
@@ -201,7 +225,8 @@ class Family:
     smoothed ball indicators take a fifth each.
 
     Each pass reruns the generators from `seed`, so a sweep holds one test
-    function at a time and every pass yields the same (id, values) pairs.
+    function at a time and every pass yields the same (id, values) pairs,
+    the values of a tent as a Tent.
     """
 
     space: FiniteMetricMeasureSpace
@@ -225,8 +250,7 @@ class Family:
         for _ in range(per):
             c = int(rng.integers(space.n))
             width = float(rng.uniform(2 * space.resolution, max(diam / 2, 4 * space.resolution)))
-            dc = space.dist_from(c, limit=width)
-            yield f"tent[{c},{width:.4f}]", np.maximum(0.0, 1.0 - dc / width)
+            yield f"tent[{c},{width:.4f}]", Tent(space, c, width)
 
         dyadic = [space.resolution * 2**j for j in range(int(math.log2(diam / space.resolution)) + 1)]
         for _ in range(per):
@@ -251,10 +275,10 @@ class Family:
 
 
 def measure_poincare(space, s):
-    """Empirical weak (s, s) Poincare constant, lam = 2, over the centers
-    of default_profile_samples(space, 16): every max(1, n // 16)-th vertex,
-    which makes 16 to 31 centers for n >= 16 (17 on the gallery's benchmark
-    spaces), not 16.
+    """Empirical weak (s, s) Poincare constant, lam = 2, over every j-th
+    center of default_profile_samples(space), j = max(1, len(centers) //
+    16): 16 to 31 centers once n >= 16 (17 on the gallery's benchmark
+    spaces), all n below.
 
     Maximizes the mean-oscillation to gradient-average ratio over a small
     canonical family; floored at 1.0 so downstream constants stay
@@ -263,40 +287,59 @@ def measure_poincare(space, s):
     return max(_sampled_poincare(space, s), 1.0)
 
 
-def _sampled_poincare(space, s):
-    """The unfloored maximum of measure_poincare.
+def _profile_grid(space):
+    """(centers, radii, j, limit): default_profile_samples, every j-th center
+    a Poincare center, and each row read to 2 max(radii) + the longest edge,
+    as far as the doubling balls and the neighbours of every 2B reach."""
+    centers, radii = default_profile_samples(space)
+    longest = float(space.lengths.max()) if len(space.lengths) else 0.0
+    return centers, radii, max(1, len(centers) // 16), 2.0 * radii[-1] + longest
 
-    On each ball B = B_r(x) this is the oscillation ratio on (B, 2B) times
+
+def _sampled_poincare(space, s):
+    """The unfloored maximum of measure_poincare."""
+    centers, radii, j, limit = _profile_grid(space)
+    best = 0.0
+    for x in centers[::j]:
+        best = _poincare_balls(space, s, space.dist_from(x, limit=limit), radii, best)
+    return best
+
+
+def _poincare_balls(space, s, dx, radii, best):
+    """The larger of `best` and the ratios on the balls B = B_r(x), r in
+    radii, read from the row dx of x: the oscillation ratio on (B, 2B) times
     (m(2B)/m(B))^(1/s), which turns both norms into averages, swept over
     the row d(x, .), the tent 1 - d(x, .)/r and, when the space has
-    coordinates, their sum x + y.  Each row is read to twice the largest
-    radius plus the longest edge, which covers every neighbour of 2B.  As
-    in _verdict, a candidate is finished only when its bound can beat the
-    best so far, and only a larger ratio counts, so NaN never does.
-    """
-    best = 0.0
-    longest = float(space.lengths.max()) if len(space.lengths) else 0.0
-    centers, radii = default_profile_samples(space, max_centers=16)
+    coordinates, their sum x + y.  As in _verdict, a candidate is finished
+    only when its bound can beat the best so far, and only a larger ratio
+    counts, so NaN never does."""
     coord_sum = [] if space.coords is None else [space.coords[:, 0] + space.coords[:, 1]]
-    for x in centers:
-        dx = space.dist_from(x, limit=2.0 * radii[-1] + longest)
-        for r in radii:
-            B = np.flatnonzero(dx < r)
-            if len(B) < 2:
-                continue
-            B2 = np.flatnonzero(dx < 2.0 * r)
-            scale = float(space.measure[B2].sum() / space.measure[B].sum()) ** (1.0 / s)
-            osc = _oscillation_ratio(space, B, B2, r, s, s)
-            for f in [dx, np.maximum(0.0, 1.0 - dx / r), *coord_sum]:
-                ratio = scale * osc(f, best=best / scale)
-                if ratio > best:
-                    best = ratio
+    for r in radii:
+        B = np.flatnonzero(dx < r)
+        if len(B) < 2:
+            continue
+        B2 = np.flatnonzero(dx < 2.0 * r)
+        scale = float(space.measure[B2].sum() / space.measure[B].sum()) ** (1.0 / s)
+        osc = _oscillation_ratio(space, B, B2, r, s, s)
+        for f in [dx, np.maximum(0.0, 1.0 - dx / r), *coord_sum]:
+            ratio = scale * osc(f, best=best / scale)
+            if ratio > best:
+                best = ratio
     return best
 
 
 def _profile(space, s):
-    """(Q, C_P): the raw doubling and Poincare fits, as every check reads them."""
-    return doubling_profile(space).Q, measure_poincare(space, s)
+    """(Q, C_P) as every check reads them: doubling_profile(space).Q and
+    measure_poincare(space, s) bit for bit, from one read of each profile
+    center's row for its doubling masses and, at a Poincare center, balls."""
+    centers, radii, j, limit = _profile_grid(space)
+    masses, best = [], 0.0
+    for i, x in enumerate(centers):
+        d = space.dist_from(x, limit=limit)
+        masses.append(_row_masses(space, d, radii + [2 * radii[-1]]))
+        if i % j == 0:
+            best = _poincare_balls(space, s, d, radii, best)
+    return _doubling(np.array(masses)).Q, max(best, 1.0)
 
 
 def eta_fit(space, o):
@@ -359,9 +402,10 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
 # -- headline weighted checks ---------------------------------------------
 
 
-def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
+def _weighted_check(space, o, s, t, family, kappa, weight, name, bound=None, **scale):
     """Shared pipeline: decompose, validate, graph constants, sweep.
-    `scale` is the local_scale or global_scale of weighted_constant."""
+    `bound` is the row-free ratio bound of _slope_ratio, and `scale` the
+    local_scale or global_scale of weighted_constant."""
     t0 = time.perf_counter()
     # eta = s is the borderline case, where the fit is s up to rounding
     flags = ["eta_not_above_s"] if eta_fit(space, o) <= s * (1 + REL_TOL) else []
@@ -381,7 +425,9 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
         Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
     )
 
-    ratio = _slope_ratio(space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s)
+    ratio = _slope_ratio(
+        space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s, bound=bound
+    )
     return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0)
 
 
@@ -396,7 +442,30 @@ def hardy_check(space, o, s, family, kappa=2.0):
     carries the extra 2^s kappa^(2s) factor of the annulus estimate."""
     w = weight_density(space, o, "mu_s", s=s)
     scale = hardy_factor(s, kappa)
-    return _weighted_check(space, o, s, s, family, kappa, w, "hardy", local_scale=scale)
+    return _weighted_check(
+        space, o, s, s, family, kappa, w, "hardy", _tent_bound(space, o), local_scale=scale
+    )
+
+
+def _tent_bound(space, o):
+    """f -> an upper bound on the Hardy ratio of f that reads only the row of
+    o: u / d(o, c) (1 + SLACK) for a Tent (c, w) with d(o, c) > w, u the
+    larger of w and the shortest edge at c other than a self-loop; inf for
+    any other f.  On the tent's support S, lip f >= 1/u (the next vertex
+    on a shortest path to c, or c's shortest edge), so ratio^s <= the
+    largest (u f / d(o, .))^s on S; S = {c} when u > w, and otherwise
+    f <= 1 - |d(o, .) - d(o, c)| / w keeps w f / d(o, .) <= w / d(o, c)."""
+    d = space.dist_from(o)
+    adj = space.adjacency
+
+    def bound(f):
+        if not isinstance(f, Tent) or d[f.c] <= f.w:
+            return math.inf
+        at = slice(adj.indptr[f.c], adj.indptr[f.c + 1])
+        u = max(f.w, adj.data[at][adj.indices[at] != f.c].min())
+        return u / d[f.c] * (1.0 + SLACK)
+
+    return bound
 
 
 def ahlfors_sobolev_check(space, o, s, t, family, kappa=2.0):

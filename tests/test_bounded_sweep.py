@@ -1,14 +1,17 @@
 """The bounded sweep of `verify._verdict` against a full-sweep oracle.
 
-The oracle finishes every member of `list(make_family(...))` and takes its
+The oracle finishes every member of `make_family(...)` and takes its
 slopes row by row from the space's adjacency matrix, not from its edge
 list, so it shares neither the bounds nor the slope code with the code
 under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from test_space import SMALL_GALLERY, SMALL_GALLERY_IDS, connected_graphs
 
 from pilab import verify
 from pilab.cli import _largest_annulus_component
@@ -101,7 +104,7 @@ def _mismatches(sp, o, seed, count, family=verify.Family):
     and those that refuse the space, or fail to, against expectation: a
     covering whose pieces all sit on one level has no interior, so every
     weighted check raises NoBoundary on it, and only there."""
-    members = list(family(sp, o, seed, count))
+    members = [(fid, np.asarray(f, dtype=float)) for fid, f in family(sp, o, seed, count)]
     one_level = len({p.level for p in kappa_decomposition(sp, o, 2.0).pieces}) == 1
     bad = []
     for name, run, ratio in _cases(sp, o):
@@ -170,15 +173,125 @@ def test_bounded_sweep_matches_full_sweep_oracle_random(sp, seed):
     assert _mismatches(sp, 0, seed, 40) == []
 
 
+# -- the row-free tent bound of the Hardy sweep ---------------------------------
+
+
+def _shortest_edge(sp, c):
+    """The shortest edge between c and another vertex, from the edge list."""
+    at = (sp.edges == c).any(axis=1) & (sp.edges[:, 0] != sp.edges[:, 1])
+    return float(sp.lengths[at].min())
+
+
+def _tents(sp, o):
+    """Tents (c, w) at every vertex c != o, with widths on both sides of the
+    shortest edge at c and up to d(o, c)."""
+    d = sp.dist_from(o)
+    for c in range(sp.n):
+        if c != o:
+            ell = _shortest_edge(sp, c)
+            near = (ell / 16, ell / 2, ell, 2 * ell)
+            for w in (*near, *(q * d[c] for q in (0.25, 0.5, 0.9, 0.999, 1.0))):
+                yield c, w
+
+
+def _hardy_tent_ratio(sp, o, s, c, w):
+    """The Hardy ratio of the tent (c, w), from a full row of c and lip."""
+    d = sp.dist_from(o)
+    mu = np.where(d > 0, d, np.inf) ** -s * sp.measure
+    f = np.maximum(0.0, 1.0 - sp.dist_from(c) / w)
+    energy = float((verify.lip(sp, f) ** s * sp.measure).sum())
+    return (float((f**s * mu).sum()) / energy) ** (1 / s)
+
+
+def _tent_bound_excess(sp, o):
+    """Tents whose Hardy ratio at s = 1 or 2 exceeds verify's row-free bound."""
+    bound = verify._tent_bound(sp, o)
+    bad = []
+    for c, w in _tents(sp, o):
+        b = bound(verify.Tent(sp, c, w))
+        bad += [(c, w, s, r, b) for s in (1.0, 2.0) if (r := _hardy_tent_ratio(sp, o, s, c, w)) > b]
+    return bad
+
+
+def _tent_bound_oracle(sp, o=0):
+    """The tents where verify's bound is not max(w, shortest edge at c) /
+    d(o, c) (1 + SLACK) for d(o, c) > w and inf otherwise, and those whose
+    ratio exceeds it."""
+    bound = verify._tent_bound(sp, o)
+    d = sp.dist_from(o)
+    bad = _tent_bound_excess(sp, o)
+    for c, w in _tents(sp, o):
+        want = max(w, _shortest_edge(sp, c)) / d[c] * (1 + verify.SLACK) if d[c] > w else math.inf
+        if (got := bound(verify.Tent(sp, c, w))) != want:
+            bad.append((c, w, got, want))
+    return bad
+
+
+def _heavy_looped_end():
+    """A path 0 - 1 - 2 whose end 2 carries most of the mass and a self-loop
+    shorter than its edge, so that a narrow tent at 2 has a Hardy ratio near
+    (edge at 2) / d(0, 2), and the loop must not count as that edge."""
+    return FiniteMetricMeasureSpace(3, [(0, 1), (1, 2), (2, 2)], [1.0, 1.0, 0.1], [1.0, 1.0, 1e6])
+
+
+@pytest.mark.parametrize(
+    "make", [*SMALL_GALLERY, _heavy_looped_end], ids=[*SMALL_GALLERY_IDS, "heavy_looped_end"]
+)
+def test_tent_bound_holds_gallery(make):
+    assert _tent_bound_oracle(make()) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+def test_tent_bound_holds_random(sp):
+    assert _tent_bound_oracle(sp) == []
+
+
+def test_tent_bound_is_not_for_other_members():
+    sp = grid_quadrant(8)
+    bound = verify._tent_bound(sp, 0)
+    tent = verify.Tent(sp, 40, 2.0)
+    assert bound(tent) < math.inf
+    assert bound(np.asarray(tent, dtype=float)) == math.inf
+
+
 def _scaled_floor(factor):
     floor = verify._energy_floor
     return lambda *args, **kw: (lambda g: lambda f: factor * g(f))(floor(*args, **kw))
 
 
-@pytest.mark.parametrize("mutant", [_scaled_floor(4.0)], ids=["slope_bound_x4"])
-def test_oracle_catches_a_bound_too_small(monkeypatch, mutant):
-    monkeypatch.setattr(verify, "_energy_floor", mutant)
+def _tent_bound_mutant(u_over_d):
+    """verify._tent_bound with u / d(o, c) replaced by u_over_d(space, tent, d(o, c))."""
+
+    def tent_bound(space, o):
+        d = space.dist_from(o)
+
+        def bound(f):
+            if not isinstance(f, verify.Tent) or d[f.c] <= f.w:
+                return math.inf
+            return u_over_d(space, f, d[f.c]) * (1 + verify.SLACK)
+
+        return bound
+
+    return tent_bound
+
+
+MUTANTS = {
+    "slope_bound_x4": ("_energy_floor", _scaled_floor(4.0)),
+    # d(o, .) on the support's far side, not its near side
+    "tent_bound_far_side": (
+        "_tent_bound",
+        _tent_bound_mutant(lambda sp, f, dc: max(f.w, _shortest_edge(sp, f.c)) / (dc + f.w)),
+    ),
+    # w / d(o, c) even when every edge at c is longer than w
+    "tent_bound_long_edge": ("_tent_bound", _tent_bound_mutant(lambda sp, f, dc: f.w / dc)),
+}
+
+
+@pytest.mark.parametrize("name, mutant", list(MUTANTS.values()), ids=list(MUTANTS))
+def test_oracle_catches_a_bound_too_small(monkeypatch, name, mutant):
+    monkeypatch.setattr(verify, name, mutant)
     found = []
     for make in GALLERY.values():
-        found += _mismatches(make(), 0, 1, 200)
+        found += _mismatches(make(), 0, 1, 200) + _tent_bound_excess(make(), 0)
     assert found

@@ -360,14 +360,15 @@ def test_verify_profiles_once_per_call(tmp_path, monkeypatch, kappa):
 
         return wrapper
 
-    for name in ("doubling_profile", "measure_poincare"):
+    # one pass reads both fits; the standalone readers are not called
+    for name in ("_profile", "doubling_profile", "measure_poincare"):
         monkeypatch.setattr(verify, name, counted(name))
     for ineq in _INEQS:
         calls.clear()
         assert run(
             "verify", "--space", str(space), "--ineq", ineq, "--kappa", kappa, "--count", "30"
         ) in (0, 2)
-        assert sorted(calls) == ["doubling_profile", "measure_poincare"], ineq
+        assert calls == ["_profile"], ineq
 
 
 @pytest.mark.parametrize(

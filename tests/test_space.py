@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
 import pilab.space as space_module
+from pilab import verify
 
 from pilab.errors import (
     DisconnectedGraph,
@@ -308,6 +309,9 @@ def test_truncated_row_is_the_full_row_up_to_its_limit(sp, data):
     inside = full <= limit
     assert row[inside].tobytes() == full[inside].tobytes()
     assert np.isinf(row[~inside]).all()
+    # once the full row is cached, the truncated row is cut from it
+    sp.dist_from(x)
+    assert sp.dist_from(x, limit=limit).tobytes() == row.tobytes()
 
 
 def test_truncated_read_leaves_the_cache_alone():
@@ -403,14 +407,21 @@ def test_doubling_matches_dense_brute_force(make):
     assert doubling_profile(sp).C_D == _dense_doubling(sp)
 
 
+def _poincare_samples(sp):
+    """The Poincare estimate's grid: every j-th center of the default
+    profile grid, j = max(1, len(centers) // 16), at the same radii."""
+    centers, radii = default_profile_samples(sp)
+    return centers[:: max(1, len(centers) // 16)], radii
+
+
 def _dense_poincare(sp, s):
-    """Weak (s, s) Poincare sup over the 16-center grid at lam = 2, from
+    """Weak (s, s) Poincare sup over the Poincare centers at lam = 2, from
     full dense rows: (avg over B of |f - f_B|^s)^(1/s) over r (avg over 2B
     of lip f^s)^(1/s), the slope taken on every edge."""
     dense = _dense(sp)
     e0, e1 = sp.edges[:, 0], sp.edges[:, 1]
     m = sp.measure
-    centers, radii = default_profile_samples(sp, max_centers=16)
+    centers, radii = _poincare_samples(sp)
     best = 0.0
     for x in centers:
         d = dense[x]
@@ -432,6 +443,29 @@ def _dense_poincare(sp, s):
                 if grad > 0:
                     best = max(best, osc / (r * grad))
     return best
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+@pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
+def test_profile_pass_equals_the_standalone_fits(make, s, monkeypatch):
+    """The checks' one profile pass gives doubling_profile's Q and
+    measure_poincare's C_P bit for bit, and its Poincare balls see the same
+    rows and running bests, which the floor of 1.0 on C_P would hide."""
+    calls = []
+    balls = verify._poincare_balls
+
+    def recording(space, s, dx, radii, best):
+        out = balls(space, s, dx, radii, best)
+        calls.append((dx.tobytes(), radii, best, out))
+        return out
+
+    monkeypatch.setattr(verify, "_poincare_balls", recording)
+    sp = make()
+    Q, C_P = verify._profile(sp, s)
+    in_pass = calls[:]
+    calls.clear()
+    assert (Q, C_P) == (doubling_profile(sp).Q, verify.measure_poincare(sp, s))
+    assert in_pass == calls
 
 
 def _dense_ahlfors(sp):
@@ -503,7 +537,7 @@ def _per_radius_poincare(sp, s):
     every candidate's slope taken afresh over all edges from a full row,
     the largest ratio scaled once per ball."""
     best = 0.0
-    centers, radii = default_profile_samples(sp, max_centers=16)
+    centers, radii = _poincare_samples(sp)
     for x in centers:
         dx = sp.dist_from(x)
         for r in radii:

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from pilab import verify
 from pilab.constants import (
@@ -22,6 +23,7 @@ from pilab.gallery import (
     sector_union,
     sector_union_origin,
 )
+from pilab.space import FiniteMetricMeasureSpace, default_profile_samples
 from pilab.verify import (
     ahlfors_sobolev_check,
     annulus_piece_check,
@@ -144,16 +146,21 @@ def test_family_is_sized_and_reiterable():
     sp = grid_quadrant(10)
     for count in (0, 7, 40):
         fam = make_family(sp, 0, seed=11, count=count)
-        kept = [(name, vals.tobytes()) for name, vals in list(fam)]
+        kept = [(name, _bytes(vals)) for name, vals in list(fam)]
         assert len(fam) == len(kept) == 5 * max(1, count // 5)
         names = [name for name, _ in kept]
         assert not any(name.startswith("random_lipschitz") for name in names)
         assert sum(name.startswith("radial_power") for name in names) == 2 * max(1, count // 5)
         for _ in range(2):
-            assert [(name, vals.tobytes()) for name, vals in fam] == kept
+            assert [(name, _bytes(vals)) for name, vals in fam] == kept
         # two passes at once draw from separate generators
         for (n1, v1), (n2, v2) in zip(fam, fam):
-            assert n1 == n2 and v1.tobytes() == v2.tobytes()
+            assert n1 == n2 and _bytes(v1) == _bytes(v2)
+
+
+def _bytes(vals):
+    """A member's values as bytes; a tent's are computed by np.asarray."""
+    return np.asarray(vals, dtype=float).tobytes()
 
 
 def test_family_memory_does_not_grow_with_count():
@@ -189,6 +196,64 @@ def test_bounded_sweep_finishes_few_members(monkeypatch):
     rep = hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 200))
     assert rep.witness == "radial_power[0.2500]"
     assert 1 <= len(slopes) <= 10
+
+
+def test_profile_searches_each_center_once(monkeypatch):
+    # one row per profile center feeds the doubling masses and, at every
+    # Poincare center, its balls; a center whose full row is cached (0,
+    # the base point, and the diameter's rows, read here first) takes none
+    sp = grid_quadrant(32)
+    sp.diameter()
+    searches, profiled = [], []
+    dijkstra, profile = csgraph.dijkstra, verify._profile
+
+    def counting_dijkstra(*args, **kwargs):
+        searches.append(int(kwargs["indices"]))
+        return dijkstra(*args, **kwargs)
+
+    def counting_profile(space, s):
+        cached = set(space._dist_cache)
+        searches.clear()
+        out = profile(space, s)
+        profiled.append((cached, list(searches)))
+        return out
+
+    monkeypatch.setattr(csgraph, "dijkstra", counting_dijkstra)
+    monkeypatch.setattr(verify, "_profile", counting_profile)
+    weighted_sobolev_check(sp, 0, 1.0, 2.0, make_family(sp, 0, 1, 200))
+    centers, _ = default_profile_samples(sp)
+    ((cached, rows),) = profiled
+    assert 0 in cached
+    assert rows == [x for x in centers if x not in cached]
+
+
+def test_hardy_reads_no_row_for_a_tent_its_bound_rules_out(monkeypatch):
+    # radial powers come first; a tent (c, w) whose bound w / d(o, c) (every
+    # edge is 1 <= w) is below their best cannot win, so its row is never read
+    sp = grid_quadrant(32)
+    d = sp.dist_from(0)
+    mu = weight_density(sp, 0, "mu_s", s=1.0) * sp.measure
+    members = list(make_family(sp, 0, 1, 200))
+    radial_best = max(
+        float(np.abs(f) @ mu) / float(lip(sp, f) @ sp.measure)
+        for fid, f in members
+        if fid.startswith("radial_power")
+    )
+    tents = [f for _, f in members if isinstance(f, verify.Tent)]
+    ruled_out = {(t.c, t.w) for t in tents if d[t.c] > t.w and t.w / d[t.c] < radial_best * 0.999}
+    assert len(tents) == 40 and 10 <= len(ruled_out) < 40
+    reads = []
+    dist_from = FiniteMetricMeasureSpace.dist_from
+
+    def counting_dist_from(self, x, limit=np.inf):
+        reads.append((x, limit))
+        return dist_from(self, x, limit)
+
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "dist_from", counting_dist_from)
+    rep = hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 200))
+    assert rep.witness == "radial_power[0.2500]"
+    assert not ruled_out & set(reads)
+    assert {(t.c, t.w) for t in tents} & set(reads)
 
 
 def test_slope_ratio_returns_zero_for_a_member_it_skips():
