@@ -249,16 +249,26 @@ def space_document(space):
 
 
 def save_space(space, path):
-    """Write a space, with its coordinates if any, in the schema the loader reads."""
-    doc = space_document(space)
+    """Write a space, with its coordinates if any, in the schema the loader
+    reads: the text of json.dumps of space_document with the coordinates
+    added, built with each distinct float encoded once (a gallery space
+    repeats a few lengths and masses tens of thousands of times)."""
+    u, v = space.edges.T.tolist()
+    edges = ", ".join(map("[{}, {}, {}]".format, u, v, _float_texts(space.lengths)))
+    text = f'{{"vertices": {space.n}, "edges": [{edges}], "measure": [{", ".join(_float_texts(space.measure))}]'
     if space.coords is not None:
-        doc["coords"] = space.coords.tolist()
-    # json.dumps encodes in C in one pass; json.dump streams the text
-    # through the pure-Python encoder.  The document is built above from
-    # fresh lists, so it holds no cycle to check for.
-    text = json.dumps(doc, check_circular=False)
+        cols = _float_texts(space.coords).reshape(len(space.coords), -1).T.tolist()
+        row = "[" + ", ".join(["{}"] * len(cols)) + "]"
+        text += ', "coords": [' + ", ".join(map(row.format, *cols)) + "]"
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(text + "}")
+
+
+def _float_texts(values):
+    """json.dumps' text of each float of `values`, flattened, as an object
+    array: each distinct float, by its bits, is encoded once."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).ravel().view(np.int64), return_inverse=True)
+    return np.array(json.dumps(bits.view(float).tolist())[1:-1].split(", "), dtype=object)[inverse]
 
 
 def load_space(path):

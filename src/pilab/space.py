@@ -9,8 +9,10 @@ Dijkstra, run directed on the adjacency (symmetric by construction, so scipy
 builds no transpose per row).  A full row is kept in a least-recently-used
 cache capped in bytes, so memory stays bounded however many rows are read.
 A row asked for only up to a `limit` is cut from a cached full row, or else
-stops its search there and is not cached; readers that sweep many centers
-ask for each row only as far as their balls reach.
+stops its search there and is not cached.  The profile fits and the test
+family's tents and indicators read one stream of rows, `profile_rows`: the
+profile centers in farthest-point order, each row read once, only as far
+as the profile's balls reach.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .errors import DisconnectedGraph, NoBasePoint, NonPositiveLength, NonPositi
 
 # Byte cap of the per-source distance row cache; the least recently used
 # rows are evicted first.  Truncated rows are never cached (they are cut from
-# a cached row when there is one), so the checks hold few rows: hardy plus
-# weighted-sobolev leave the diameter's rows and o's, 4, 7 and 3 full rows
-# (0.14, 1.41 and 0.49 MB), on grid_quadrant(64), sector_union(0.25) and
-# cone_grid(101, 2), and the cap leaves room for reuse across checks.
+# a cached row when there is one), and a check holds one profile row at a
+# time, which its doubling masses, Poincare balls, tents and indicators all
+# read.  So the checks hold few rows: hardy plus weighted-sobolev leave the
+# diameter's rows and o's, 4, 7 and 3 full rows (0.14, 1.41 and 0.49 MB), on
+# grid_quadrant(64), sector_union(0.25) and cone_grid(101, 2), and the cap
+# leaves room for reuse across checks.
 ROW_CACHE_BYTES = 256 * 2**20
 
 # Largest Ahlfors regularity constant C_A that `ahlfors_fit` accepts.
@@ -260,23 +264,44 @@ class AhlforsParams:
 
 
 def default_profile_samples(space):
-    """(centers, radii) product grid for profile estimation.
+    """(count, radii, limit) of the profile grid.
 
-    Every max(1, n // 64)-th vertex is a center (65 on the gallery's
-    benchmark spaces).  Radii run dyadically from 4x the resolution
-    (smaller radii alias the lattice) up to a quarter of the diameter, so
-    the doubled ball stays below diameter/2.
+    `count` centers, taken by `profile_rows`: n / max(1, n // 64) rounded
+    up, 65 on the gallery's benchmark spaces.  Radii run dyadically from 4x
+    the resolution (smaller radii alias the lattice) up to a quarter of the
+    diameter, so the doubled ball stays below diameter/2.  Each center's row
+    is read up to `limit` = 2 max(radii) + the longest edge, as far as the
+    doubled balls and the neighbours of every doubled ball reach.
     """
     diam = space.diameter()
-    if diam <= 0:
-        return [0], [space.resolution]
-    centers = range(0, space.n, max(1, space.n // 64))
     r = 4.0 * space.resolution
     radii = []
     while r <= diam / 4 + 1e-12:
         radii.append(r)
         r *= 2.0
-    return centers, radii or [max(space.resolution, diam / 4)]
+    radii = radii or [max(space.resolution, diam / 4)]
+    longest = float(space.lengths.max()) if len(space.lengths) else 0.0
+    return -(-space.n // max(1, space.n // 64)), radii, 2.0 * radii[-1] + longest
+
+
+def profile_rows(space):
+    """(x, row of x) for each profile center x, every row read once, to the
+    grid's limit.
+
+    The centers come in farthest-point order from vertex 0: each next one
+    is the first vertex farthest from those before, as their rows read it
+    (past the limit a distance counts as inf), so the centers spread over
+    the space within 2x of the best covering radius (T. Gonzalez, Theor.
+    Comput. Sci. 1985).  The order is a running minimum over the rows.
+    """
+    count, _, limit = default_profile_samples(space)
+    near = np.full(space.n, np.inf)
+    x = 0
+    for _ in range(count):
+        d = space.dist_from(x, limit=limit)
+        yield x, d
+        near = np.minimum(near, np.where(d <= limit, d, np.inf))
+        x = int(np.argmax(near))
 
 
 def _row_masses(space, d, radii):
@@ -288,11 +313,10 @@ def _row_masses(space, d, radii):
     return [mB[dB < r].sum() for r in radii]
 
 
-def _ball_masses(space, centers, radii):
-    """m(B_r(x)), one row per center x and one column per increasing
-    positive radius r, each row read only as far as the largest radius."""
-    rows = (space.dist_from(x, limit=radii[-1]) for x in centers)
-    return np.array([_row_masses(space, d, radii) for d in rows])
+def _ball_masses(space, radii):
+    """m(B_r(x)), one row per profile center x and one column per
+    increasing positive radius r."""
+    return np.array([_row_masses(space, d, radii) for _, d in profile_rows(space)])
 
 
 def _doubling(masses):
@@ -306,8 +330,8 @@ def doubling_profile(space):
     """Estimate the doubling constant C_D and dimension Q = log2 C_D over
     `default_profile_samples`, whose radii are all positive: every ball
     holds its center and has positive mass (a single vertex gives C_D = 1)."""
-    centers, radii = default_profile_samples(space)
-    return _doubling(_ball_masses(space, centers, radii + [2 * radii[-1]]))
+    _, radii, _ = default_profile_samples(space)
+    return _doubling(_ball_masses(space, radii + [2 * radii[-1]]))
 
 
 def _radial_masses(space, o):
@@ -347,11 +371,11 @@ def ahlfors_fit(space):
     sample grid is degenerate (fewer than two radii).  Every sample radius
     is positive, so every ball holds its center and has positive mass.
     """
-    centers, radii = default_profile_samples(space)
+    count, radii, _ = default_profile_samples(space)
     if len(radii) < 2:
         raise NotAhlfors("degenerate sample set")
-    rs = radii * len(centers)
-    ms = _ball_masses(space, centers, radii).ravel().tolist()
+    rs = radii * count
+    ms = _ball_masses(space, radii).ravel().tolist()
     Q = float(np.polyfit(np.log(rs), np.log(ms), 1)[0])
     C_A = max(1.0, max(max(m / r**Q, r**Q / m) for r, m in zip(rs, ms)))
     if C_A > AHLFORS_CAP:

@@ -38,13 +38,14 @@ from .space import (
     ahlfors_fit,
     default_profile_samples,
     doubling_profile,  # noqa: F401  (re-exported: perfbench's tracer wraps it here)
+    profile_rows,
 )
 from .weights import weight_density
 
 REL_TOL = 1e-6
 # Relative slack of the sweep's bounds: sums of n < 2^31 terms >= 0 in two orders
 # differ by < 2^-20; it also absorbs the few ulps per term of the floor's reordered
-# product m / d^s |df|^s and the rounding of the rows that a tent bound compares
+# product m / d^s |df|^s
 SLACK = 2.0**-16
 
 
@@ -100,49 +101,47 @@ def cheeger_energy(space, f, s):
     return float((lip(space, f) ** s * space.measure).sum())
 
 
-def _energy_floor(space, s, at=None):
+def _first_neighbours(space, s, at):
+    """(x, y, w): the vertices x of the index array `at` that have a
+    neighbour, the first neighbour y of each in space.adjacency, and
+    m(x) / d(x, y)^s."""
+    ptr = space.adjacency.indptr
+    x = at[ptr[at] < ptr[at + 1]]
+    return x, space.adjacency.indices[ptr[x]], space.measure[x] / space.adjacency.data[ptr[x]] ** s
+
+
+def _energy_floor(space, s, at=None, terms=None):
     """f -> a lower bound on the float slope energy sum m lip(f)^s over `at`
     (all vertices when None): it adds m(x) / d(x, y)^s |f(x) - f(y)|^s, y the
     first neighbour of x in space.adjacency, one of the quotients that
-    lip(f)(x) maximizes."""
-    ptr = space.adjacency.indptr
-    x = np.arange(space.n) if at is None else np.asarray(at)
-    x = x[ptr[x] < ptr[x + 1]]
-    y = space.adjacency.indices[ptr[x]]
-    w = space.measure[x] / space.adjacency.data[ptr[x]] ** s
+    lip(f)(x) maximizes.  `terms`, when given, are _first_neighbours at `at`."""
+    x, y, w = terms or _first_neighbours(space, s, np.arange(space.n) if at is None else np.asarray(at))
     every = at is None and len(x) == space.n  # x is 0..n-1
     return lambda f: float(np.abs((f if every else f.take(x)) - f.take(y)) ** s @ w) * (1.0 - SLACK)
 
 
-def _slope_ratio(space, num, s, at=None, scale=1.0, bound=None):
+def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
     """f -> num(f) / (scale ||lip f||_{L^s(at)}), the norm over every vertex
     when `at` is None and in the base measure; 0.0 when the denominator is
-    not positive.  f is anything np.asarray turns into values, such as a
-    Tent; they are read where num reads them, at `at` and at the neighbours
-    of `at`.
+    not positive.  f is read where num reads it, at `at` and at the
+    neighbours of `at`; `terms` are passed to _energy_floor.
 
     This is the sweep's one skip rule: given a `best`, as _verdict passes
-    it, the ratio returns 0.0 as soon as an upper bound shows that it
-    cannot exceed best: first `bound(f)`, which reads no values (inf where
-    it knows none), then num(f) over the energy floor.  It returns 0.0
-    rather than the bound, which a caller that rescales the ratio could
-    round above its best.
+    it, the ratio returns 0.0 when num(f) over the energy floor shows that
+    it cannot exceed best.  It returns 0.0 rather than the bound, which a
+    caller that rescales the ratio could round above its best.
     """
     m = space.measure if at is None else space.measure[at]
     floor = slope = None  # each built when first needed
 
     def ratio(f, best=None):
         nonlocal floor, slope
-        if best is not None:
-            up = bound(f) if bound else math.inf
-            if up > best:
-                f = np.asarray(f, dtype=float)
-                floor = floor or _energy_floor(space, s, at)
-                den = scale * floor(f) ** (1.0 / s)
-                up = num(f) / den if den > 0 else math.inf
-            if up <= best:
-                return 0.0
         f = np.asarray(f, dtype=float)
+        if best is not None:
+            floor = floor or _energy_floor(space, s, at, terms)
+            den = scale * floor(f) ** (1.0 / s)
+            if (num(f) / den if den > 0 else math.inf) <= best:
+                return 0.0
         slope = slope or _slope_on(space, at)
         den = scale * float((slope(f) ** s * m).sum()) ** (1.0 / s)
         return num(f) / den if den > 0 else 0.0
@@ -150,11 +149,12 @@ def _slope_ratio(space, num, s, at=None, scale=1.0, bound=None):
     return ratio
 
 
-def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
+def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0):
     """Report of a check begun at perf_counter() = t0: the largest ratio(f)
     over the (id, f) pairs of the family, witnessed by its id (0 and "" when
-    no ratio is positive), judged against the Constant `const` within
-    relative tolerance `tol`.
+    no ratio is positive), judged against the Constant constant(Q, C_P)
+    within relative tolerance `tol`.  Q and C_P come from one _Profile pass
+    over the space, whose rows a Family's tents and indicators read too.
 
     `ratio(f, best=b)` may return any value <= b once a bound shows the
     ratio is <= b: a ratio counts only when strictly above the best, so
@@ -164,11 +164,16 @@ def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
     flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
     fails too.
     """
+    profile = _Profile(space, s)
+    rows = iter(profile)
     best, witness = 0.0, ""
-    for fid, f in family:
+    for fid, f in family.members(rows) if isinstance(family, Family) else family:
         r = ratio(f, best=best)
         if r > best:
             best, witness = r, fid
+    for _ in rows:  # the rows that no member read
+        pass
+    const = constant(*profile.fits)
     finite = math.isfinite(const.value)
     if not finite:
         flags.append("constant_nonfinite")
@@ -180,7 +185,7 @@ def _verdict(name, s, t, kappa, family, ratio, const, tol, flags, t0):
     )
 
 
-def _oscillation_ratio(space, A, E, R, s, t):
+def _oscillation_ratio(space, A, E, R, s, t, terms=None):
     """f -> ||f - f_A||_{L^t(A)} / (R m(A)^(1/t - 1/s) ||lip f||_{L^s(E)}),
     a _slope_ratio: the mean f_A and both norms use the base measure, and f
     is read only at A, E and the neighbours of E."""
@@ -191,7 +196,7 @@ def _oscillation_ratio(space, A, E, R, s, t):
         fA = float((f[A] * mA).sum() / mass)
         return float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
 
-    return _slope_ratio(space, num, s, E, R * mass ** (1.0 / t - 1.0 / s))
+    return _slope_ratio(space, num, s, E, R * mass ** (1.0 / t - 1.0 / s), terms)
 
 
 # -- test-function families ------------------------------------------------
@@ -200,33 +205,23 @@ def _oscillation_ratio(space, A, E, R, s, t):
 def make_family(space, o, seed, count=200):
     """Deterministic family of (id, values) test functions, as a Family.
 
-    The family is lazy and re-iterable; a tent's values are a Tent, which
-    np.asarray computes.
+    The family is lazy and re-iterable.
     """
     return Family(space, o, seed, count)
 
 
 @dataclass(frozen=True)
-class Tent:
-    """The tent (1 - d(c, .)/w)_+, its row read when np.asarray asks for it."""
-
-    space: FiniteMetricMeasureSpace
-    c: int
-    w: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.maximum(0.0, 1.0 - self.space.dist_from(self.c, limit=self.w) / self.w)
-
-
-@dataclass(frozen=True)
 class Family:
     """Four generators: radial powers d(o,.)^beta near the critical
-    exponents take two fifths; tents, annulus cutoffs at dyadic radii and
+    exponents take two fifths; annulus cutoffs at dyadic radii, tents and
     smoothed ball indicators take a fifth each.
 
-    Each pass reruns the generators from `seed`, so a sweep holds one test
-    function at a time and every pass yields the same (id, values) pairs,
-    the values of a tent as a Tent.
+    The k-th tent and the k-th indicator sit at the (k mod count)-th center
+    of profile_rows, with a width and a radius that `seed` draws from the
+    profile radii, so that each reads its center's row no farther than the
+    profile does.  Each pass reruns the generators from `seed`, so a sweep
+    holds one test function at a time and every pass yields the same
+    (id, values) pairs.
     """
 
     space: FiniteMetricMeasureSpace
@@ -238,6 +233,11 @@ class Family:
         return 5 * max(1, self.count // 5)
 
     def __iter__(self):
+        return self.members(profile_rows(self.space))
+
+    def members(self, rows):
+        """The (id, values) pairs, the tents and indicators read from `rows`,
+        the (x, row) pairs of profile_rows(space) or a pass over the same."""
         space = self.space
         rng = np.random.default_rng(self.seed)
         d = space.dist_from(self.o)
@@ -246,11 +246,6 @@ class Family:
 
         for beta in np.linspace(0.25, 2.5, 2 * per):
             yield f"radial_power[{beta:.4f}]", d**beta
-
-        for _ in range(per):
-            c = int(rng.integers(space.n))
-            width = float(rng.uniform(2 * space.resolution, max(diam / 2, 4 * space.resolution)))
-            yield f"tent[{c},{width:.4f}]", Tent(space, c, width)
 
         dyadic = [space.resolution * 2**j for j in range(int(math.log2(diam / space.resolution)) + 1)]
         for _ in range(per):
@@ -262,13 +257,16 @@ class Family:
                 r, R = dyadic[i], dyadic[j]
             yield f"annulus_cutoff[{r:.4f},{R:.4f}]", np.clip((R - d) / (R - r), 0.0, 1.0)
 
-        for _ in range(per):
-            c = int(rng.integers(space.n))
-            r = float(rng.uniform(space.resolution, max(diam / 2, 2 * space.resolution)))
-            width = float(rng.uniform(space.resolution, max(diam / 4, 2 * space.resolution)))
-            dc = space.dist_from(c, limit=r + width)
-            vals = np.clip((r + width - dc) / width, 0.0, 1.0)
-            yield f"indicator_smooth[{c},{r:.4f},{width:.4f}]", vals
+        count, radii, _ = default_profile_samples(space)
+        # the doubled radius too: 2 max(radii) is still within the row limit
+        widths = [*radii, 2 * radii[-1]]
+        for i, (c, dc) in zip(range(per), rows):
+            for _ in range(i, per, count):
+                w = float(rng.choice(widths))
+                yield f"tent[{c},{w:.4f}]", np.maximum(0.0, 1.0 - dc / w)
+                r, width = (float(v) for v in rng.choice(radii, 2))
+                vals = np.clip((r + width - dc) / width, 0.0, 1.0)
+                yield f"indicator_smooth[{c},{r:.4f},{width:.4f}]", vals
 
 
 # -- measured profile helpers ---------------------------------------------
@@ -276,70 +274,70 @@ class Family:
 
 def measure_poincare(space, s):
     """Empirical weak (s, s) Poincare constant, lam = 2, over every j-th
-    center of default_profile_samples(space), j = max(1, len(centers) //
-    16): 16 to 31 centers once n >= 16 (17 on the gallery's benchmark
-    spaces), all n below.
+    profile center, j = max(1, count // 16): 16 to 31 centers once n >= 16
+    (17 on the gallery's benchmark spaces), all n below.
 
     Maximizes the mean-oscillation to gradient-average ratio over a small
     canonical family; floored at 1.0 so downstream constants stay
     conservative.
     """
-    return max(_sampled_poincare(space, s), 1.0)
+    return _Profile(space, s).run().fits[1]
 
 
-def _profile_grid(space):
-    """(centers, radii, j, limit): default_profile_samples, every j-th center
-    a Poincare center, and each row read to 2 max(radii) + the longest edge,
-    as far as the doubling balls and the neighbours of every 2B reach."""
-    centers, radii = default_profile_samples(space)
-    longest = float(space.lengths.max()) if len(space.lengths) else 0.0
-    return centers, radii, max(1, len(centers) // 16), 2.0 * radii[-1] + longest
+class _Profile:
+    """One pass over profile_rows(space) that fits Q and C_P as every check
+    reads them.  Iterating it yields each center's (x, row) once the row has
+    fed the center's doubling masses and, at every j-th center (as in
+    measure_poincare), its Poincare balls; when the rows run out, `fits` is
+    (doubling_profile(space).Q, measure_poincare(space, s)) bit for bit, and
+    `poincare` the unfloored C_P."""
+
+    def __init__(self, space, s):
+        self.space, self.s = space, s
+
+    def __iter__(self):
+        space = self.space
+        count, radii, _ = default_profile_samples(space)
+        # every vertex has a first neighbour once a ball holds two vertices
+        first = _first_neighbours(space, self.s, np.arange(space.n))[1:]
+        masses, best = [], 0.0
+        for i, (x, d) in enumerate(profile_rows(space)):
+            masses.append(_row_masses(space, d, radii + [2 * radii[-1]]))
+            if i % max(1, count // 16) == 0:
+                best = _poincare_balls(space, self.s, d, radii, best, first)
+            yield x, d
+        self.poincare = best
+        self.fits = (_doubling(np.array(masses)).Q, max(best, 1.0))
+
+    def run(self):
+        for _ in self:
+            pass
+        return self
 
 
-def _sampled_poincare(space, s):
-    """The unfloored maximum of measure_poincare."""
-    centers, radii, j, limit = _profile_grid(space)
-    best = 0.0
-    for x in centers[::j]:
-        best = _poincare_balls(space, s, space.dist_from(x, limit=limit), radii, best)
-    return best
-
-
-def _poincare_balls(space, s, dx, radii, best):
+def _poincare_balls(space, s, dx, radii, best, first):
     """The larger of `best` and the ratios on the balls B = B_r(x), r in
     radii, read from the row dx of x: the oscillation ratio on (B, 2B) times
     (m(2B)/m(B))^(1/s), which turns both norms into averages, swept over
     the row d(x, .), the tent 1 - d(x, .)/r and, when the space has
     coordinates, their sum x + y.  As in _verdict, a candidate is finished
     only when its bound can beat the best so far, and only a larger ratio
-    counts, so NaN never does."""
+    counts, so NaN never does.  The energy floor of each 2B gathers its
+    terms from `first`, the (y, w) of _first_neighbours at every vertex."""
     coord_sum = [] if space.coords is None else [space.coords[:, 0] + space.coords[:, 1]]
+    y, w = first
     for r in radii:
         B = np.flatnonzero(dx < r)
         if len(B) < 2:
             continue
         B2 = np.flatnonzero(dx < 2.0 * r)
         scale = float(space.measure[B2].sum() / space.measure[B].sum()) ** (1.0 / s)
-        osc = _oscillation_ratio(space, B, B2, r, s, s)
+        osc = _oscillation_ratio(space, B, B2, r, s, s, (B2, y[B2], w[B2]))
         for f in [dx, np.maximum(0.0, 1.0 - dx / r), *coord_sum]:
             ratio = scale * osc(f, best=best / scale)
             if ratio > best:
                 best = ratio
     return best
-
-
-def _profile(space, s):
-    """(Q, C_P) as every check reads them: doubling_profile(space).Q and
-    measure_poincare(space, s) bit for bit, from one read of each profile
-    center's row for its doubling masses and, at a Poincare center, balls."""
-    centers, radii, j, limit = _profile_grid(space)
-    masses, best = [], 0.0
-    for i, x in enumerate(centers):
-        d = space.dist_from(x, limit=limit)
-        masses.append(_row_masses(space, d, radii + [2 * radii[-1]]))
-        if i % j == 0:
-            best = _poincare_balls(space, s, d, radii, best)
-    return _doubling(np.array(masses)).Q, max(best, 1.0)
 
 
 def eta_fit(space, o):
@@ -365,12 +363,14 @@ def local_sobolev_check(space, a, R, s, t, family):
     if len(B) < 2:
         raise EmptyPiece("B_R(a) holds fewer than two vertices, on which every oscillation is zero")
     flags = []
-    Q, C_P = _profile(space, s)
-    C_s = local_sobolev_constant(Q, C_P, 2.0, s, flags)
+
+    def constant(Q, C_P):
+        C_s = local_sobolev_constant(Q, C_P, 2.0, s, flags)
+        return Constant(C_P, C_s, 0.0, 0.0, C_s)
+
     ratio = _oscillation_ratio(space, B, B, R, s, t)
     tol = REL_TOL + 3.0 * space.resolution / R
-    const = Constant(C_P, C_s, 0.0, 0.0, C_s)
-    return _verdict("local-sobolev", s, t, 0.0, family, ratio, const, tol, flags, t0)
+    return _verdict("local-sobolev", space, s, t, 0.0, family, ratio, constant, tol, flags, t0)
 
 
 def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poincare"):
@@ -394,18 +394,20 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
     fat = np.flatnonzero(space.dist_to_set(A, limit=rho) < rho)
     ratio = _oscillation_ratio(space, A, fat, R, s, t)
     flags = []
-    const = annulus_constant(*_profile(space, s), alpha, delta, s, t, flavor, flags)
+
+    def constant(Q, C_P):
+        return annulus_constant(Q, C_P, alpha, delta, s, t, flavor, flags)
+
     tol = REL_TOL + 3.0 * space.resolution / R
-    return _verdict(f"annulus-{flavor}", s, t, 0.0, family, ratio, const, tol, flags, t0)
+    return _verdict(f"annulus-{flavor}", space, s, t, 0.0, family, ratio, constant, tol, flags, t0)
 
 
 # -- headline weighted checks ---------------------------------------------
 
 
-def _weighted_check(space, o, s, t, family, kappa, weight, name, bound=None, **scale):
+def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
     """Shared pipeline: decompose, validate, graph constants, sweep.
-    `bound` is the row-free ratio bound of _slope_ratio, and `scale` the
-    local_scale or global_scale of weighted_constant."""
+    `scale` is the local_scale or global_scale of weighted_constant."""
     t0 = time.perf_counter()
     # eta = s is the borderline case, where the fit is s up to rounding
     flags = ["eta_not_above_s"] if eta_fit(space, o) <= s * (1 + REL_TOL) else []
@@ -420,15 +422,14 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, bound=None, **s
     # masses beyond the float range leave the LP nothing to certify
     finite = np.isfinite(graph.vmass).all()
     C_disc = 1.0 / isoperimetric_constant(graph).I if finite else math.inf
-    Q, C_P = _profile(space, s)
-    const = weighted_constant(
-        Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
-    )
 
-    ratio = _slope_ratio(
-        space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s, bound=bound
-    )
-    return _verdict(name, s, t, kappa, family, ratio, const, REL_TOL, flags, t0)
+    def constant(Q, C_P):
+        return weighted_constant(
+            Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
+        )
+
+    ratio = _slope_ratio(space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s)
+    return _verdict(name, space, s, t, kappa, family, ratio, constant, REL_TOL, flags, t0)
 
 
 def weighted_sobolev_check(space, o, s, t, family, kappa=2.0):
@@ -442,30 +443,7 @@ def hardy_check(space, o, s, family, kappa=2.0):
     carries the extra 2^s kappa^(2s) factor of the annulus estimate."""
     w = weight_density(space, o, "mu_s", s=s)
     scale = hardy_factor(s, kappa)
-    return _weighted_check(
-        space, o, s, s, family, kappa, w, "hardy", _tent_bound(space, o), local_scale=scale
-    )
-
-
-def _tent_bound(space, o):
-    """f -> an upper bound on the Hardy ratio of f that reads only the row of
-    o: u / d(o, c) (1 + SLACK) for a Tent (c, w) with d(o, c) > w, u the
-    larger of w and the shortest edge at c other than a self-loop; inf for
-    any other f.  On the tent's support S, lip f >= 1/u (the next vertex
-    on a shortest path to c, or c's shortest edge), so ratio^s <= the
-    largest (u f / d(o, .))^s on S; S = {c} when u > w, and otherwise
-    f <= 1 - |d(o, .) - d(o, c)| / w keeps w f / d(o, .) <= w / d(o, c)."""
-    d = space.dist_from(o)
-    adj = space.adjacency
-
-    def bound(f):
-        if not isinstance(f, Tent) or d[f.c] <= f.w:
-            return math.inf
-        at = slice(adj.indptr[f.c], adj.indptr[f.c + 1])
-        u = max(f.w, adj.data[at][adj.indices[at] != f.c].min())
-        return u / d[f.c] * (1.0 + SLACK)
-
-    return bound
+    return _weighted_check(space, o, s, s, family, kappa, w, "hardy", local_scale=scale)
 
 
 def ahlfors_sobolev_check(space, o, s, t, family, kappa=2.0):

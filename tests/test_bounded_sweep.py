@@ -6,11 +6,10 @@ list, so it shares neither the bounds nor the slope code with the code
 under test.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy.sparse import csgraph
 from test_space import SMALL_GALLERY, SMALL_GALLERY_IDS, connected_graphs
 
 from pilab import verify
@@ -18,7 +17,7 @@ from pilab.cli import _largest_annulus_component
 from pilab.covering import kappa_decomposition
 from pilab.errors import NoBoundary, NotAhlfors
 from pilab.gallery import cone_grid, grid_quadrant, radial_profile
-from pilab.space import FiniteMetricMeasureSpace, ahlfors_fit
+from pilab.space import FiniteMetricMeasureSpace, ahlfors_fit, default_profile_samples, profile_rows
 from pilab.weights import weight_density
 
 
@@ -173,64 +172,37 @@ def test_bounded_sweep_matches_full_sweep_oracle_random(sp, seed):
     assert _mismatches(sp, 0, seed, 40) == []
 
 
-# -- the row-free tent bound of the Hardy sweep ---------------------------------
+# -- the tents and indicators at the profile centers -----------------------------
 
 
-def _shortest_edge(sp, c):
-    """The shortest edge between c and another vertex, from the edge list."""
-    at = (sp.edges == c).any(axis=1) & (sp.edges[:, 0] != sp.edges[:, 1])
-    return float(sp.lengths[at].min())
-
-
-def _tents(sp, o):
-    """Tents (c, w) at every vertex c != o, with widths on both sides of the
-    shortest edge at c and up to d(o, c)."""
-    d = sp.dist_from(o)
-    for c in range(sp.n):
-        if c != o:
-            ell = _shortest_edge(sp, c)
-            near = (ell / 16, ell / 2, ell, 2 * ell)
-            for w in (*near, *(q * d[c] for q in (0.25, 0.5, 0.9, 0.999, 1.0))):
-                yield c, w
-
-
-def _hardy_tent_ratio(sp, o, s, c, w):
-    """The Hardy ratio of the tent (c, w), from a full row of c and lip."""
-    d = sp.dist_from(o)
-    mu = np.where(d > 0, d, np.inf) ** -s * sp.measure
-    f = np.maximum(0.0, 1.0 - sp.dist_from(c) / w)
-    energy = float((verify.lip(sp, f) ** s * sp.measure).sum())
-    return (float((f**s * mu).sum()) / energy) ** (1 / s)
-
-
-def _tent_bound_excess(sp, o):
-    """Tents whose Hardy ratio at s = 1 or 2 exceeds verify's row-free bound."""
-    bound = verify._tent_bound(sp, o)
+def _centered_excess(sp, o=0, seed=1, count=200):
+    """The family's tents and smoothed indicators that are not their ids'
+    functions of the distance to their center, by a dense all-pairs matrix
+    (Floyd-Warshall, not Dijkstra), with widths and radii drawn from the
+    profile radii; or that are nonzero past their center's row limit."""
+    dense = csgraph.shortest_path(sp.adjacency, method="FW", directed=False)
+    _, radii, limit = default_profile_samples(sp)
+    exact = {f"{r:.4f}": r for r in [*radii, 2 * radii[-1]]}
     bad = []
-    for c, w in _tents(sp, o):
-        b = bound(verify.Tent(sp, c, w))
-        bad += [(c, w, s, r, b) for s in (1.0, 2.0) if (r := _hardy_tent_ratio(sp, o, s, c, w)) > b]
-    return bad
-
-
-def _tent_bound_oracle(sp, o=0):
-    """The tents where verify's bound is not max(w, shortest edge at c) /
-    d(o, c) (1 + SLACK) for d(o, c) > w and inf otherwise, and those whose
-    ratio exceeds it."""
-    bound = verify._tent_bound(sp, o)
-    d = sp.dist_from(o)
-    bad = _tent_bound_excess(sp, o)
-    for c, w in _tents(sp, o):
-        want = max(w, _shortest_edge(sp, c)) / d[c] * (1 + verify.SLACK) if d[c] > w else math.inf
-        if (got := bound(verify.Tent(sp, c, w))) != want:
-            bad.append((c, w, got, want))
+    for fid, f in verify.make_family(sp, o, seed, count):
+        kind, _, args = fid[:-1].partition("[")
+        if kind not in ("tent", "indicator_smooth"):
+            continue
+        c, *widths = args.split(",")
+        d = dense[int(c)]
+        if kind == "tent":
+            want = np.maximum(0.0, 1.0 - d / exact[widths[0]])
+        else:
+            r, w = exact[widths[0]], exact[widths[1]]
+            want = np.clip((r + w - d) / w, 0.0, 1.0)
+        if not np.allclose(f, want, rtol=0, atol=1e-9) or f[d > limit].any():
+            bad.append(fid)
     return bad
 
 
 def _heavy_looped_end():
     """A path 0 - 1 - 2 whose end 2 carries most of the mass and a self-loop
-    shorter than its edge, so that a narrow tent at 2 has a Hardy ratio near
-    (edge at 2) / d(0, 2), and the loop must not count as that edge."""
+    shorter than its edge."""
     return FiniteMetricMeasureSpace(3, [(0, 1), (1, 2), (2, 2)], [1.0, 1.0, 0.1], [1.0, 1.0, 1e6])
 
 
@@ -238,21 +210,24 @@ def _heavy_looped_end():
     "make", [*SMALL_GALLERY, _heavy_looped_end], ids=[*SMALL_GALLERY_IDS, "heavy_looped_end"]
 )
 def test_tent_bound_holds_gallery(make):
-    assert _tent_bound_oracle(make()) == []
+    # the row limit bounds every tent's and indicator's support
+    assert _centered_excess(make()) == []
 
 
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs())
 def test_tent_bound_holds_random(sp):
-    assert _tent_bound_oracle(sp) == []
+    assert _centered_excess(sp) == []
 
 
 def test_tent_bound_is_not_for_other_members():
+    # the radial powers read o's full row, past the row limit
     sp = grid_quadrant(8)
-    bound = verify._tent_bound(sp, 0)
-    tent = verify.Tent(sp, 40, 2.0)
-    assert bound(tent) < math.inf
-    assert bound(np.asarray(tent, dtype=float)) == math.inf
+    _, _, limit = default_profile_samples(sp)
+    far = sp.dist_from(0) > limit
+    powers = [f for fid, f in verify.make_family(sp, 0, 1, 200) if fid.startswith("radial_power")]
+    assert far.any() and len(powers) == 80
+    assert all((f[far] > 0).all() for f in powers)
 
 
 def _scaled_floor(factor):
@@ -260,31 +235,17 @@ def _scaled_floor(factor):
     return lambda *args, **kw: (lambda g: lambda f: factor * g(f))(floor(*args, **kw))
 
 
-def _tent_bound_mutant(u_over_d):
-    """verify._tent_bound with u / d(o, c) replaced by u_over_d(space, tent, d(o, c))."""
-
-    def tent_bound(space, o):
-        d = space.dist_from(o)
-
-        def bound(f):
-            if not isinstance(f, verify.Tent) or d[f.c] <= f.w:
-                return math.inf
-            return u_over_d(space, f, d[f.c]) * (1 + verify.SLACK)
-
-        return bound
-
-    return tent_bound
+def _short_rows(space):
+    """verify.profile_rows with every row cut at the largest profile radius,
+    short of the doubled balls and of the widest tents."""
+    _, radii, _ = default_profile_samples(space)
+    for x, d in profile_rows(space):
+        yield x, np.where(d <= radii[-1], d, np.inf)
 
 
 MUTANTS = {
     "slope_bound_x4": ("_energy_floor", _scaled_floor(4.0)),
-    # d(o, .) on the support's far side, not its near side
-    "tent_bound_far_side": (
-        "_tent_bound",
-        _tent_bound_mutant(lambda sp, f, dc: max(f.w, _shortest_edge(sp, f.c)) / (dc + f.w)),
-    ),
-    # w / d(o, c) even when every edge at c is longer than w
-    "tent_bound_long_edge": ("_tent_bound", _tent_bound_mutant(lambda sp, f, dc: f.w / dc)),
+    "row_limit_short": ("profile_rows", _short_rows),
 }
 
 
@@ -293,5 +254,5 @@ def test_oracle_catches_a_bound_too_small(monkeypatch, name, mutant):
     monkeypatch.setattr(verify, name, mutant)
     found = []
     for make in GALLERY.values():
-        found += _mismatches(make(), 0, 1, 200) + _tent_bound_excess(make(), 0)
+        found += _mismatches(make(), 0, 1, 200) + _centered_excess(make(), 0)
     assert found

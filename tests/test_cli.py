@@ -361,14 +361,14 @@ def test_verify_profiles_once_per_call(tmp_path, monkeypatch, kappa):
         return wrapper
 
     # one pass reads both fits; the standalone readers are not called
-    for name in ("_profile", "doubling_profile", "measure_poincare"):
+    for name in ("_Profile", "doubling_profile", "measure_poincare"):
         monkeypatch.setattr(verify, name, counted(name))
     for ineq in _INEQS:
         calls.clear()
         assert run(
             "verify", "--space", str(space), "--ineq", ineq, "--kappa", kappa, "--count", "30"
         ) in (0, 2)
-        assert calls == ["_profile"], ineq
+        assert calls == ["_Profile"], ineq
 
 
 @pytest.mark.parametrize(
@@ -457,20 +457,20 @@ _HEADER = (
     "ineq, extra, row",
     [
         ("hardy", [],
-         "hardy,1,1,2,6,8,1.82754093436e+35,2.47626132264,11.1281324608,1.56509858722e+39,"
-         '"indicator_smooth[110,15.6469,6.4298]",True,,0'),
+         "hardy,1,1,2,6,8,1.82754093436e+35,2.47626132264,3.13900683264,1.56509858722e+39,"
+         "radial_power[0.2500],True,,0"),
         ("weighted-sobolev", ["--s", "1", "--t", "2"],
-         "weighted-sobolev,1,2,2,6,8,1.39108303696e+33,22.271101279,5.24547478525,"
-         '5.3535084981e+37,"indicator_smooth[110,15.6469,6.4298]",True,,0'),
+         "weighted-sobolev,1,2,2,6,8,1.39108303696e+33,22.271101279,1.65938764864,"
+         "5.3535084981e+37,radial_power[0.2500],True,,0"),
         ("annulus", [],
-         "annulus-poincare,1,1,0,7410.21927634,539.359259255,1,641438389.908,0.675261139095,"
-         '2.81550473068e+23,"indicator_smooth[187,7.4545,7.7624]",True,,0'),
+         "annulus-poincare,1,1,0,7410.21927634,539.359259255,1,641438389.908,0.680473372781,"
+         '2.81550473068e+23,"indicator_smooth[9,4.0000,8.0000]",True,,0'),
         ("local-sobolev", [],
-         "local-sobolev,1,1,0,0,0,1,73591682.1768,0.38392630556,73591682.1768,"
-         '"indicator_smooth[187,7.4545,7.7624]",True,,0'),
+         "local-sobolev,1,1,0,0,0,1,73591682.1768,0.385416666667,73591682.1768,"
+         '"indicator_smooth[136,4.0000,4.0000]",True,,0'),
         ("ahlfors", ["--s", "1", "--t", "1"],
-         "ahlfors-sobolev,1,1,2,6,8,1.82754093436e+35,2.47626132264,11.1281324608,"
-         '1.56509858722e+39,"indicator_smooth[110,15.6469,6.4298]",True,,0'),
+         "ahlfors-sobolev,1,1,2,6,8,1.82754093436e+35,2.47626132264,3.13900683264,"
+         "1.56509858722e+39,radial_power[0.2500],True,,0"),
     ],
 )
 def test_verify_report_bytes_are_pinned(tmp_path, ineq, extra, row):
@@ -484,14 +484,14 @@ def test_verify_report_bytes_are_pinned(tmp_path, ineq, extra, row):
     "gen, extra, code, row",
     [
         (["radial_profile", "64", "1"], ["--ineq", "hardy", "--s", "2"], 0,
-         "hardy,2,2,2,5,10.0327677664,2.66116309475e+16,454.271845854,6.67355692413,"
-         '1.21087048789e+21,"annulus_cutoff[1.0000,32.0000]",True,eta_not_above_s;s_not_below_Q,0'),
+         "hardy,2,2,2,5,10.0327677664,2.66116309475e+16,454.271845854,6.63364733186,"
+         '1.21087048789e+21,"annulus_cutoff[2.0000,32.0000]",True,eta_not_above_s;s_not_below_Q,0'),
         (["grid_quadrant", "16", "2"], ["--ineq", "local-sobolev", "--s", "3", "--t", "3"], 0,
-         "local-sobolev,3,3,0,0,0,1,92.345408,0.430962251093,92.345408,"
-         '"tent[24,13.0194]",True,s_not_below_Q,0'),
+         "local-sobolev,3,3,0,0,0,1,92.345408,0.43088768758,92.345408,"
+         '"tent[13,16.0000]",True,s_not_below_Q,0'),
         (["radial_profile", "256", "12"], ["--ineq", "weighted-sobolev", "--s", "1", "--t", "2"], 2,
-         "weighted-sobolev,1,2,2,7,40821354.7077,inf,36142.5510773,821133956.565,inf,"
-         '"indicator_smooth[162,126.8570,20.8255]",False,constant_nonfinite,0'),
+         "weighted-sobolev,1,2,2,7,40821354.7077,inf,36142.5510773,2.70015267604,inf,"
+         "radial_power[0.2500],False,constant_nonfinite,0"),
     ],
 )
 def test_verify_flagged_report_bytes_are_pinned(tmp_path, gen, extra, code, row):

@@ -589,6 +589,31 @@ def test_saved_benchmark_spaces_are_byte_identical(tmp_path, make, args, digest)
     assert hashlib.sha256(saved_bytes(make(*args), tmp_path)).hexdigest() == digest
 
 
+def _mixed_floats_space(coords):
+    """A path whose lengths and masses repeat 0.25 and add distinct values,
+    in exponent form and subnormal among them; coordinates with both signed
+    zeros, when `coords`."""
+    special = [0.1, 1 / 3, 1e-7, 1.5e22, 3e-310, 2.0**60, 123456.789, 1e16]
+    lengths = np.array([0.25] * 40 + special + [0.25] * 11)
+    n = len(lengths) + 1
+    k = np.arange(n - 1)
+    masses = np.resize([0.25, 7.0, 0.25, 1e-300, 2.5e-5], n)
+    xy = None
+    if coords:
+        xy = np.column_stack((np.resize([0.0, -0.0, 1e-20, -3.5], n), np.cumsum(np.r_[0.0, lengths])))
+    return build_space(n, zip(k, k + 1, lengths), masses, xy)
+
+
+@pytest.mark.parametrize("coords", [True, False], ids=["coords", "no_coords"])
+def test_save_space_writes_the_text_of_json_dumps(tmp_path, coords):
+    # each distinct float is encoded once and its text reused
+    for sp in (_mixed_floats_space(coords), build_space(1, [], np.array([0.25]))):
+        doc = gallery.space_document(sp)
+        if sp.coords is not None:
+            doc["coords"] = sp.coords.tolist()
+        assert saved_bytes(sp, tmp_path).decode() == json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -29,9 +29,10 @@ from pilab.space import (
     build_space,
     default_profile_samples,
     doubling_profile,
+    profile_rows,
     reverse_doubling_fit,
 )
-from pilab.verify import _sampled_poincare, _slope_on, eta_fit, lip, make_family
+from pilab.verify import _slope_on, eta_fit, lip, make_family
 
 
 def test_single_vertex_space():
@@ -372,11 +373,21 @@ def _dense(sp):
     return csgraph.shortest_path(_reference_graph(sp), method="D", directed=False)
 
 
+def _sampled_poincare(sp, s):
+    """The unfloored maximum of measure_poincare."""
+    return verify._Profile(sp, s).run().poincare
+
+
+def _centers(sp):
+    """(centers, radii) of the profile grid."""
+    return [x for x, _ in profile_rows(sp)], default_profile_samples(sp)[1]
+
+
 def _dense_doubling(sp):
     """C_D over the default samples from a dense all-pairs matrix."""
     dense = _dense(sp)
     best = 1.0
-    centers, radii = default_profile_samples(sp)
+    centers, radii = _centers(sp)
     for x in centers:
         for r in radii:
             best = max(best, sp.measure[dense[x] < 2 * r].sum() / sp.measure[dense[x] < r].sum())
@@ -410,7 +421,7 @@ def test_doubling_matches_dense_brute_force(make):
 def _poincare_samples(sp):
     """The Poincare estimate's grid: every j-th center of the default
     profile grid, j = max(1, len(centers) // 16), at the same radii."""
-    centers, radii = default_profile_samples(sp)
+    centers, radii = _centers(sp)
     return centers[:: max(1, len(centers) // 16)], radii
 
 
@@ -448,31 +459,66 @@ def _dense_poincare(sp, s):
 @pytest.mark.parametrize("s", [1.0, 2.0])
 @pytest.mark.parametrize("make", SMALL_GALLERY, ids=SMALL_GALLERY_IDS)
 def test_profile_pass_equals_the_standalone_fits(make, s, monkeypatch):
-    """The checks' one profile pass gives doubling_profile's Q and
-    measure_poincare's C_P bit for bit, and its Poincare balls see the same
-    rows and running bests, which the floor of 1.0 on C_P would hide."""
-    calls = []
-    balls = verify._poincare_balls
+    """The profile pass that a check runs under its sweep gives
+    doubling_profile's Q and measure_poincare's C_P bit for bit, and its
+    Poincare balls see the same rows and running bests, which the floor of
+    1.0 on C_P would hide."""
+    calls, passes = [], []
+    balls, profile = verify._poincare_balls, verify._Profile
 
-    def recording(space, s, dx, radii, best):
-        out = balls(space, s, dx, radii, best)
+    def recording(space, s, dx, radii, best, first):
+        out = balls(space, s, dx, radii, best, first)
         calls.append((dx.tobytes(), radii, best, out))
         return out
 
+    def kept(space, s):
+        passes.append(profile(space, s))
+        return passes[-1]
+
     monkeypatch.setattr(verify, "_poincare_balls", recording)
+    monkeypatch.setattr(verify, "_Profile", kept)
     sp = make()
-    Q, C_P = verify._profile(sp, s)
+    verify.local_sobolev_check(sp, 0, sp.diameter() / 2, s, s, make_family(sp, 0, 1, 40))
     in_pass = calls[:]
     calls.clear()
-    assert (Q, C_P) == (doubling_profile(sp).Q, verify.measure_poincare(sp, s))
+    assert passes[0].fits == (doubling_profile(sp).Q, verify.measure_poincare(sp, s))
     assert in_pass == calls
+
+
+def _assert_farthest_point_order(sp):
+    """Each profile center after the first is a vertex farthest from the
+    centers before it, by a dense all-pairs matrix cut at the row limit."""
+    dense = _dense(sp)
+    count, _, limit = default_profile_samples(sp)
+    centers, _ = _centers(sp)
+    assert centers[0] == 0
+    assert len(centers) == len(set(centers)) == min(count, sp.n)
+    for k in range(1, len(centers)):
+        near = dense[centers[:k]].min(axis=0)
+        near[near > limit] = np.inf
+        assert near[centers[k]] >= near.max() * (1 - 1e-12), (k, centers[k])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*SMALL_GALLERY, lambda: grid_quadrant(16), lambda: sector_union(1.0, r_max=12.0)],
+    ids=[*SMALL_GALLERY_IDS, "grid_quadrant_16", "sector_union_1_12"],
+)
+def test_profile_centers_are_farthest_points_gallery(make):
+    _assert_farthest_point_order(make())
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=150))
+def test_profile_centers_are_farthest_points_random(sp):
+    _assert_farthest_point_order(sp)
 
 
 def _dense_ahlfors(sp):
     """(Q, C_A) of the log-log fit over the default grid, or the NotAhlfors
     message."""
     dense = _dense(sp)
-    centers, radii = default_profile_samples(sp)
+    centers, radii = _centers(sp)
     if len(radii) < 2:
         return "degenerate sample set"
     r = np.array([r for _ in centers for r in radii])

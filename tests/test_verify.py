@@ -23,7 +23,7 @@ from pilab.gallery import (
     sector_union,
     sector_union_origin,
 )
-from pilab.space import FiniteMetricMeasureSpace, default_profile_samples
+from pilab.space import default_profile_samples
 from pilab.verify import (
     ahlfors_sobolev_check,
     annulus_piece_check,
@@ -199,61 +199,60 @@ def test_bounded_sweep_finishes_few_members(monkeypatch):
 
 
 def test_profile_searches_each_center_once(monkeypatch):
-    # one row per profile center feeds the doubling masses and, at every
-    # Poincare center, its balls; a center whose full row is cached (0,
-    # the base point, and the diameter's rows, read here first) takes none
+    # one row per profile center feeds the doubling masses, at every
+    # Poincare center its balls, and the family's tents and indicators at
+    # it; a center whose full row is cached (0, the base point, and the
+    # diameter's rows, read here first) takes none, and the sweep reads no
+    # other row while the pass runs
     sp = grid_quadrant(32)
     sp.diameter()
-    searches, profiled = [], []
-    dijkstra, profile = csgraph.dijkstra, verify._profile
+    searches, passes = [], []
+    dijkstra, rows = csgraph.dijkstra, verify.profile_rows
 
     def counting_dijkstra(*args, **kwargs):
         searches.append(int(kwargs["indices"]))
         return dijkstra(*args, **kwargs)
 
-    def counting_profile(space, s):
+    def counting_rows(space):
         cached = set(space._dist_cache)
         searches.clear()
-        out = profile(space, s)
-        profiled.append((cached, list(searches)))
-        return out
+        centers = []
+        for x, d in rows(space):
+            centers.append(x)
+            yield x, d
+        passes.append((cached, centers, list(searches)))
 
     monkeypatch.setattr(csgraph, "dijkstra", counting_dijkstra)
-    monkeypatch.setattr(verify, "_profile", counting_profile)
+    monkeypatch.setattr(verify, "profile_rows", counting_rows)
     weighted_sobolev_check(sp, 0, 1.0, 2.0, make_family(sp, 0, 1, 200))
-    centers, _ = default_profile_samples(sp)
-    ((cached, rows),) = profiled
-    assert 0 in cached
-    assert rows == [x for x in centers if x not in cached]
+    ((cached, centers, searched),) = passes
+    assert 0 in cached and len(centers) == default_profile_samples(sp)[0]
+    assert searched == [x for x in centers if x not in cached]
 
 
-def test_hardy_reads_no_row_for_a_tent_its_bound_rules_out(monkeypatch):
-    # radial powers come first; a tent (c, w) whose bound w / d(o, c) (every
-    # edge is 1 <= w) is below their best cannot win, so its row is never read
+@pytest.mark.parametrize("check", ["hardy", "weighted-sobolev"])
+def test_family_starts_no_search_of_its_own(monkeypatch, check):
+    # every Dijkstra search of a call is a profile center's row, one of the
+    # diameter's rows or o's row: the 40 tents and 40 indicators read the
+    # rows of the profile centers as the profile pass reads them
+    probe = grid_quadrant(32)
+    probe.diameter()
+    count, _, _ = default_profile_samples(probe)
+    searches = []
+    dijkstra = csgraph.dijkstra
+
+    def counting_dijkstra(*args, **kwargs):
+        searches.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counting_dijkstra)
     sp = grid_quadrant(32)
-    d = sp.dist_from(0)
-    mu = weight_density(sp, 0, "mu_s", s=1.0) * sp.measure
-    members = list(make_family(sp, 0, 1, 200))
-    radial_best = max(
-        float(np.abs(f) @ mu) / float(lip(sp, f) @ sp.measure)
-        for fid, f in members
-        if fid.startswith("radial_power")
-    )
-    tents = [f for _, f in members if isinstance(f, verify.Tent)]
-    ruled_out = {(t.c, t.w) for t in tents if d[t.c] > t.w and t.w / d[t.c] < radial_best * 0.999}
-    assert len(tents) == 40 and 10 <= len(ruled_out) < 40
-    reads = []
-    dist_from = FiniteMetricMeasureSpace.dist_from
-
-    def counting_dist_from(self, x, limit=np.inf):
-        reads.append((x, limit))
-        return dist_from(self, x, limit)
-
-    monkeypatch.setattr(FiniteMetricMeasureSpace, "dist_from", counting_dist_from)
-    rep = hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 200))
-    assert rep.witness == "radial_power[0.2500]"
-    assert not ruled_out & set(reads)
-    assert {(t.c, t.w) for t in tents} & set(reads)
+    fam = make_family(sp, 0, 1, 200)
+    if check == "hardy":
+        hardy_check(sp, 0, 1.0, fam)
+    else:
+        weighted_sobolev_check(sp, 0, 1.0, 2.0, fam)
+    assert len(searches) <= count + len(probe._dist_cache) + 1
 
 
 def test_slope_ratio_returns_zero_for_a_member_it_skips():
