@@ -23,8 +23,6 @@ from .covering import (
     kappa_decomposition,
     expand_covering,
     validate_covering,
-    greedy_net,
-    annulus_piece_covering,
 )
 from .graph_ineq import (
     build_covering_graph,
@@ -33,7 +31,6 @@ from .graph_ineq import (
     graph_profile,
     isoperimetric_constant,
     poincare_constant,
-    neumann_check,
     rca_check,
 )
 from .riesz import ball_chain, riesz_potential, maximal_function, representation_check

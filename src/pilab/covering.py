@@ -1,4 +1,4 @@
-"""Annular decompositions, good coverings, and metric nets.
+"""Annular decompositions and good coverings.
 
 The decomposition splits a space into connected components of dyadic-like
 shells A(o, kappa^(i-1), kappa^i) (half-open, so shells partition the
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix, identity, triu
 
-from .errors import KappaOutOfRange, NotInAnnulus, RhoBelowResolution
+from .errors import KappaOutOfRange
 
 
 @dataclass
@@ -269,64 +269,3 @@ def validate_covering(covering, space, mu=None):
         axioms_pass=axioms_pass,
         uncovered=uncovered,
     )
-
-
-def greedy_net(space, subset, radius):
-    """Greedy farthest-point net of `subset`.
-
-    Points are pairwise at distance >= radius/2 and the (radius/2)-balls
-    around them cover the subset (so radius-balls certainly do); greedy
-    insertion stops when no point is farther than radius/2 from the net.
-    Deterministic: starts at the smallest index, ties break by index.
-    """
-    subset = np.sort(np.asarray(subset, dtype=np.int64))
-    if len(subset) == 0:
-        return []
-    net = [int(subset[0])]
-    dmin = space.dist_from(net[0])[subset].copy()
-    while True:
-        k = int(np.argmax(dmin))
-        if dmin[k] < radius / 2:
-            break
-        v = int(subset[k])
-        net.append(v)
-        dmin = np.minimum(dmin, space.dist_from(v)[subset])
-    return net
-
-
-def _require_in_annulus(space, o, R, alpha, A):
-    """Raise NotInAnnulus unless the vertex set A is non-empty and inside
-    the annulus [R, alpha R) around o."""
-    d = space.dist_from(o)[A]
-    if len(A) == 0 or d.min() < R - 1e-9 or d.max() >= alpha * R:
-        raise NotInAnnulus("A is not inside the annulus [R, alpha R)")
-
-
-def annulus_piece_covering(space, o, R, alpha, delta, A, flavor):
-    """Ball covering of a connected subset A of the annulus A(o, R, alpha R).
-
-    flavor="sobolev": net radius rho/3 with triples (B_rho/3, B_rho, B_rho);
-    flavor="poincare": net radius rho/2 with triples (B_rho/2, B_rho, B_2rho),
-    where rho = delta * R.  The union of U's covers A and every U# stays
-    inside the rho- (resp. 2rho-) fattening of A.
-    """
-    rho = delta * R
-    if rho < space.resolution:
-        raise RhoBelowResolution(f"rho={rho} < resolution={space.resolution}")
-    A = np.sort(np.asarray(A, dtype=np.int64))
-    _require_in_annulus(space, o, R, alpha, A)
-    if flavor == "sobolev":
-        net_r, radii = rho / 3, (rho / 3, rho, rho)
-    elif flavor == "poincare":
-        net_r, radii = rho / 2, (rho / 2, rho, 2 * rho)
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    net = greedy_net(space, A, net_r)
-    triples = []
-    for x in net:
-        row = space.dist_from(x)
-        U = np.flatnonzero(row < radii[0])
-        if len(U) == 0:
-            U = np.array([x], dtype=np.int64)
-        triples.append((U, np.flatnonzero(row < radii[1]), np.flatnonzero(row < radii[2])))
-    return GoodCovering(triples, [0] * len(net), _touching_pairs(space, [U for U, _, _ in triples]))

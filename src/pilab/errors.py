@@ -41,10 +41,6 @@ class KappaOutOfRange(PilabError):
     pass
 
 
-class RhoBelowResolution(PilabError):
-    pass
-
-
 class EmptyPiece(PilabError):
     pass
 

@@ -21,7 +21,6 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from .constants import neumann_constant
 from .errors import NoBoundary, PilabError, ZeroMass
 
 
@@ -56,15 +55,6 @@ class IsoperimetricResult:
     I: float
     witness: frozenset
     exact: bool  # always True; kept for callers that read it
-
-
-@dataclass
-class NeumannResult:
-    lhs: float
-    rhs: float
-    constant: float
-    mean: float
-    passed: bool
 
 
 @dataclass
@@ -234,29 +224,6 @@ def poincare_constant(graph, t, refine_iters=400):
             f[u] = old
         step *= 0.995
     return best
-
-
-def neumann_check(graph, f, s):
-    """Discrete Neumann s-Poincare inequality on the whole graph.
-
-    The mean is taken over the support of f, the convention that makes
-    constant functions trivially pass.  Uniform masses use the sharp
-    counting constant N(N-1)^(s-1); otherwise `neumann_constant` applies,
-    with K = sqrt(max / min) over all vertex and edge masses.
-    """
-    f = np.asarray(f, dtype=float)
-    N = graph.n
-    masses = np.concatenate([graph.vmass, graph.emass])
-    lo, hi = float(masses.min()), float(masses.max())
-    uniform = hi - lo <= 1e-12 * hi
-    const = N * (N - 1) ** (s - 1.0) if uniform else neumann_constant(N, math.sqrt(hi / lo), s)
-    supp = np.abs(f) > 0
-    denom = float(graph.vmass[supp].sum())
-    mean = float((f * graph.vmass).sum() / denom) if denom > 0 else 0.0
-    lhs = float((np.abs(f - mean) ** s * graph.vmass).sum())
-    a, b = graph.edges.T
-    rhs = const * float((graph.emass * np.abs(f[a] - f[b]) ** s).sum())
-    return NeumannResult(lhs, rhs, const, mean, lhs <= rhs * (1 + 1e-9))
 
 
 def rca_check(space, o, kappa, radii=None):

@@ -26,8 +26,8 @@ from .constants import (
     local_sobolev_constant,
     weighted_constant,
 )
-from .covering import _require_in_annulus, expand_covering, kappa_decomposition, validate_covering
-from .errors import EmptyPiece, NotConnected
+from .covering import expand_covering, kappa_decomposition, validate_covering
+from .errors import EmptyPiece, NotConnected, NotInAnnulus
 from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
 from .space import (
@@ -371,6 +371,14 @@ def local_sobolev_check(space, a, R, s, t, family):
     ratio = _oscillation_ratio(space, B, B, R, s, t)
     tol = REL_TOL + 3.0 * space.resolution / R
     return _verdict("local-sobolev", space, s, t, 0.0, family, ratio, constant, tol, flags, t0)
+
+
+def _require_in_annulus(space, o, R, alpha, A):
+    """Raise NotInAnnulus unless the vertex set A is non-empty and inside
+    the annulus [R, alpha R) around o, up to a tolerance relative to R."""
+    d = space.dist_from(o)[A]
+    if len(A) == 0 or d.min() < R * (1 - REL_TOL) or d.max() >= alpha * R:
+        raise NotInAnnulus("A is not inside the annulus [R, alpha R)")
 
 
 def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poincare"):

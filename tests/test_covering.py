@@ -5,18 +5,11 @@ from pilab import covering
 from pilab.constants import layer_bound, theoretical_Q1, theoretical_Q2
 from pilab.covering import (
     GoodCovering,
-    annulus_piece_covering,
     expand_covering,
-    greedy_net,
     kappa_decomposition,
     validate_covering,
 )
-from pilab.errors import (
-    KappaOutOfRange,
-    NoBasePoint,
-    NotInAnnulus,
-    RhoBelowResolution,
-)
+from pilab.errors import KappaOutOfRange, NoBasePoint
 from pilab.gallery import build_space, grid_quadrant, path_space, radial_profile
 
 
@@ -209,63 +202,22 @@ def test_validation_reports_each_failing_axiom(change, failing):
 
 
 def test_annulus_piece_adjacency_matches_pairwise_oracle():
+    # _touching_pairs against a loop over every pair of U sets and every edge
     sp = grid_quadrant(16)
-    d = sp.dist_from(0)
-    A = np.flatnonzero((d >= 4) & (d < 8))
+    cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))
+    sets = [set(int(v) for v in U) for U, _, _ in cov.triples]
     edges = [(int(u), int(v)) for u, v in sp.edges]
-    for flavor in ("sobolev", "poincare"):
-        cov = annulus_piece_covering(sp, 0, 4.0, 2.0, 0.5, A, flavor)
-        sets = [set(int(v) for v in U) for U, _, _ in cov.triples]
-        expected = []
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                joined = any(
-                    (u in sets[i] and v in sets[j]) or (v in sets[i] and u in sets[j])
-                    for u, v in edges
-                )
-                if sets[i] & sets[j] or joined:
-                    expected.append([i, j])
-        assert len(expected) > 0
-        assert cov.adjacency.tolist() == expected
-
-
-def test_greedy_net_separation_and_coverage():
-    sp = path_space(33)
-    net = greedy_net(sp, range(33), 8.0)
-    assert net[0] == 0
-    for i, u in enumerate(net):
-        for v in net[i + 1:]:
-            assert sp.dist(u, v) >= 4.0
-    d = np.min([sp.dist_from(u) for u in net], axis=0)
-    assert d.max() < 4.0
-
-
-def test_annulus_piece_covering_errors():
-    sp = grid_quadrant(16)
-    d = sp.dist_from(0)
-    A = np.flatnonzero((d >= 4) & (d < 8))
-    with pytest.raises(RhoBelowResolution):
-        annulus_piece_covering(sp, 0, 4.0, 2.0, 0.1, A, "sobolev")
-    with pytest.raises(NotInAnnulus):
-        annulus_piece_covering(sp, 0, 4.0, 2.0, 0.5, [0, 1], "sobolev")
-
-
-def test_annulus_piece_covering_covers():
-    sp = grid_quadrant(16)
-    d = sp.dist_from(0)
-    A = np.flatnonzero((d >= 4) & (d < 8))
-    for flavor, reach in (("sobolev", 2.0), ("poincare", 4.0)):
-        cov = annulus_piece_covering(sp, 0, 4.0, 2.0, 0.5, A, flavor)
-        covered = set()
-        for U, _, _ in cov.triples:
-            covered |= set(int(v) for v in U)
-        assert set(int(v) for v in A) <= covered
-        # U# stays inside the fattening of A at the flavor's outer radius
-        fat = set()
-        for x in A:
-            fat |= set(int(v) for v in sp.ball(int(x), reach))
-        for _, _, Usharp in cov.triples:
-            assert set(int(v) for v in Usharp) <= fat
+    expected = []
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            joined = any(
+                (u in sets[i] and v in sets[j]) or (v in sets[i] and u in sets[j])
+                for u, v in edges
+            )
+            if sets[i] & sets[j] or joined:
+                expected.append([i, j])
+    assert len(expected) > 0
+    assert cov.adjacency.tolist() == expected
 
 
 def test_piece_hops_are_computed_once_per_covering(monkeypatch):

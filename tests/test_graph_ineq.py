@@ -7,6 +7,7 @@ import scipy.linalg
 
 from pilab.constants import (
     excess_constant,
+    neumann_constant,
     rca_kappa,
     upgrade_constant,
 )
@@ -20,7 +21,6 @@ from pilab.graph_ineq import (
     dirichlet_incidence,
     graph_profile,
     isoperimetric_constant,
-    neumann_check,
     poincare_constant,
     rca_check,
 )
@@ -106,30 +106,11 @@ def test_interior_cut_off_from_boundary_raises():
         isoperimetric_constant(g)
 
 
-def test_neumann_examples():
-    # P3, f = (1, 0, -1), s = 2: support mean 0, lhs 2, rhs N(N-1) * 2 = 12
-    g = make_graph(3, [(0, 1), (1, 2)])
-    res = neumann_check(g, [1.0, 0.0, -1.0], 2)
-    assert res.lhs == pytest.approx(2.0)
-    assert res.rhs == pytest.approx(12.0)
-    assert res.passed
-    # K2, f = (1, 0), s = 1: support mean 1, lhs 1, rhs 2
-    g2 = make_graph(2, [(0, 1)])
-    res2 = neumann_check(g2, [1.0, 0.0], 1)
-    assert res2.lhs == pytest.approx(1.0)
-    assert res2.rhs == pytest.approx(2.0)
-    # constant f: support mean equals the constant, lhs 0
-    res3 = neumann_check(g, [3.0, 3.0, 3.0], 2)
-    assert res3.lhs == 0.0
-    assert res3.passed
-
-
 def test_neumann_weighted_constant():
-    g = make_graph(2, [(0, 1)], vmass=[1.0, 4.0], emass=[2.0])
-    res = neumann_check(g, [1.0, 0.0], 1)
-    K = 2.0  # masses in [1, 4]: K = sqrt(4 / 1)
-    assert res.constant == pytest.approx(2.0 * 2.0 * K**2)
-    assert res.passed
+    # 2^s N max(N - 1, 1)^(s - 1) K^2
+    assert neumann_constant(2, 2.0, 1) == 16.0
+    assert neumann_constant(1, 1.0, 2) == 4.0  # N - 1 = 0 is floored at 1
+    assert neumann_constant(2, 1e200, 1) == math.inf  # K^2 raises OverflowError
 
 
 def test_graph_profile():

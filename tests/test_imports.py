@@ -1,6 +1,7 @@
 """Every name a pilab module imports is referenced in that module, every
-private helper pilab defines has a caller, and every name the benchmark's
-tracer wraps exists."""
+private helper pilab defines has a caller, every public function and class
+is reached from the package, the demos or the benchmark, and every name the
+benchmark's tracer wraps exists."""
 
 import ast
 import collections
@@ -57,28 +58,34 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def refs(node):
+    """Every name, attribute, imported name and string constant (the name
+    `getattr` would read) under the AST node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
 def uncalled_private_defs(sources):
     """`_name` functions and classes defined in the module texts `sources`
-    that no name, attribute or import in them references outside the
-    definition itself.  Dunder methods are exempt."""
+    that no name, attribute, import or string in them references outside
+    the definition itself.  Dunder methods are exempt."""
     trees = [ast.parse(source) for source in sources]
-
-    def refs(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.alias):
-                yield sub.name
-
     total = collections.Counter(name for tree in trees for name in refs(tree))
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return [
         node.name
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, defs)
+        if isinstance(node, DEFS)
         and node.name.startswith("_")
         and not node.name.endswith("__")
         and total[node.name] == sum(name == node.name for name in refs(node))
@@ -100,6 +107,66 @@ def test_uncalled_private_defs_finds_and_exempts():
 def test_every_private_helper_has_a_caller():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert uncalled_private_defs(sources) == []
+
+
+def unreached_public_defs(modules, readers, kept=()):
+    """Public module-level functions and classes of the module texts
+    `modules` that no reader reaches.
+
+    A name is reached when it is in `kept`, is referenced in a `readers`
+    text or in a top-level statement of a module other than an import, or
+    is referenced in the body of a definition that is itself reached; so a
+    function whose only callers are unreached is unreached too.
+    """
+    bodies = collections.defaultdict(list)
+    todo = list(kept) + [name for source in readers for name in refs(ast.parse(source))]
+    for source in modules:
+        for node in ast.parse(source).body:
+            if isinstance(node, DEFS):
+                bodies[node.name].append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo.extend(refs(node))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(ref for node in bodies.get(name, ()) for ref in refs(node))
+    return [name for name in bodies if not name.startswith("_") and name not in reached]
+
+
+def test_unreached_public_defs_finds_and_exempts():
+    module = (
+        "import os\n"
+        "def kept():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def dead():\n    return chained()\n"
+        "def chained():\n    return dead()\n"
+        "def os_only():\n    return 0\n"
+        "def run():\n    return 2\n"
+        "if __name__ == '__main__':\n    run()\n"
+    )
+    reader = "from module import kept\nkept()\n"
+    assert unreached_public_defs([module], [reader]) == ["dead", "chained", "os_only"]
+    assert unreached_public_defs([module], [], kept=["dead"]) == ["kept", "helper", "os_only"]
+    assert unreached_public_defs([module], ["getattr(module, 'os_only')"]) == [
+        "kept", "helper", "dead", "chained",
+    ]
+
+
+# Library API kept on purpose although only the tests call it, and what it
+# reaches: the energy that `lip` measures, the Hardy–Littlewood maximal
+# function beside the Riesz potential, the equality of two spaces that a
+# save/load round trip keeps, and the paper's RCA scale factor (raising
+# EtaNotAboveP), whose value the acceptance constants pin.
+PUBLIC_API = ["cheeger_energy", "maximal_function", "spaces_equal", "rca_kappa"]
+
+
+def test_every_public_def_is_reached_outside_the_tests():
+    # pilab/__init__.py only re-exports, so it reaches nothing
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    readers = [p.read_text() for d in ("demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    assert unreached_public_defs(modules, readers, kept=PUBLIC_API) == []
 
 
 def test_tracer_targets_resolve():

@@ -15,7 +15,7 @@ from pilab.constants import (
     patching_constant,
     weighted_constant,
 )
-from pilab.errors import EmptyPiece, NotAhlfors
+from pilab.errors import EmptyPiece, NotAhlfors, NotConnected, NotInAnnulus
 from pilab.gallery import (
     grid_quadrant,
     path_space,
@@ -23,7 +23,7 @@ from pilab.gallery import (
     sector_union,
     sector_union_origin,
 )
-from pilab.space import default_profile_samples
+from pilab.space import FiniteMetricMeasureSpace, default_profile_samples
 from pilab.verify import (
     ahlfors_sobolev_check,
     annulus_piece_check,
@@ -321,6 +321,45 @@ def test_annulus_piece_check_poincare():
     assert rep.passed
     rep2 = annulus_piece_check(sp, 0, 6.0, 2.0, 0.5, A, 1.0, 2.0, fam, flavor="sobolev")
     assert rep2.passed
+
+
+def _annulus_piece(sp, A):
+    """annulus_piece_check on A of grid_quadrant(16) around 0 at R = 4, alpha = 2."""
+    return annulus_piece_check(sp, 0, 4.0, 2.0, 0.5, A, 1.0, 1.0, make_family(sp, 0, 1, 20))
+
+
+@pytest.mark.parametrize(
+    "pick, error",
+    [
+        (lambda sp: [], NotInAnnulus),
+        (lambda sp: sp.annulus(0, 3.0, 8.0), NotInAnnulus),  # reaches inside R
+        (lambda sp: sp.annulus(0, 4.0, 8.0)[[0, -1]], NotConnected),  # two vertices 11 apart
+        (lambda sp: sp.annulus(0, 4.0, 8.0)[:1], EmptyPiece),
+    ],
+    ids=["empty", "inside_R", "disconnected", "single_vertex"],
+)
+def test_annulus_piece_check_refusals(pick, error):
+    sp = grid_quadrant(16)
+    with pytest.raises(error):
+        _annulus_piece(sp, pick(sp))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_annulus_piece_tolerance_is_relative_to_R(scale):
+    # the same space and sets with every length and R scaled: [3, 8) reaches
+    # inside R and is refused at both scales, [4, 8) is scored alike
+    sp = grid_quadrant(16)
+    scaled = FiniteMetricMeasureSpace(sp.n, sp.edges, scale * sp.lengths, sp.measure)
+    d = scaled.dist_from(0) / scale
+    fam = make_family(scaled, 0, 1, 20)
+
+    def check(A):
+        return annulus_piece_check(scaled, 0, 4.0 * scale, 2.0, 0.5, A, 1.0, 1.0, fam)
+
+    with pytest.raises(NotInAnnulus):
+        check(np.flatnonzero((d >= 3) & (d < 8)))
+    best = check(np.flatnonzero((d >= 4) & (d < 8))).empirical_best
+    assert best == pytest.approx(_annulus_piece(sp, sp.annulus(0, 4.0, 8.0)).empirical_best, rel=1e-9)
 
 
 def test_ratio_homogeneity():
