@@ -31,6 +31,7 @@ class KappaDecomposition:
     pieces: list
     owner: np.ndarray  # vertex -> index into pieces; -1 for o and truncated
     truncated: np.ndarray  # vertices beyond the last complete level
+    kappa: float
 
 
 @dataclass
@@ -43,7 +44,7 @@ class GoodCovering:
     U*_k contains both U_i and U_j.  Axiom (2) counts the `excluded`
     vertices (o and the truncated tail of a decomposition) as covered.
     `hops` holds the hop distances between pieces in the piece graph,
-    computed from `adjacency` when not given.
+    computed from `adjacency` when not given; `kappa` is the decomposition's.
     """
 
     triples: list  # list of (U, Ustar, Usharp) index arrays
@@ -51,6 +52,7 @@ class GoodCovering:
     adjacency: np.ndarray
     excluded: np.ndarray = ()
     hops: np.ndarray = None
+    kappa: float = None
 
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=np.int64).reshape(-1, 2)
@@ -104,7 +106,7 @@ def kappa_decomposition(space, o, kappa):
     kept = np.flatnonzero(keep)
     owner = np.full(n, -1, dtype=np.int64)
     if len(kept) == 0:
-        return KappaDecomposition([], owner, truncated)
+        return KappaDecomposition([], owner, truncated, kappa)
     levels = np.unique(lev[kept]).tolist()
 
     # Raw pieces are the components of each shell, numbered by (level,
@@ -158,7 +160,7 @@ def kappa_decomposition(space, o, kappa):
     sizes = np.bincount(owner[kept], minlength=len(alive))
     members = np.split(by_owner, np.cumsum(sizes)[:-1])
     pieces = [Piece(level=i, members=m) for i, m in zip(plevel[alive].tolist(), members)]
-    return KappaDecomposition(pieces, owner, truncated)
+    return KappaDecomposition(pieces, owner, truncated, kappa)
 
 
 def _membership(n, sets):
@@ -212,7 +214,7 @@ def expand_covering(space, decomp):
         near = padded[i][decomp.owner]
         triples.append((p.members, np.flatnonzero(near <= 1), np.flatnonzero(near <= 4)))
     levels = [p.level for p in decomp.pieces]
-    return GoodCovering(triples, levels, adj, np.flatnonzero(decomp.owner < 0), hops)
+    return GoodCovering(triples, levels, adj, np.flatnonzero(decomp.owner < 0), hops, decomp.kappa)
 
 
 def validate_covering(covering, space, mu=None):

@@ -69,16 +69,19 @@ def build_covering_graph(space, covering, mu=None):
 
     Vertex mass is the mu-mass (base measure if None) of the piece's U set;
     edge mass is the smaller endpoint mass.  The outermost decomposition
-    level is marked as boundary.
+    level is marked as boundary, so a covering on one level raises NoBoundary.
     """
     if covering.n_pieces == 0:
         raise NoBoundary("the covering has no pieces")
+    levels = list(covering.levels)
+    if min(levels) == max(levels):
+        raise NoBoundary(f"kappa {covering.kappa} puts every covering piece on the boundary "
+                         f"level {levels[0]}, so no piece is interior")
     mu = space.measure if mu is None else mu
     vmass = np.array([mu[U].sum() for U, _, _ in covering.triples])
     if np.any(vmass <= 0):
         raise ZeroMass("a covering piece has zero mu-mass")
     a, b = covering.adjacency.T
-    levels = list(covering.levels)
     return CoveringGraph(
         n=covering.n_pieces,
         edges=covering.adjacency,

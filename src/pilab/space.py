@@ -3,16 +3,17 @@
 A space is a connected edge-weighted graph together with a positive vertex
 measure.  The metric is the shortest-path distance, so every space is
 graph-geodesic by construction; an edge listed twice keeps its shorter
-length.  Queries (balls, annuli, ball masses) are pure and cheap.  Distances
-are never materialized all-pairs: each source's row is computed on demand by
-Dijkstra, run directed on the adjacency (symmetric by construction, so scipy
-builds no transpose per row).  A full row is kept in a least-recently-used
-cache capped in bytes, so memory stays bounded however many rows are read.
-A row asked for only up to a `limit` is cut from a cached full row, or else
-stops its search there and is not cached.  The profile fits and the test
-family's tents and indicators read one stream of rows, `profile_rows`: the
-profile centers in farthest-point order, each row read once, only as far
-as the profile's balls reach.
+length and a self-loop is dropped.  Queries (balls, annuli, ball masses) are
+pure and cheap.  Distances are never materialized all-pairs: each source's
+row is computed on demand, by breadth-first search when every edge has one
+length and by Dijkstra otherwise, run directed on the adjacency (symmetric
+by construction, so scipy builds no transpose per row).  A full row is kept
+in a least-recently-used cache capped in bytes, so memory stays bounded
+however many rows are read.  A row asked for only up to a `limit` is cut
+from a cached full row, or else stops its search there and is not cached.
+The profile fits and the test family's tents and indicators read one stream
+of rows, `profile_rows`: the profile centers in farthest-point order, each
+row read once, only as far as the profile's balls reach.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class FiniteMetricMeasureSpace:
     measure : (n,) float ndarray
     resolution : float
         Length of the shortest edge (1.0 for a single isolated vertex).
+    step : float or None
+        The length of every edge of the adjacency, None if they differ.
     """
 
     def __init__(self, n, edges, lengths, measure, coords=None):
@@ -73,6 +76,8 @@ class FiniteMetricMeasureSpace:
             ncomp, _ = csgraph.connected_components(self.adjacency, connection="strong")
             if ncomp != 1:
                 raise DisconnectedGraph(f"{ncomp} components")
+        data = self.adjacency.data
+        self.step = float(data[0]) if len(data) and (data == data[0]).all() else None
 
         # No dense distance matrix is ever built; perfbench's tracer is the
         # only reader of _dist and counts its bytes when it is set.
@@ -100,14 +105,14 @@ class FiniteMetricMeasureSpace:
     # -- metric queries ----------------------------------------------------
 
     def dist_from(self, x, limit=np.inf):
-        """Distance row from vertex x.
+        """Distance row from vertex x, from `_search`.
 
         With `limit` = inf this is the full row, kept read-only in the LRU
         cache.  A finite `limit` gives a row whose entries with d <= limit
         are bit-identical to the full row (Dijkstra's value at v is the
         minimum over neighbours settled before v, whatever comes after) and
         whose every other entry is inf: cut from the cached full row when
-        there is one, else from one Dijkstra that stops at the limit.
+        there is one, else from one search that stops at the limit.
         Either way the cache is left as it was, so a cached row is always
         complete.  A source outside 0..n-1 raises NoBasePoint.
         """
@@ -117,17 +122,36 @@ class FiniteMetricMeasureSpace:
         if limit != np.inf:
             if row is not None:
                 return np.where(row <= limit, row, np.inf)
-            return csgraph.dijkstra(self.adjacency, directed=True, indices=x, limit=limit)
+            return self._search(x, limit)
         if row is not None:
             self._dist_cache.move_to_end(x)
             return row
-        row = csgraph.dijkstra(self.adjacency, directed=True, indices=x)
+        row = self._search(x, np.inf)
         row.setflags(write=False)
         while self._dist_cache and self._cache_bytes + row.nbytes > ROW_CACHE_BYTES:
             _, old = self._dist_cache.popitem(last=False)
             self._cache_bytes -= old.nbytes
         self._dist_cache[x] = row
         self._cache_bytes += row.nbytes
+        return row
+
+    def _search(self, x, limit):
+        """Dijkstra's row from x, cut at `limit`.  When every edge has one
+        length, the same row bit for bit from one breadth-first search: it
+        lists vertices level by level (the levels up to h + 1 hold 1 + the
+        tree children of those up to h), and level h gets s_h = s_(h-1) +
+        step added in float, as Dijkstra adds it; h * step rounds otherwise.
+        """
+        if self.step is None:
+            return csgraph.dijkstra(self.adjacency, directed=True, indices=x, limit=limit)
+        order, pred = csgraph.breadth_first_order(self.adjacency, x, directed=True, return_predecessors=True)
+        kids = np.cumsum(np.bincount(pred[order[1:]], minlength=self.n)[order])
+        ends, vals = [1], [0.0]
+        while ends[-1] < self.n and (s := vals[-1] + self.step) <= limit:
+            ends.append(int(kids[ends[-1] - 1]) + 1)
+            vals.append(s)
+        row = np.full(self.n, np.inf)
+        row[order[: ends[-1]]] = np.repeat(vals, np.diff(ends, prepend=0))
         return row
 
     def dist_to_set(self, A, limit=np.inf):
@@ -218,7 +242,7 @@ def _shortest_edge_adjacency(n, edges, lengths):
     hi = np.maximum(edges[:, 0], edges[:, 1])
     key = lo * n + hi
     order = np.lexsort((lengths, key))
-    keep = order[np.diff(key[order], prepend=-1) != 0]
+    keep = order[(np.diff(key[order], prepend=-1) != 0) & (lo[order] != hi[order])]
     lo, hi, vals = lo[keep], hi[keep], lengths[keep]
     rows = np.concatenate([lo, hi])
     cols = np.concatenate([hi, lo])

@@ -197,6 +197,9 @@ def test_verify_json_report_is_strict_json_with_nonfinite_constant(tmp_path):
     assert report["theoretical"] == "inf"
 
 
+ONE_LEVEL = "kappa 2.0 puts every covering piece on the boundary level 1, so no piece is interior"
+
+
 @pytest.mark.parametrize(
     "kind, n, ineq, message",
     [
@@ -205,12 +208,15 @@ def test_verify_json_report_is_strict_json_with_nonfinite_constant(tmp_path):
         ("radial_profile", "2", "annulus", "the annulus [4, 8) around 0 is empty"),
         ("cone_grid", "3", "annulus", "the annulus [4, 8) around 0 is empty"),
         ("grid_quadrant", "2", "annulus", "A is a single vertex, on which every oscillation is zero"),
+        ("cone_grid", "2", "hardy", ONE_LEVEL),
+        ("cone_grid", "3", "weighted-sobolev", ONE_LEVEL),
     ],
 )
 def test_verify_degenerate_space_fails_with_pilab_error(tmp_path, capsys, kind, n, ineq, message):
     # radial_profile(2, 1) has no complete kappa-level, cone_grid(3, 2) no
-    # vertex in [R, 2R), and grid_quadrant(2) only vertex 8 there: each must
-    # end in a typed pilab error, exit 1
+    # vertex in [R, 2R), grid_quadrant(2) only vertex 8 there, and the
+    # pieces of cone_grid(2 | 3, 2) all sit on the boundary level at the
+    # default kappa 2: each must end in a typed pilab error, exit 1
     space = tmp_path / "s.json"
     eta = "1" if kind == "radial_profile" else "2"
     run("gen", "--kind", kind, "--n", n, "--eta", eta, "-o", str(space))

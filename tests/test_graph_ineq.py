@@ -168,6 +168,25 @@ def test_rca_check_cycle_fails():
     assert not res.passed
 
 
+ONE_LEVEL = "kappa 2.0 puts every covering piece on the boundary level 1, so no piece is interior"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: grid_quadrant(1), lambda: cone_grid(2, 2.0), lambda: path_space(3), lambda: path_space(4)],
+    ids=["grid_quadrant(1)", "cone_grid(2, 2)", "path_space(3)", "path_space(4)"],
+)
+def test_covering_on_one_level_names_kappa_and_level(make):
+    # every piece sits on the outermost level, the Dirichlet layer, so no
+    # set avoids the boundary; refused before any constant is computed
+    sp = make()
+    cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))
+    assert len(set(cov.levels)) == 1 and cov.kappa == 2.0
+    with pytest.raises(NoBoundary) as err:
+        build_covering_graph(sp, cov)
+    assert str(err.value) == ONE_LEVEL
+
+
 def test_zero_mass_guard():
     sp = grid_quadrant(4)
     cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))

@@ -177,20 +177,37 @@ def test_diameter_exact_gallery(make):
     assert len(sp._dist_cache) == rows
 
 
+# One edge length, as in the rows from breadth-first search: steps whose
+# multiples round (0.1, 1/3, 0.7, 1e-3) and powers of two, which do not.
+STEPS = [0.1, 1 / 3, 0.7, 1e-3, 2.0**-3, 1.0, 2.0**5]
+
+
 @st.composite
-def connected_graphs(draw, max_n=24):
-    """Random connected weighted graph: a random tree plus extra edges."""
+def connected_graphs(draw, max_n=24, one_length=False):
+    """Random connected weighted graph: a random tree plus extra edges.
+
+    With `one_length` every edge has one length from STEPS, and the extra
+    edges may repeat a pair or join a vertex to itself.
+    """
     n = draw(st.integers(2, max_n))
     pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    if one_length:
+        step = draw(st.sampled_from(STEPS))
+        return build_space(n, [(u, v, step) for u, v in sorted(pairs) + extra], np.ones(n))
     pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
     pairs = sorted(pairs)
     lengths = draw(st.lists(st.floats(0.01, 10.0), min_size=len(pairs), max_size=len(pairs)))
     return build_space(n, [(u, v, l) for (u, v), l in zip(pairs, lengths)], np.ones(n))
 
 
+def any_lengths(max_n=24):
+    """connected_graphs with lengths drawn freely or all one length."""
+    return connected_graphs(max_n) | connected_graphs(max_n, one_length=True)
+
+
 @settings(max_examples=200, deadline=None)
-@given(connected_graphs())
+@given(any_lengths())
 def test_diameter_exact_random_graphs(sp):
     dense = csgraph.shortest_path(sp.adjacency, method="D", directed=False)
     diam = sp.diameter()
@@ -289,9 +306,12 @@ def test_space_file_with_repeated_edge_loads_the_same_distances(tmp_path):
 
 
 def _reference_graph(sp):
-    """Undirected graph of sp's edges, built here (the strategy repeats no pair)."""
-    e = sp.edges
-    return csr_matrix((sp.lengths, (e[:, 0], e[:, 1])), shape=(sp.n, sp.n))
+    """Undirected graph of sp's edges, built here.  Only the one-length
+    strategy repeats a pair, so a repeated pair is one edge of that length;
+    a self-loop is on no shortest path and is left out."""
+    pairs = {(min(u, v), max(u, v)): l for (u, v), l in zip(sp.edges.tolist(), sp.lengths) if u != v}
+    (u, v), lengths = zip(*pairs), list(pairs.values())
+    return csr_matrix((lengths, (u, v)), shape=(sp.n, sp.n))
 
 
 def test_truncated_row_limit_is_inclusive():
@@ -300,7 +320,7 @@ def test_truncated_row_limit_is_inclusive():
 
 
 @settings(max_examples=200, deadline=None)
-@given(connected_graphs(), st.data())
+@given(any_lengths(), st.data())
 def test_truncated_row_is_the_full_row_up_to_its_limit(sp, data):
     x = data.draw(st.integers(0, sp.n - 1))
     full = csgraph.dijkstra(_reference_graph(sp), directed=False, indices=x)
@@ -326,11 +346,57 @@ def test_truncated_read_leaves_the_cache_alone():
 
 
 @settings(max_examples=100, deadline=None)
-@given(connected_graphs())
+@given(any_lengths())
 def test_directed_rows_equal_undirected_rows(sp):
     for x in range(sp.n):
         undirected = csgraph.dijkstra(sp.adjacency, directed=False, indices=x)
         assert sp.dist_from(x).tobytes() == undirected.tobytes()
+
+
+def test_rows_of_a_long_path_at_step_tenth_equal_dijkstra():
+    # Dijkstra adds 0.1 once per hop, which h * 0.1 does not round like
+    sp = path_space(3000, step=0.1)
+    assert sp.step == 0.1
+    for x in (0, 1234, 2999):
+        cut = csgraph.dijkstra(sp.adjacency, directed=True, indices=x, limit=150.0)
+        assert sp.dist_from(x, limit=150.0).tobytes() == cut.tobytes()
+        full = csgraph.dijkstra(sp.adjacency, directed=True, indices=x)
+        assert sp.dist_from(x).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edges, step, row0, method",
+    [
+        # 0-1 listed at 3.0 and 1.0 keeps 1.0; the self-loop at 2 is dropped
+        ([(0, 1, 3.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 0.5), (2, 3, 1.0), (3, 0, 1.0)],
+         1.0, [0.0, 1.0, 2.0, 1.0], "breadth_first_order"),
+        ([(0, 1, 3.0), (1, 0, 2.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
+         None, [0.0, 2.0, 2.0, 1.0], "dijkstra"),
+    ],
+    ids=["one-shortest-length", "two-shortest-lengths"],
+)
+def test_row_search_is_chosen_from_the_adjacency(monkeypatch, edges, step, row0, method):
+    sp = build_space(4, edges, np.ones(4))
+    assert sp.step == step
+    rows = [csgraph.dijkstra(sp.adjacency, directed=False, indices=x) for x in range(4)]
+    used = []
+
+    def spy(name):
+        search = getattr(csgraph, name)
+
+        def counted(*args, **kwargs):
+            used.append(name)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, name, counted)
+
+    spy("dijkstra")
+    spy("breadth_first_order")
+    assert sp.dist_from(0).tolist() == row0
+    for x in range(4):
+        assert sp.dist_from(x, limit=1.0).tobytes() == np.where(rows[x] <= 1.0, rows[x], np.inf).tobytes()
+        assert sp.dist_from(x).tobytes() == rows[x].tobytes()
+    assert set(used) == {method}
 
 
 # -- readers of truncated rows -------------------------------------------------

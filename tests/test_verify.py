@@ -17,6 +17,7 @@ from pilab.constants import (
 )
 from pilab.errors import EmptyPiece, NotAhlfors, NotConnected, NotInAnnulus
 from pilab.gallery import (
+    cone_grid,
     grid_quadrant,
     path_space,
     radial_profile,
@@ -198,20 +199,39 @@ def test_bounded_sweep_finishes_few_members(monkeypatch):
     assert 1 <= len(slopes) <= 10
 
 
-def test_profile_searches_each_center_once(monkeypatch):
+# grid_quadrant's edges have one length, so its rows come from breadth-first
+# search; cone_grid's lengths differ, so its rows come from Dijkstra
+SEARCH_SPACES = [lambda: grid_quadrant(32), lambda: cone_grid(20, 2.0)]
+SEARCH_IDS = ["grid_quadrant-bfs", "cone_grid-dijkstra"]
+
+
+def _count_searches(monkeypatch, searches):
+    """Append the source of every row search, by either method, to `searches`."""
+    dijkstra, bfs = csgraph.dijkstra, csgraph.breadth_first_order
+
+    def counting_dijkstra(*args, **kwargs):
+        searches.append(int(kwargs["indices"]))
+        return dijkstra(*args, **kwargs)
+
+    def counting_bfs(graph, start, *args, **kwargs):
+        searches.append(int(start))
+        return bfs(graph, start, *args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counting_dijkstra)
+    monkeypatch.setattr(csgraph, "breadth_first_order", counting_bfs)
+
+
+@pytest.mark.parametrize("make", SEARCH_SPACES, ids=SEARCH_IDS)
+def test_profile_searches_each_center_once(monkeypatch, make):
     # one row per profile center feeds the doubling masses, at every
     # Poincare center its balls, and the family's tents and indicators at
     # it; a center whose full row is cached (0, the base point, and the
     # diameter's rows, read here first) takes none, and the sweep reads no
     # other row while the pass runs
-    sp = grid_quadrant(32)
+    sp = make()
     sp.diameter()
     searches, passes = [], []
-    dijkstra, rows = csgraph.dijkstra, verify.profile_rows
-
-    def counting_dijkstra(*args, **kwargs):
-        searches.append(int(kwargs["indices"]))
-        return dijkstra(*args, **kwargs)
+    rows = verify.profile_rows
 
     def counting_rows(space):
         cached = set(space._dist_cache)
@@ -222,7 +242,7 @@ def test_profile_searches_each_center_once(monkeypatch):
             yield x, d
         passes.append((cached, centers, list(searches)))
 
-    monkeypatch.setattr(csgraph, "dijkstra", counting_dijkstra)
+    _count_searches(monkeypatch, searches)
     monkeypatch.setattr(verify, "profile_rows", counting_rows)
     weighted_sobolev_check(sp, 0, 1.0, 2.0, make_family(sp, 0, 1, 200))
     ((cached, centers, searched),) = passes
@@ -230,23 +250,18 @@ def test_profile_searches_each_center_once(monkeypatch):
     assert searched == [x for x in centers if x not in cached]
 
 
+@pytest.mark.parametrize("make", SEARCH_SPACES, ids=SEARCH_IDS)
 @pytest.mark.parametrize("check", ["hardy", "weighted-sobolev"])
-def test_family_starts_no_search_of_its_own(monkeypatch, check):
-    # every Dijkstra search of a call is a profile center's row, one of the
+def test_family_starts_no_search_of_its_own(monkeypatch, check, make):
+    # every row search of a call is a profile center's row, one of the
     # diameter's rows or o's row: the 40 tents and 40 indicators read the
     # rows of the profile centers as the profile pass reads them
-    probe = grid_quadrant(32)
+    probe = make()
     probe.diameter()
     count, _, _ = default_profile_samples(probe)
     searches = []
-    dijkstra = csgraph.dijkstra
-
-    def counting_dijkstra(*args, **kwargs):
-        searches.append(kwargs["indices"])
-        return dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(csgraph, "dijkstra", counting_dijkstra)
-    sp = grid_quadrant(32)
+    _count_searches(monkeypatch, searches)
+    sp = make()
     fam = make_family(sp, 0, 1, 200)
     if check == "hardy":
         hardy_check(sp, 0, 1.0, fam)
