@@ -7,7 +7,7 @@ ball mass is comparable to r^Q uniformly.
 """
 
 from pilab.gallery import cone_grid, grid_quadrant, radial_profile, sector_union, sector_union_origin
-from pilab.space import ahlfors_fit, doubling_profile, reverse_doubling_fit
+from pilab.verify import Profile, reverse_doubling_fit
 
 
 def main():
@@ -20,13 +20,14 @@ def main():
     spaces.append(("sector_union(0.5)", sec, sector_union_origin(sec)))
 
     for name, sp, o in spaces:
-        prof = doubling_profile(sp)
+        profile = Profile(sp)
+        prof = profile.doubling
         c2 = reverse_doubling_fit(sp, o, 2.0)
         print(f"{name}: {sp.n} vertices, diameter {sp.diameter():.1f}")
         print(f"  doubling C_D = {prof.C_D:.3f}  (Q = {prof.Q:.3f})")
         print(f"  reverse doubling C_o at ratio 2: {c2:.3f}")
         try:
-            ah = ahlfors_fit(sp)
+            ah = profile.ahlfors()
             print(f"  Ahlfors fit: Q = {ah.Q:.3f}, C_A = {ah.C_A:.2f}")
         except Exception as exc:
             print(f"  Ahlfors fit unavailable: {exc}")

@@ -12,7 +12,7 @@ import collections
 from pilab.constants import layer_bound, theoretical_Q1, theoretical_Q2
 from pilab.covering import expand_covering, kappa_decomposition, validate_covering
 from pilab.gallery import grid_quadrant
-from pilab.space import doubling_profile
+from pilab.verify import doubling_profile
 
 
 def main():

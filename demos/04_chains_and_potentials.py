@@ -11,8 +11,7 @@ import numpy as np
 
 from pilab.gallery import path_space
 from pilab.riesz import ball_chain, representation_check, riesz_potential
-from pilab.space import doubling_profile
-from pilab.verify import lip, measure_poincare
+from pilab.verify import Profile, lip
 
 
 def main():
@@ -34,8 +33,7 @@ def main():
 
     f = np.abs(sp.coords[:, 0])
     g = lip(sp, f)
-    Q = doubling_profile(sp).Q
-    C_P = measure_poincare(sp, 1.0)
+    Q, C_P = Profile(sp, 1.0).fits
     sample = [800, 900, 1100, 1300, 1600]
     res = representation_check(sp, a, 1.0, 1.0, 1.0, f, g, sample, C_P=C_P, Q=Q)
     print(f"representation check for f = |x|: max ratio {res.max_ratio:.3f} "

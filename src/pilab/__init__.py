@@ -1,15 +1,7 @@
 """Discrete verification toolkit for weighted Sobolev and Hardy
 inequalities on doubling metric measure graphs."""
 
-from .space import (
-    FiniteMetricMeasureSpace,
-    SpaceProfile,
-    AhlforsParams,
-    build_space,
-    doubling_profile,
-    reverse_doubling_fit,
-    ahlfors_fit,
-)
+from .space import FiniteMetricMeasureSpace, build_space
 from .gallery import GallerySpec, generate, load_space, save_space
 from .constants import (
     layer_bound,
@@ -35,6 +27,12 @@ from .graph_ineq import (
 )
 from .riesz import ball_chain, riesz_potential, maximal_function, representation_check
 from .verify import (
+    SpaceProfile,
+    AhlforsParams,
+    Profile,
+    doubling_profile,
+    reverse_doubling_fit,
+    ahlfors_fit,
     lip,
     cheeger_energy,
     make_family,

@@ -17,7 +17,6 @@ import numpy as np
 from . import covering as cov
 from . import gallery, graph_ineq, verify
 from .errors import NoBasePoint, NotAhlfors, NotInAnnulus, PilabError
-from .space import ahlfors_fit, doubling_profile, reverse_doubling_fit
 
 
 def _checked(convert, ok, requirement):
@@ -97,14 +96,14 @@ def _cmd_gen(args):
 
 def _cmd_profile(args):
     space = _load(args)
-    prof = doubling_profile(space)
-    print(f"C_D {prof.C_D:.6g}")
-    print(f"Q {prof.Q:.6g}")
+    profile = verify.Profile(space)
+    print(f"C_D {profile.doubling.C_D:.6g}")
+    print(f"Q {profile.doubling.Q:.6g}")
     eta = verify.eta_fit(space, args.o)
     print(f"eta {eta:.6g}")
-    print(f"C_o {reverse_doubling_fit(space, args.o, eta):.6g}")
+    print(f"C_o {verify.reverse_doubling_fit(space, args.o, eta):.6g}")
     try:
-        ah = ahlfors_fit(space)
+        ah = profile.ahlfors()
         print(f"ahlfors_Q {ah.Q:.6g}")
         print(f"ahlfors_C_A {ah.C_A:.6g}")
     except NotAhlfors as exc:

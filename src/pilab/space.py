@@ -3,30 +3,30 @@
 A space is a connected edge-weighted graph together with a positive vertex
 measure.  The metric is the shortest-path distance, so every space is
 graph-geodesic by construction; an edge listed twice keeps its shorter
-length and a self-loop is dropped.  Queries (balls, annuli, ball masses) are
-pure and cheap.  Distances are never materialized all-pairs: each source's
-row is computed on demand, by breadth-first search when every edge has one
-length and by Dijkstra otherwise, run directed on the adjacency (symmetric
-by construction, so scipy builds no transpose per row).  A full row is kept
+length, a self-loop is dropped, and the resolution and the profile grid
+read the lengths that remain.  Queries (balls, annuli) are pure and cheap.
+Distances are never materialized all-pairs: each source's row is computed
+on demand, by breadth-first search when every edge has one length and by
+Dijkstra otherwise, run directed on the adjacency (symmetric by
+construction, so scipy builds no transpose per row).  A full row is kept
 in a least-recently-used cache capped in bytes, so memory stays bounded
 however many rows are read.  A row asked for only up to a `limit` is cut
 from a cached full row, or else stops its search there and is not cached.
-The profile fits and the test family's tents and indicators read one stream
-of rows, `profile_rows`: the profile centers in farthest-point order, each
-row read once, only as far as the profile's balls reach.
+The module ends with the profile grid, `default_profile_samples`, and the
+row stream that `pilab.verify.Profile` reads, `profile_rows`: the profile
+centers in farthest-point order, each row read once, only as far as the
+profile's balls reach.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 
-from .errors import DisconnectedGraph, NoBasePoint, NonPositiveLength, NonPositiveMass, NotAhlfors
+from .errors import DisconnectedGraph, NoBasePoint, NonPositiveLength, NonPositiveMass
 
 # Byte cap of the per-source distance row cache; the least recently used
 # rows are evicted first.  Truncated rows are never cached (they are cut from
@@ -37,9 +37,6 @@ from .errors import DisconnectedGraph, NoBasePoint, NonPositiveLength, NonPositi
 # grid_quadrant(64), sector_union(0.25) and cone_grid(101, 2), and the cap
 # leaves room for reuse across checks.
 ROW_CACHE_BYTES = 256 * 2**20
-
-# Largest Ahlfors regularity constant C_A that `ahlfors_fit` accepts.
-AHLFORS_CAP = 100.0
 
 
 class FiniteMetricMeasureSpace:
@@ -56,7 +53,7 @@ class FiniteMetricMeasureSpace:
     lengths : (m,) float ndarray
     measure : (n,) float ndarray
     resolution : float
-        Length of the shortest edge (1.0 for a single isolated vertex).
+        Length of the shortest edge of the adjacency (1.0 when it has none).
     step : float or None
         The length of every edge of the adjacency, None if they differ.
     """
@@ -68,7 +65,6 @@ class FiniteMetricMeasureSpace:
         self.measure = np.asarray(measure, dtype=float).reshape(-1)
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self._validate()
-        self.resolution = float(self.lengths.min()) if len(self.lengths) else 1.0
         self.total_mass = float(self.measure.sum())
         self.adjacency = _shortest_edge_adjacency(self.n, self.edges, self.lengths)
         if self.n > 1:
@@ -77,6 +73,7 @@ class FiniteMetricMeasureSpace:
             if ncomp != 1:
                 raise DisconnectedGraph(f"{ncomp} components")
         data = self.adjacency.data
+        self.resolution = float(data.min()) if len(data) else 1.0
         self.step = float(data[0]) if len(data) and (data == data[0]).all() else None
 
         # No dense distance matrix is ever built; perfbench's tracer is the
@@ -221,11 +218,6 @@ class FiniteMetricMeasureSpace:
         d = self.dist_from(o)
         return np.flatnonzero((d >= r) & (d < R))
 
-    def ball_mass(self, x, r):
-        if r <= 0:
-            return 0.0
-        return float(self.measure[self.dist_from(x) < r].sum())
-
     def induced_components(self, vertices):
         """Connected components of the subgraph induced on `vertices`.
 
@@ -267,26 +259,6 @@ def build_space(vertices, edges, measure, coords=None):
     return FiniteMetricMeasureSpace(vertices, e, lens, measure, coords)
 
 
-@dataclass(frozen=True)
-class SpaceProfile:
-    """Doubling estimate: C_D = sup m(B_2r)/m(B_r) over the sample grid."""
-
-    C_D: float
-    Q: float
-
-    def __post_init__(self):
-        assert self.C_D >= 1.0 and self.Q >= 0.0
-
-
-@dataclass(frozen=True)
-class AhlforsParams:
-    Q: float
-    C_A: float
-
-    def __post_init__(self):
-        assert self.C_A >= 1.0
-
-
 def default_profile_samples(space):
     """(count, radii, limit) of the profile grid.
 
@@ -294,8 +266,9 @@ def default_profile_samples(space):
     up, 65 on the gallery's benchmark spaces.  Radii run dyadically from 4x
     the resolution (smaller radii alias the lattice) up to a quarter of the
     diameter, so the doubled ball stays below diameter/2.  Each center's row
-    is read up to `limit` = 2 max(radii) + the longest edge, as far as the
-    doubled balls and the neighbours of every doubled ball reach.
+    is read up to `limit` = 2 max(radii) + the longest edge of the
+    adjacency, as far as the doubled balls and the neighbours of every
+    doubled ball reach.
     """
     diam = space.diameter()
     r = 4.0 * space.resolution
@@ -304,7 +277,8 @@ def default_profile_samples(space):
         radii.append(r)
         r *= 2.0
     radii = radii or [max(space.resolution, diam / 4)]
-    longest = float(space.lengths.max()) if len(space.lengths) else 0.0
+    data = space.adjacency.data
+    longest = float(data.max()) if len(data) else 0.0
     return -(-space.n // max(1, space.n // 64)), radii, 2.0 * radii[-1] + longest
 
 
@@ -326,82 +300,3 @@ def profile_rows(space):
         yield x, d
         near = np.minimum(near, np.where(d <= limit, d, np.inf))
         x = int(np.argmax(near))
-
-
-def _row_masses(space, d, radii):
-    """m(B_r(x)) at each increasing positive radius r, from the row d of x:
-    each sums the same elements in the same order as measure[d < r].sum(),
-    from the ball of the largest radius, gathered once."""
-    ball = np.flatnonzero(d < radii[-1])
-    dB, mB = d[ball], space.measure[ball]
-    return [mB[dB < r].sum() for r in radii]
-
-
-def _ball_masses(space, radii):
-    """m(B_r(x)), one row per profile center x and one column per
-    increasing positive radius r."""
-    return np.array([_row_masses(space, d, radii) for _, d in profile_rows(space)])
-
-
-def _doubling(masses):
-    """SpaceProfile of a mass matrix whose every radius is twice the one
-    before, so that m(B_2r) is the next column."""
-    best = max(1.0, float((masses[:, 1:] / masses[:, :-1]).max()))
-    return SpaceProfile(best, math.log2(best))
-
-
-def doubling_profile(space):
-    """Estimate the doubling constant C_D and dimension Q = log2 C_D over
-    `default_profile_samples`, whose radii are all positive: every ball
-    holds its center and has positive mass (a single vertex gives C_D = 1)."""
-    _, radii, _ = default_profile_samples(space)
-    return _doubling(_ball_masses(space, radii + [2 * radii[-1]]))
-
-
-def _radial_masses(space, o):
-    """Dyadic radii from the resolution up to the eccentricity of o, and
-    m(B_r(o)) at each."""
-    rmax = space.eccentricity(o)
-    radii = []
-    r = space.resolution
-    while r <= rmax:
-        radii.append(r)
-        r *= 2.0
-    if radii and radii[-1] < rmax:
-        radii.append(rmax)
-    return radii, [space.ball_mass(o, r) for r in radii]
-
-
-def reverse_doubling_fit(space, o, eta):
-    """Largest C_o with m(B_R(o))/m(B_r(o)) >= C_o (R/r)^eta over the
-    increasing radii of `_radial_masses`, each ball holding o.
-
-    Returns the raw infimum, which honestly approaches 0 when reverse
-    doubling with exponent eta fails.
-    """
-    radii, masses = _radial_masses(space, o)
-    best = math.inf
-    for i, (r, mr) in enumerate(zip(radii, masses)):
-        for R, mR in zip(radii[i:], masses[i:]):
-            best = min(best, (mR / mr) * (r / R) ** eta)
-    return best if best < math.inf else 0.0
-
-
-def ahlfors_fit(space):
-    """Least-squares Ahlfors exponent Q and regularity constant C_A over
-    `default_profile_samples`.
-
-    Raises NotAhlfors when the fitted C_A exceeds `AHLFORS_CAP` or the
-    sample grid is degenerate (fewer than two radii).  Every sample radius
-    is positive, so every ball holds its center and has positive mass.
-    """
-    count, radii, _ = default_profile_samples(space)
-    if len(radii) < 2:
-        raise NotAhlfors("degenerate sample set")
-    rs = radii * count
-    ms = _ball_masses(space, radii).ravel().tolist()
-    Q = float(np.polyfit(np.log(rs), np.log(ms), 1)[0])
-    C_A = max(1.0, max(max(m / r**Q, r**Q / m) for r, m in zip(rs, ms)))
-    if C_A > AHLFORS_CAP:
-        raise NotAhlfors(f"C_A={C_A:.3g} exceeds cap {AHLFORS_CAP}")
-    return AhlforsParams(Q=Q, C_A=C_A)

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -27,19 +28,10 @@ from .constants import (
     weighted_constant,
 )
 from .covering import expand_covering, kappa_decomposition, validate_covering
-from .errors import EmptyPiece, NotConnected, NotInAnnulus
+from .errors import EmptyPiece, NotAhlfors, NotConnected, NotInAnnulus
 from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
-from .space import (
-    FiniteMetricMeasureSpace,
-    _doubling,
-    _radial_masses,
-    _row_masses,
-    ahlfors_fit,
-    default_profile_samples,
-    doubling_profile,  # noqa: F401  (re-exported: perfbench's tracer wraps it here)
-    profile_rows,
-)
+from .space import FiniteMetricMeasureSpace, default_profile_samples, profile_rows
 from .weights import weight_density
 
 REL_TOL = 1e-6
@@ -47,6 +39,8 @@ REL_TOL = 1e-6
 # differ by < 2^-20; it also absorbs the few ulps per term of the floor's reordered
 # product m / d^s |df|^s
 SLACK = 2.0**-16
+# Largest Ahlfors regularity constant C_A that `ahlfors_fit` accepts.
+AHLFORS_CAP = 100.0
 
 
 @dataclass
@@ -153,8 +147,9 @@ def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0):
     """Report of a check begun at perf_counter() = t0: the largest ratio(f)
     over the (id, f) pairs of the family, witnessed by its id (0 and "" when
     no ratio is positive), judged against the Constant constant(Q, C_P)
-    within relative tolerance `tol`.  Q and C_P come from one _Profile pass
-    over the space, whose rows a Family's tents and indicators read too.
+    within relative tolerance `tol`.  Q and C_P come from one Profile pass
+    over the space, whose rows the family's tents and indicators read as
+    the pass reads them; reading the fits finishes the pass.
 
     `ratio(f, best=b)` may return any value <= b once a bound shows the
     ratio is <= b: a ratio counts only when strictly above the best, so
@@ -164,15 +159,12 @@ def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0):
     flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
     fails too.
     """
-    profile = _Profile(space, s)
-    rows = iter(profile)
+    profile = Profile(space, s)
     best, witness = 0.0, ""
-    for fid, f in family.members(rows) if isinstance(family, Family) else family:
+    for fid, f in family.members(profile):
         r = ratio(f, best=best)
         if r > best:
             best, witness = r, fid
-    for _ in rows:  # the rows that no member read
-        pass
     const = constant(*profile.fits)
     finite = math.isfinite(const.value)
     if not finite:
@@ -217,10 +209,10 @@ class Family:
     smoothed ball indicators take a fifth each.
 
     The k-th tent and the k-th indicator sit at the (k mod count)-th center
-    of profile_rows, with a width and a radius that `seed` draws from the
-    profile radii, so that each reads its center's row no farther than the
-    profile does.  Each pass reruns the generators from `seed`, so a sweep
-    holds one test function at a time and every pass yields the same
+    of a Profile's pass, with a width and a radius that `seed` draws from
+    the profile radii, so that each reads its center's row no farther than
+    the profile does.  Each pass reruns the generators from `seed`, so a
+    sweep holds one test function at a time and every pass yields the same
     (id, values) pairs.
     """
 
@@ -233,11 +225,11 @@ class Family:
         return 5 * max(1, self.count // 5)
 
     def __iter__(self):
-        return self.members(profile_rows(self.space))
+        return self.members(Profile(self.space))
 
-    def members(self, rows):
-        """The (id, values) pairs, the tents and indicators read from `rows`,
-        the (x, row) pairs of profile_rows(space) or a pass over the same."""
+    def members(self, profile):
+        """The (id, values) pairs, the tents and indicators read from the
+        rows of `profile`, a Profile of the space, as its pass reads them."""
         space = self.space
         rng = np.random.default_rng(self.seed)
         d = space.dist_from(self.o)
@@ -257,11 +249,11 @@ class Family:
                 r, R = dyadic[i], dyadic[j]
             yield f"annulus_cutoff[{r:.4f},{R:.4f}]", np.clip((R - d) / (R - r), 0.0, 1.0)
 
-        count, radii, _ = default_profile_samples(space)
+        radii = profile.radii
         # the doubled radius too: 2 max(radii) is still within the row limit
         widths = [*radii, 2 * radii[-1]]
-        for i, (c, dc) in zip(range(per), rows):
-            for _ in range(i, per, count):
+        for i, (c, dc) in zip(range(per), profile):
+            for _ in range(i, per, profile.count):
                 w = float(rng.choice(widths))
                 yield f"tent[{c},{w:.4f}]", np.maximum(0.0, 1.0 - dc / w)
                 r, width = (float(v) for v in rng.choice(radii, 2))
@@ -269,56 +261,137 @@ class Family:
                 yield f"indicator_smooth[{c},{r:.4f},{width:.4f}]", vals
 
 
-# -- measured profile helpers ---------------------------------------------
+# -- the profile record -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpaceProfile:
+    """Doubling estimate: C_D = sup m(B_2r)/m(B_r) over the sample grid."""
+
+    C_D: float
+    Q: float
+
+    def __post_init__(self):
+        assert self.C_D >= 1.0 and self.Q >= 0.0
+
+
+@dataclass(frozen=True)
+class AhlforsParams:
+    Q: float
+    C_A: float
+
+    def __post_init__(self):
+        assert self.C_A >= 1.0
+
+
+class Profile:
+    """The profile data of a space from one pass over profile_rows(space),
+    the only reader of its rows, on the grid (`count`, `radii`) of
+    default_profile_samples, whose radii are positive: every ball holds its
+    center and has positive mass.  Iterating the record yields each
+    center's (x, row) once the row has fed its line of `masses`, m(B_r(x))
+    at r in radii + [2 max(radii)], and, when `s` is given, at every j-th
+    center, j = max(1, count // 16), its Poincare balls (17 centers on the
+    gallery's benchmark spaces).  Reading a result finishes the pass.
+    """
+
+    def __init__(self, space, s=None):
+        self.space, self.s = space, s
+        self.count, self.radii, _ = default_profile_samples(space)
+        self._lines, self._best = [], 0.0
+        self._rows = self._pass()
+
+    def __iter__(self):
+        return self._rows
+
+    def _pass(self):
+        space, s, radii = self.space, self.s, self.radii
+        grid = radii + [2 * radii[-1]]
+        if s is not None:
+            # every vertex has a first neighbour once a ball holds two vertices
+            first = _first_neighbours(space, s, np.arange(space.n))[1:]
+        for i, (x, d) in enumerate(profile_rows(space)):
+            self._lines.append(_row_masses(space, d, grid))
+            if s is not None and i % max(1, self.count // 16) == 0:
+                self._best = _poincare_balls(space, s, d, radii, self._lines[-1], self._best, first)
+            yield x, d
+
+    def _finish(self):
+        for _ in self._rows:
+            pass
+
+    @cached_property
+    def masses(self):
+        self._finish()
+        return np.array(self._lines)
+
+    @cached_property
+    def doubling(self):
+        """SpaceProfile; m(B_2r) is the next column, each radius twice the last."""
+        masses = self.masses
+        best = max(1.0, float((masses[:, 1:] / masses[:, :-1]).max()))
+        return SpaceProfile(best, math.log2(best))
+
+    @property
+    def poincare(self):
+        """The empirical weak (s, s) Poincare constant at lam = 2, unfloored:
+        the largest ratio of _poincare_balls."""
+        self._finish()
+        return self._best
+
+    @property
+    def fits(self):
+        """(Q, C_P) as the checks read them, C_P floored at 1.0 so that the
+        constants downstream stay conservative."""
+        return self.doubling.Q, max(self.poincare, 1.0)
+
+    def ahlfors(self):
+        """Least-squares Ahlfors exponent Q and regularity constant C_A over
+        the grid, the masses at the doubled radius left out.
+
+        Raises NotAhlfors when the fitted C_A exceeds `AHLFORS_CAP` or the
+        grid is degenerate (fewer than two radii).
+        """
+        if len(self.radii) < 2:
+            raise NotAhlfors("degenerate sample set")
+        rs = self.radii * self.count
+        ms = self.masses[:, :-1].ravel().tolist()
+        Q = float(np.polyfit(np.log(rs), np.log(ms), 1)[0])
+        C_A = max(1.0, max(max(m / r**Q, r**Q / m) for r, m in zip(rs, ms)))
+        if C_A > AHLFORS_CAP:
+            raise NotAhlfors(f"C_A={C_A:.3g} exceeds cap {AHLFORS_CAP}")
+        return AhlforsParams(Q=Q, C_A=C_A)
+
+
+def doubling_profile(space):
+    """C_D and Q = log2 C_D of the Profile (a single vertex gives C_D = 1)."""
+    return Profile(space).doubling
+
+
+def ahlfors_fit(space):
+    """The Profile's Ahlfors fit; raises NotAhlfors."""
+    return Profile(space).ahlfors()
 
 
 def measure_poincare(space, s):
-    """Empirical weak (s, s) Poincare constant, lam = 2, over every j-th
-    profile center, j = max(1, count // 16): 16 to 31 centers once n >= 16
-    (17 on the gallery's benchmark spaces), all n below.
-
-    Maximizes the mean-oscillation to gradient-average ratio over a small
-    canonical family; floored at 1.0 so downstream constants stay
-    conservative.
-    """
-    return _Profile(space, s).run().fits[1]
+    """The Profile's weak (s, s) Poincare constant, floored at 1.0."""
+    return Profile(space, s).fits[1]
 
 
-class _Profile:
-    """One pass over profile_rows(space) that fits Q and C_P as every check
-    reads them.  Iterating it yields each center's (x, row) once the row has
-    fed the center's doubling masses and, at every j-th center (as in
-    measure_poincare), its Poincare balls; when the rows run out, `fits` is
-    (doubling_profile(space).Q, measure_poincare(space, s)) bit for bit, and
-    `poincare` the unfloored C_P."""
-
-    def __init__(self, space, s):
-        self.space, self.s = space, s
-
-    def __iter__(self):
-        space = self.space
-        count, radii, _ = default_profile_samples(space)
-        # every vertex has a first neighbour once a ball holds two vertices
-        first = _first_neighbours(space, self.s, np.arange(space.n))[1:]
-        masses, best = [], 0.0
-        for i, (x, d) in enumerate(profile_rows(space)):
-            masses.append(_row_masses(space, d, radii + [2 * radii[-1]]))
-            if i % max(1, count // 16) == 0:
-                best = _poincare_balls(space, self.s, d, radii, best, first)
-            yield x, d
-        self.poincare = best
-        self.fits = (_doubling(np.array(masses)).Q, max(best, 1.0))
-
-    def run(self):
-        for _ in self:
-            pass
-        return self
+def _row_masses(space, d, radii):
+    """m(B_r(x)) at each increasing positive radius r, from the row d of x:
+    each sums the same elements in the same order as measure[d < r].sum(),
+    from the ball of the largest radius, gathered once."""
+    ball = np.flatnonzero(d < radii[-1])
+    dB, mB = d[ball], space.measure[ball]
+    return [mB[dB < r].sum() for r in radii]
 
 
-def _poincare_balls(space, s, dx, radii, best, first):
+def _poincare_balls(space, s, dx, radii, line, best, first):
     """The larger of `best` and the ratios on the balls B = B_r(x), r in
-    radii, read from the row dx of x: the oscillation ratio on (B, 2B) times
-    (m(2B)/m(B))^(1/s), which turns both norms into averages, swept over
+    radii, read from the row dx of x and its mass line (Profile.masses):
+    the oscillation ratio on (B, 2B) times (m(2B)/m(B))^(1/s), both masses
+    taken from the line, which turns both norms into averages, swept over
     the row d(x, .), the tent 1 - d(x, .)/r and, when the space has
     coordinates, their sum x + y.  As in _verdict, a candidate is finished
     only when its bound can beat the best so far, and only a larger ratio
@@ -326,18 +399,48 @@ def _poincare_balls(space, s, dx, radii, best, first):
     terms from `first`, the (y, w) of _first_neighbours at every vertex."""
     coord_sum = [] if space.coords is None else [space.coords[:, 0] + space.coords[:, 1]]
     y, w = first
-    for r in radii:
+    for r, mB, m2B in zip(radii, line, line[1:]):
         B = np.flatnonzero(dx < r)
         if len(B) < 2:
             continue
         B2 = np.flatnonzero(dx < 2.0 * r)
-        scale = float(space.measure[B2].sum() / space.measure[B].sum()) ** (1.0 / s)
+        scale = float(m2B / mB) ** (1.0 / s)
         osc = _oscillation_ratio(space, B, B2, r, s, s, (B2, y[B2], w[B2]))
         for f in [dx, np.maximum(0.0, 1.0 - dx / r), *coord_sum]:
             ratio = scale * osc(f, best=best / scale)
             if ratio > best:
                 best = ratio
     return best
+
+
+def _radial_masses(space, o):
+    """Dyadic radii from the resolution up to the eccentricity of o, and
+    m(B_r(o)) at each, from o's row read once."""
+    d = space.dist_from(o)
+    rmax = float(d.max())
+    radii = []
+    r = space.resolution
+    while r <= rmax:
+        radii.append(r)
+        r *= 2.0
+    if radii and radii[-1] < rmax:
+        radii.append(rmax)
+    return radii, _row_masses(space, d, radii) if radii else []
+
+
+def reverse_doubling_fit(space, o, eta):
+    """Largest C_o with m(B_R(o))/m(B_r(o)) >= C_o (R/r)^eta over the
+    increasing radii of `_radial_masses`, each ball holding o.
+
+    Returns the raw infimum, which honestly approaches 0 when reverse
+    doubling with exponent eta fails.
+    """
+    radii, masses = _radial_masses(space, o)
+    best = math.inf
+    for i, (r, mr) in enumerate(zip(radii, masses)):
+        for R, mR in zip(radii[i:], masses[i:]):
+            best = min(best, (mR / mr) * (r / R) ** eta)
+    return best if best < math.inf else 0.0
 
 
 def eta_fit(space, o):
@@ -459,7 +562,9 @@ def ahlfors_sobolev_check(space, o, s, t, family, kappa=2.0):
 
     For t = s the weight collapses to the Hardy weight, so the check
     delegates to hardy_check (constants included) and fits no Ahlfors
-    parameters.
+    parameters.  Otherwise the weight needs the Ahlfors exponent before the
+    sweep's first member, and a check holds one profile row at a time, so
+    ahlfors_fit runs a Profile pass of its own before the check's.
     """
     if t == s:
         rep = hardy_check(space, o, s, family, kappa=kappa)

@@ -44,8 +44,8 @@ from pilab.graph_ineq import (
     poincare_constant,
 )
 from pilab.riesz import ball_chain, representation_check
-from pilab.space import doubling_profile
 from pilab.verify import (
+    doubling_profile,
     hardy_check,
     lip,
     local_sobolev_check,
@@ -533,6 +533,19 @@ def _sign_pattern_lp_best(space):
     return best
 
 
+class _WithCuts:
+    """A family followed by the indicator of every nonempty vertex set, read
+    as a check reads a Family: through members(profile)."""
+
+    def __init__(self, family, n):
+        self.family, self.n = family, n
+
+    def members(self, profile):
+        yield from self.family.members(profile)
+        for mask in range(1, 1 << self.n):
+            yield f"cut[{mask}]", ((mask >> np.arange(self.n)) & 1).astype(float)
+
+
 def test_c09_oracle_equivalence_tiny_spaces():
     rng = np.random.default_rng(3)
     tree_edges = [(int(rng.integers(k)), k, float(rng.uniform(0.5, 2.0))) for k in range(1, 12)]
@@ -546,9 +559,7 @@ def test_c09_oracle_equivalence_tiny_spaces():
     for sp in spaces:
         oracle = _sign_pattern_lp_best(sp)
         R = sp.diameter() + 1.0
-        fam = list(make_family(sp, 0, seed=1, count=200))
-        for mask in range(1, 1 << sp.n):
-            fam.append((f"cut[{mask}]", ((mask >> np.arange(sp.n)) & 1).astype(float)))
+        fam = _WithCuts(make_family(sp, 0, seed=1, count=200), sp.n)
         rep = local_sobolev_check(sp, 0, R, 1.0, 1.0, fam)
         emp = rep.empirical_best * R
         rel = abs(emp - oracle) / oracle

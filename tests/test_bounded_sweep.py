@@ -17,7 +17,8 @@ from pilab.cli import _largest_annulus_component
 from pilab.covering import kappa_decomposition
 from pilab.errors import NoBoundary, NotAhlfors
 from pilab.gallery import cone_grid, grid_quadrant, radial_profile
-from pilab.space import FiniteMetricMeasureSpace, ahlfors_fit, default_profile_samples, profile_rows
+from pilab.space import FiniteMetricMeasureSpace, default_profile_samples, profile_rows
+from pilab.verify import ahlfors_fit
 from pilab.weights import weight_density
 
 

@@ -7,7 +7,8 @@ import pytest
 from pilab import gallery, verify
 from pilab.cli import main
 from pilab.gallery import load_space, sector_union_origin
-from pilab.space import FiniteMetricMeasureSpace
+from pilab.space import FiniteMetricMeasureSpace, default_profile_samples
+from test_verify import SEARCH_IDS, SEARCH_SPACES, _count_searches
 
 
 _INEQS = ("hardy", "weighted-sobolev", "annulus", "local-sobolev", "ahlfors")
@@ -27,12 +28,38 @@ def test_gen_requires_out(capsys):
     assert run("gen", "--kind", "grid_quadrant") == 1
 
 
+# `pilab profile` stdout, pinned at the commit before one profile pass fed
+# both fits
+PROFILE_OUTPUT = {
+    ("grid_quadrant", "--n", "16"):
+        "C_D 4.52\nQ 2.17632\neta 1.69157\nC_o 0.6556\nahlfors_Q 1.88695\nahlfors_C_A 2.23353\n",
+    ("cone_grid", "--n", "20", "--eta", "2"):
+        "C_D 4.89474\nQ 2.29123\neta 2.21184\nC_o 0.86583\nahlfors_Q 2.04597\nahlfors_C_A 1.60465\n",
+}
+
+
 def test_profile(tmp_path, capsys):
-    out = tmp_path / "g.json"
-    run("gen", "--kind", "grid_quadrant", "--n", "16", "-o", str(out))
+    for gen, text in PROFILE_OUTPUT.items():
+        out = tmp_path / f"{gen[0]}.json"
+        run("gen", "--kind", *gen, "-o", str(out))
+        capsys.readouterr()
+        assert run("profile", "--space", str(out)) == 0
+        assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("make", SEARCH_SPACES, ids=SEARCH_IDS)
+def test_profile_reads_each_center_row_once(tmp_path, monkeypatch, make):
+    # the doubling and Ahlfors fits share one pass over the profile rows;
+    # besides them, only the diameter's rows and o's full row are searched
+    probe = make()
+    probe.diameter()
+    count, _, _ = default_profile_samples(probe)
+    out = tmp_path / "s.json"
+    gallery.save_space(make(), out)
+    searches = []
+    _count_searches(monkeypatch, searches)
     assert run("profile", "--space", str(out)) == 0
-    text = capsys.readouterr().out
-    assert "C_D" in text and "Q" in text
+    assert len(searches) == len(set(searches)) <= count + len(probe._dist_cache) + 1
 
 
 def test_decompose_rejects_bad_kappa(tmp_path):
@@ -367,14 +394,14 @@ def test_verify_profiles_once_per_call(tmp_path, monkeypatch, kappa):
         return wrapper
 
     # one pass reads both fits; the standalone readers are not called
-    for name in ("_Profile", "doubling_profile", "measure_poincare"):
+    for name in ("Profile", "doubling_profile", "measure_poincare"):
         monkeypatch.setattr(verify, name, counted(name))
     for ineq in _INEQS:
         calls.clear()
         assert run(
             "verify", "--space", str(space), "--ineq", ineq, "--kappa", kappa, "--count", "30"
         ) in (0, 2)
-        assert calls == ["_Profile"], ineq
+        assert calls == ["Profile"], ineq
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,34 @@ def test_every_public_def_is_reached_outside_the_tests():
     assert unreached_public_defs(modules, readers, kept=PUBLIC_API) == []
 
 
+def private_imports(source):
+    """The `_`-prefixed names a module text imports from a sibling module,
+    each as (sibling, name)."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_imports_finds_and_exempts():
+    source = "from . import _mod\nfrom .space import _rows, rows\nfrom numpy import _c\n"
+    assert private_imports(source) == [(None, "_mod"), ("space", "_rows")]
+
+
+# Private names one pilab module imports from another, kept on purpose, by
+# importing module: riesz chains balls with the C1 that constants assembles
+# for the local Sobolev constant.
+PRIVATE_IMPORTS = {"riesz": [("constants", "_chain_C1")]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_import_across_modules(path):
+    assert private_imports(path.read_text()) == PRIVATE_IMPORTS.get(path.stem, [])
+
+
 def test_tracer_targets_resolve():
     # The tracer skips a target it cannot find, and that layer's metric
     # then reads 0: a renamed function must fail here instead.  It counts

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -23,16 +24,17 @@ from pilab.gallery import (
     radial_profile,
     sector_union,
 )
-from pilab.space import (
-    FiniteMetricMeasureSpace,
+from pilab.space import FiniteMetricMeasureSpace, build_space, default_profile_samples, profile_rows
+from pilab.verify import (
+    _slope_on,
     ahlfors_fit,
-    build_space,
-    default_profile_samples,
     doubling_profile,
-    profile_rows,
+    eta_fit,
+    hardy_check,
+    lip,
+    make_family,
     reverse_doubling_fit,
 )
-from pilab.verify import _slope_on, eta_fit, lip, make_family
 
 
 def test_single_vertex_space():
@@ -72,7 +74,7 @@ def test_ball_conventions():
     # balls are open
     assert list(sp.ball(2, 1.0)) == [2]
     assert len(sp.ball(2, 0.0)) == 0
-    assert sp.ball_mass(2, 1.5) == 3.0
+    assert sp.measure[sp.ball(2, 1.5)].sum() == 3.0
 
 
 def test_annulus_half_open():
@@ -128,9 +130,32 @@ def test_ahlfors_fit_grid():
 
 
 def test_ahlfors_cap(monkeypatch):
-    monkeypatch.setattr(space_module, "AHLFORS_CAP", 1.0001)
+    monkeypatch.setattr(verify, "AHLFORS_CAP", 1.0001)
     with pytest.raises(NotAhlfors):
         ahlfors_fit(grid_quadrant(32))
+
+
+def _path_with(extra):
+    """A 100-vertex unit path with the (u, v, length) edges `extra` added."""
+    sp = path_space(100)
+    edges = [*sp.edges.tolist(), *[(u, v) for u, v, _ in extra]]
+    lengths = [*sp.lengths, *[length for _, _, length in extra]]
+    return FiniteMetricMeasureSpace(sp.n, edges, lengths, sp.measure, sp.coords)
+
+
+def test_edges_outside_the_metric_change_no_grid_or_verdict():
+    # a self-loop and a longer parallel edge leave the adjacency as it is,
+    # so they set neither the resolution nor the profile grid's radii and
+    # row limit, and the Hardy verdict stays the plain path's
+    spaces = [_path_with([]), _path_with([(7, 7, 0.001)]), _path_with([(5, 6, 50.0)])]
+    assert [sp.resolution for sp in spaces] == [1.0] * 3
+    grids = [default_profile_samples(sp) for sp in spaces]
+    reports = [
+        dataclasses.replace(hardy_check(sp, 0, 1.0, make_family(sp, 0, 1)), seconds=0.0)
+        for sp in spaces
+    ]
+    assert grids == grids[:1] * 3
+    assert reports == reports[:1] * 3 and reports[0].passed
 
 
 def test_arrays_read_only():
@@ -441,7 +466,7 @@ def _dense(sp):
 
 def _sampled_poincare(sp, s):
     """The unfloored maximum of measure_poincare."""
-    return verify._Profile(sp, s).run().poincare
+    return verify.Profile(sp, s).poincare
 
 
 def _centers(sp):
@@ -530,19 +555,19 @@ def test_profile_pass_equals_the_standalone_fits(make, s, monkeypatch):
     Poincare balls see the same rows and running bests, which the floor of
     1.0 on C_P would hide."""
     calls, passes = [], []
-    balls, profile = verify._poincare_balls, verify._Profile
+    balls, profile = verify._poincare_balls, verify.Profile
 
-    def recording(space, s, dx, radii, best, first):
-        out = balls(space, s, dx, radii, best, first)
-        calls.append((dx.tobytes(), radii, best, out))
+    def recording(space, s, dx, radii, line, best, first):
+        out = balls(space, s, dx, radii, line, best, first)
+        calls.append((dx.tobytes(), radii, line, best, out))
         return out
 
-    def kept(space, s):
+    def kept(space, s=None):
         passes.append(profile(space, s))
         return passes[-1]
 
     monkeypatch.setattr(verify, "_poincare_balls", recording)
-    monkeypatch.setattr(verify, "_Profile", kept)
+    monkeypatch.setattr(verify, "Profile", kept)
     sp = make()
     verify.local_sobolev_check(sp, 0, sp.diameter() / 2, s, s, make_family(sp, 0, 1, 40))
     in_pass = calls[:]
@@ -591,8 +616,8 @@ def _dense_ahlfors(sp):
     mass = np.array([sp.measure[dense[x] < r].sum() for x in centers for r in radii])
     Q = np.polyfit(np.log(r), np.log(mass), 1)[0]
     C_A = max(1.0, np.max(np.maximum(mass / r**Q, r**Q / mass)))
-    if C_A > space_module.AHLFORS_CAP:
-        return f"C_A={C_A:.3g} exceeds cap {space_module.AHLFORS_CAP}"
+    if C_A > verify.AHLFORS_CAP:
+        return f"C_A={C_A:.3g} exceeds cap {verify.AHLFORS_CAP}"
     return Q, C_A
 
 

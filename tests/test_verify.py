@@ -120,7 +120,7 @@ def test_weight_density_collapse_and_values():
     assert w_st[0] == 0.0  # base point excluded
     # direct ball-mass check at distance 8
     w2 = weight_density(sp, 0, "mu_st", s=1.0, t=2.0)
-    assert w2[8] == pytest.approx(sp.ball_mass(0, 8.0) * 8.0**-2)
+    assert w2[8] == pytest.approx(sp.measure[sp.ball(0, 8.0)].sum() * 8.0**-2)
 
 
 def test_weight_density_ahlfors_exponents():
