@@ -8,6 +8,7 @@ I/O or out-of-memory error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import covering as cov
 from . import gallery, graph_ineq, verify
-from .errors import NoBasePoint, NotAhlfors, NotInAnnulus, PilabError
+from .errors import NoBasePoint, NoBoundary, NotAhlfors, NotInAnnulus, PilabError
 
 
 def _checked(convert, ok, requirement):
@@ -52,7 +53,8 @@ def _seed(args):
 
 
 AUTO_KAPPAS = (1.2, 1.5, 2.0, 3.0, 4.0)
-_KAPPA_HELP = ("scale > 1, or 'auto': the smallest of 1.2, 1.5, 2, 3, 4 with relatively connected "
+_AUTO = ", ".join(f"{k:g}" for k in AUTO_KAPPAS)
+_KAPPA_HELP = (f"scale > 1, or 'auto': the smallest of {_AUTO} with relatively connected "
                "annuli at every tested radius and pieces on two levels; else 2, with a warning")
 
 
@@ -60,13 +62,29 @@ def _positive_kappa(text):
     return "auto" if text == "auto" else _kappa(text)
 
 
+def _levels(space, o, kappa):
+    """How many levels the kappa-pieces span; two leave the covering graph an interior."""
+    return len({p.level for p in cov.kappa_decomposition(space, o, kappa).pieces})
+
+
+@contextlib.contextmanager
+def _naming_kappas(space, o, kappa):
+    """End a one-level refusal with the AUTO_KAPPAS at which the pieces span two levels."""
+    try:
+        yield
+    except NoBoundary as exc:
+        if _levels(space, o, kappa) != 1:
+            raise
+        works = ", ".join(f"{k:g}" for k in AUTO_KAPPAS if _levels(space, o, k) > 1)
+        at = works or "none of " + _AUTO
+        raise NoBoundary(f"{exc}; the pieces span two levels at kappa {at}") from exc
+
+
 def _resolve_kappa(args, space, o):
     if args.kappa != "auto":
         return args.kappa
     for kappa in AUTO_KAPPAS:
-        # pieces on two levels leave the covering graph an interior
-        pieces = cov.kappa_decomposition(space, o, kappa).pieces
-        if len({p.level for p in pieces}) > 1 and graph_ineq.rca_check(space, o, kappa).passed:
+        if _levels(space, o, kappa) > 1 and graph_ineq.rca_check(space, o, kappa).passed:
             return kappa
     print("warning: --kappa auto: annuli not relatively connected; using 2", file=sys.stderr)
     return 2.0
@@ -133,7 +151,8 @@ def _cmd_graph(args):
     kappa = _resolve_kappa(args, space, args.o)
     decomp = cov.kappa_decomposition(space, args.o, kappa)
     covering = cov.expand_covering(space, decomp)
-    graph = graph_ineq.build_covering_graph(space, covering)
+    with _naming_kappas(space, args.o, kappa):
+        graph = graph_ineq.build_covering_graph(space, covering)
     iso = graph_ineq.isoperimetric_constant(graph)
     print(f"vertices {graph.n}")
     print(f"edges {len(graph.edges)}")
@@ -165,21 +184,22 @@ def _cmd_verify(args):
     space = _load(args)
     family = verify.make_family(space, args.o, seed, count=args.count)
     kappa = _resolve_kappa(args, space, args.o)
-    if args.ineq == "weighted-sobolev":
-        rep = verify.weighted_sobolev_check(space, args.o, args.s, args.t, family, kappa=kappa)
-    elif args.ineq == "hardy":
-        rep = verify.hardy_check(space, args.o, args.s, family, kappa=kappa)
-    elif args.ineq == "ahlfors":
-        rep = verify.ahlfors_sobolev_check(space, args.o, args.s, args.t, family, kappa=kappa)
-    elif args.ineq == "local-sobolev":
-        R = max(space.diameter() / 4.0, 2 * space.resolution)
-        rep = verify.local_sobolev_check(space, args.o, R, args.s, args.t, family)
-    else:  # annulus
-        R = max(space.diameter() / 8.0, 4 * space.resolution)
-        A = _largest_annulus_component(space, args.o, R, 2.0)
-        rep = verify.annulus_piece_check(
-            space, args.o, R, 2.0, 0.5, A, args.s, args.t, family, flavor="poincare"
-        )
+    with _naming_kappas(space, args.o, kappa):
+        if args.ineq == "weighted-sobolev":
+            rep = verify.weighted_sobolev_check(space, args.o, args.s, args.t, family, kappa=kappa)
+        elif args.ineq == "hardy":
+            rep = verify.hardy_check(space, args.o, args.s, family, kappa=kappa)
+        elif args.ineq == "ahlfors":
+            rep = verify.ahlfors_sobolev_check(space, args.o, args.s, args.t, family, kappa=kappa)
+        elif args.ineq == "local-sobolev":
+            R = max(space.diameter() / 4.0, 2 * space.resolution)
+            rep = verify.local_sobolev_check(space, args.o, R, args.s, args.t, family)
+        else:  # annulus
+            R = max(space.diameter() / 8.0, 4 * space.resolution)
+            A = _largest_annulus_component(space, args.o, R, 2.0)
+            rep = verify.annulus_piece_check(
+                space, args.o, R, 2.0, 0.5, A, args.s, args.t, family, flavor="poincare"
+            )
     reports = [rep]
     if args.out:
         if args.format == "json":

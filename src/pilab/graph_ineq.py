@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
+from scipy.sparse.csgraph import connected_components
 
-from .errors import NoBoundary, PilabError, ZeroMass
+from .errors import ExponentOutOfRange, NoBoundary, PilabError, ZeroMass
 
 
 @dataclass
@@ -177,56 +178,45 @@ def isoperimetric_constant(graph):
     return IsoperimetricResult(float(ratios[j]), witness, True)
 
 
-def poincare_constant(graph, t, refine_iters=400):
+def poincare_constant(graph, t):
     """Best constant in ||f||_t <= C ||grad f||_t over boundary-vanishing f.
 
-    t=1 equals 1/I by the coarea identity, t=2 is the generalized
-    eigenvalue of mass versus Dirichlet Laplacian D^T diag(w) D; other t
-    return the best candidate found (indicators, the t=2 eigenvector, and
-    local refinement seeded with 0), a certified lower bound.
+    t=1 is 1/I by the coarea identity.  Otherwise C is the largest over the
+    components of the Dirichlet Laplacian D^T diag(w) D: at t=2 the root of
+    the generalized eigenvalue of mass versus Laplacian, else the ratio of
+    the f >= 0 that one descent of log(sum w|Df|^t / sum m f^t) reaches from
+    the t=2 ground state.  The energy is convex in f^t (hidden convexity),
+    so every local minimum of the quotient is the component's optimum.
     """
-    interior = graph.interior
-    k = len(interior)
-    if k == 0:
+    if not 1 <= t < math.inf:
+        raise ExponentOutOfRange(f"t={t} must be finite and >= 1")
+    if len(graph.interior) == 0:
         raise NoBoundary("graph has no interior vertices")
     if t == 1:
         return 1.0 / isoperimetric_constant(graph).I
-    vm = graph.vmass[interior]
+    vm = graph.vmass[graph.interior]
     D, w = dirichlet_incidence(graph)
-    L = (D.T @ sparse.diags(w) @ D).toarray()
-    vals, vecs = scipy.linalg.eigh(np.diag(vm), L)
-    if t == 2:
-        return float(math.sqrt(vals[-1]))
-
-    def ratios(F):
-        """||f||_t / ||grad f||_t per column f of F (0 where grad f = 0)."""
-        F = np.reshape(F, (k, -1))
-        num = (vm[:, None] * np.abs(F) ** t).sum(axis=0) ** (1.0 / t)
-        den = dirichlet_energy(D, w, F, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den > 0, num / den ** (1.0 / t), 0.0)
-
-    if k <= 14:  # every nonempty interior indicator
-        cands = ((np.arange(1, 1 << k)[None, :] >> np.arange(k)[:, None]) & 1).astype(float)
-    else:
-        cands = np.c_[np.ones(k), np.eye(k)]
-    cands = np.c_[cands, vecs[:, -1]]
-    r = ratios(cands)
-    j = int(np.argmax(r))
-    best, f = float(r[j]), cands[:, j].copy()
-    rng = np.random.default_rng(0)
-    step = 0.5
-    for _ in range(refine_iters):
-        u = int(rng.integers(k))
-        old = f[u]
-        f[u] = old + step * (rng.random() - 0.5)
-        r = float(ratios(f)[0])
-        if r > best:
-            best = r
-        else:
-            f[u] = old
-        step *= 0.995
+    L = D.T @ sparse.diags(w) @ D
+    n, labels = connected_components(L, directed=False)
+    best = 0.0
+    for part in (np.flatnonzero(labels == c) for c in range(n)):
+        vals, vecs = scipy.linalg.eigh(np.diag(vm[part]), L[part][:, part].toarray())
+        if t == 2:
+            best = max(best, math.sqrt(vals[-1]))
+            continue
+        v = np.abs(vecs[:, -1])
+        res = minimize(_log_quotient, v / v.max(), (D[:, part], w, vm[part], t), jac=True,
+                       method="L-BFGS-B", bounds=[(0, None)] * len(part))
+        best = max(best, math.exp(-res.fun / t))
     return best
+
+
+def _log_quotient(f, D, w, m, t):
+    """log(sum w|Df|^t / sum m f^t) for f >= 0, with its gradient."""
+    g = D @ f
+    E, N = np.dot(w, np.abs(g) ** t), np.dot(m, f**t)
+    grad = t * (D.T @ (w * np.sign(g) * np.abs(g) ** (t - 1)) / E - m * f ** (t - 1) / N)
+    return math.log(E / N), grad
 
 
 def rca_check(space, o, kappa, radii=None):

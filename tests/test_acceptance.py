@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components
 
 from pilab.constants import (
     annulus_constant,
@@ -39,6 +40,8 @@ from pilab.gallery import (
 from pilab.graph_ineq import (
     CoveringGraph,
     build_covering_graph,
+    dirichlet_energy,
+    dirichlet_incidence,
     graph_profile,
     isoperimetric_constant,
     poincare_constant,
@@ -277,10 +280,98 @@ def test_c03_exponent_upgrade_soundness(graph_family):
         gp = graph_profile(g)
         for tau in (2.0, 3.0):
             bound = upgrade_constant(C1, gp.A, gp.B, tau)
-            measured = poincare_constant(g, tau, refine_iters=60)
+            measured = poincare_constant(g, tau)
             if measured > bound * (1 + 1e-9):
                 violations += 1
     _verdict(3, "tau-upgrade soundness (tau in {2,3})", violations == 0)
+
+
+def _phi(x, t):
+    """|x|^(t-2) x, the slope term of the t-Laplacian."""
+    return np.sign(x) * np.abs(x) ** (t - 1)
+
+
+def _picone_bracket(D, w, m, t, tol=1e-9, iters=300):
+    """(lower, upper) ends on the t-Poincare constant (t >= 2) of one
+    connected interior component with dense incidence D, weights w, masses m.
+
+    The nonlinear inverse power method solves D^T w phi(D u) = m f^(t-1)
+    for u by damped Newton on its convex energy, then sets f = u / max u,
+    starting from the linear torsion function; f's ratio is the lower end.
+    For f > 0 the discrete Picone inequality (Amghibech 2008) gives
+    sum w|Dg|^t >= min(h) sum m g^t for every g >= 0, where
+    h = D^T w phi(D f) / (m f^(t-1)), so min(h)^(-1/t) is the upper end.
+    """
+    u = np.linalg.solve(D.T @ (w[:, None] * D), m)
+    lower, upper = 0.0, np.inf
+    for _ in range(iters):
+        f = u / u.max()
+        R = (w @ np.abs(D @ f) ** t) / (m @ f**t)
+        h = (D.T @ (w * _phi(D @ f, t)) / (m * f ** (t - 1))).min()
+        lower, upper = max(lower, R ** (-1 / t)), min(upper, h ** (-1 / t) if h > 0 else np.inf)
+        if lower >= upper * (1 - tol):
+            break
+        b = m * f ** (t - 1)
+        u = f * R ** (-1 / (t - 1))  # the solution when f is an eigenfunction
+
+        def energy(u):
+            return (w @ np.abs(D @ u) ** t) / t - b @ u
+
+        for _ in range(100):
+            g = D @ u
+            hess = (t - 1) * D.T @ ((w * np.abs(g) ** (t - 2))[:, None] * D)
+            step = np.linalg.solve(hess, D.T @ (w * _phi(g, t)) - b)
+            scale, e0 = 1.0, energy(u)
+            while energy(u - scale * step) > e0 and scale > 1e-12:
+                scale /= 2
+            u = u - scale * step
+            if np.abs(scale * step).max() <= 1e-15 * u.max():
+                break
+    return lower, upper
+
+
+def _component_brackets(g, t):
+    """`_picone_bracket` of each connected component of g's interior."""
+    D, w = dirichlet_incidence(g)
+    _, labels = connected_components(abs(D).T @ abs(D), directed=False)
+    vm = g.vmass[g.interior]
+    out = []
+    for c in np.unique(labels):
+        part = np.flatnonzero(labels == c)
+        Dc = D[:, part].toarray()
+        rows = np.abs(Dc).sum(axis=1) > 0
+        out.append(_picone_bracket(Dc[rows], w[rows], vm[part], t))
+    return out
+
+
+def _indicator_ratios(g, t):
+    """||1_S||_t / ||grad 1_S||_t over every nonempty interior set S when
+    the interior has at most 12 vertices, else over the single vertices and
+    the whole interior."""
+    k = len(g.interior)
+    if k <= 12:
+        S = ((np.arange(1, 1 << k)[None, :] >> np.arange(k)[:, None]) & 1).astype(float)
+    else:
+        S = np.c_[np.eye(k), np.ones(k)]
+    D, w = dirichlet_incidence(g)
+    return (g.vmass[g.interior] @ S / dirichlet_energy(D, w, S, t)) ** (1 / t)
+
+
+def test_c03_poincare_constant_is_exact(graph_family, sector_covering_graphs):
+    # the t-Poincare constant against the inverse power method's certified
+    # upper end, component by component, and against every indicator
+    classes, randoms = graph_family
+    worst, below = 0.0, 0
+    for g in classes + randoms + sector_covering_graphs:
+        for t in (1.5, 3.0, 4.0):
+            C = poincare_constant(g, t)
+            below += int(C < _indicator_ratios(g, t).max() * (1 - 1e-12))
+            if t > 2:
+                upper = max(up for _, up in _component_brackets(g, t))
+                assert C <= upper * (1 + 1e-12)
+                worst = max(worst, 1.0 - C / upper)
+    print(f"  worst 1 - C/upper at t in {{3, 4}} = {worst:.2e}, below an indicator: {below}")
+    _verdict(3, "exact t-Poincare constant (t in {1.5, 3, 4})", worst <= 1e-5 and below == 0)
 
 
 # -- 4: ball-chain invariants ----------------------------------------------

@@ -225,6 +225,8 @@ def test_verify_json_report_is_strict_json_with_nonfinite_constant(tmp_path):
 
 
 ONE_LEVEL = "kappa 2.0 puts every covering piece on the boundary level 1, so no piece is interior"
+NO_KAPPA = "; the pieces span two levels at kappa none of 1.2, 1.5, 2, 3, 4"
+SMALL_KAPPAS = "; the pieces span two levels at kappa 1.2, 1.5"
 
 
 @pytest.mark.parametrize(
@@ -235,21 +237,36 @@ ONE_LEVEL = "kappa 2.0 puts every covering piece on the boundary level 1, so no 
         ("radial_profile", "2", "annulus", "the annulus [4, 8) around 0 is empty"),
         ("cone_grid", "3", "annulus", "the annulus [4, 8) around 0 is empty"),
         ("grid_quadrant", "2", "annulus", "A is a single vertex, on which every oscillation is zero"),
-        ("cone_grid", "2", "hardy", ONE_LEVEL),
-        ("cone_grid", "3", "weighted-sobolev", ONE_LEVEL),
+        ("cone_grid", "2", "hardy", ONE_LEVEL + NO_KAPPA),
+        ("cone_grid", "3", "weighted-sobolev", ONE_LEVEL + SMALL_KAPPAS),
     ],
 )
 def test_verify_degenerate_space_fails_with_pilab_error(tmp_path, capsys, kind, n, ineq, message):
     # radial_profile(2, 1) has no complete kappa-level, cone_grid(3, 2) no
     # vertex in [R, 2R), grid_quadrant(2) only vertex 8 there, and the
     # pieces of cone_grid(2 | 3, 2) all sit on the boundary level at the
-    # default kappa 2: each must end in a typed pilab error, exit 1
+    # default kappa 2: each must end in a typed pilab error, exit 1, and a
+    # one-level refusal names the kappas at which the pieces span two levels
     space = tmp_path / "s.json"
     eta = "1" if kind == "radial_profile" else "2"
     run("gen", "--kind", kind, "--n", n, "--eta", eta, "-o", str(space))
     capsys.readouterr()
     assert run("verify", "--space", str(space), "--ineq", ineq) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "kind, n, kappas",
+    [("cone_grid", "2", NO_KAPPA), ("cone_grid", "3", SMALL_KAPPAS),
+     ("radial_profile", "3", NO_KAPPA), ("radial_profile", "4", SMALL_KAPPAS)],
+    ids=["cone_grid(2)", "cone_grid(3)", "radial_profile(3)", "radial_profile(4)"],
+)
+def test_graph_on_one_level_names_the_kappas_that_work(tmp_path, capsys, kind, n, kappas):
+    space = tmp_path / "s.json"
+    run("gen", "--kind", kind, "--n", n, "--eta", "2", "-o", str(space))
+    capsys.readouterr()
+    assert run("graph", "--space", str(space)) == 1
+    assert capsys.readouterr().err.strip() == f"error: {ONE_LEVEL}{kappas}"
 
 
 def test_base_flag_and_its_alias_write_identical_reports(tmp_path):

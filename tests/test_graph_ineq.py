@@ -12,7 +12,7 @@ from pilab.constants import (
     upgrade_constant,
 )
 from pilab.covering import expand_covering, kappa_decomposition
-from pilab.errors import EtaNotAboveP, NoBoundary, ZeroMass
+from pilab.errors import EtaNotAboveP, ExponentOutOfRange, NoBoundary, ZeroMass
 from pilab.gallery import build_space, cone_grid, grid_quadrant, path_space
 from pilab.graph_ineq import (
     CoveringGraph,
@@ -61,11 +61,20 @@ def test_poincare_two_eigen():
 
 
 def test_poincare_general_t_lower_bound():
+    # f = (1, r) on the interior: the quotient ((1-r)^3 + r^3) / (1 + r^3)
+    # is least at r* ~ 0.531 (a bounded 1-D minimization); the lower bound
+    # C is the ratio of an actual f, and here it is exact
     g = make_graph(3, [(0, 1), (1, 2)])
     c3 = poincare_constant(g, 3)
-    # indicator of {0, 1}: num = 2^(1/3), den = 1
-    assert c3 >= 2 ** (1.0 / 3.0) - 1e-12
+    assert c3 == pytest.approx(1.65662538962, rel=1e-10)
     assert c3 <= upgrade_constant(2.0, 2.0, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.5])
+def test_poincare_exponent_out_of_range_raises(t):
+    g = make_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ExponentOutOfRange):
+        poincare_constant(g, t)
 
 
 def test_no_boundary_raises():
