@@ -3,8 +3,9 @@
 The kappa-decomposition splits the space into connected components of the
 annuli A(o, kappa^(i-1), kappa^i); thin components are merged into an
 adjacent lower-level piece.  Fattening each piece through the piece graph
-produces the nested triples U within U* within U# whose overlap (Q1) and
-measure-comparison (Q2) constants drive the global patching step.
+produces the nested sets U within U* within U#, one row per piece of three
+membership matrices, whose overlap (Q1) and measure-comparison (Q2)
+constants drive the global patching step.
 """
 
 import collections
@@ -22,10 +23,11 @@ def main():
     covering = expand_covering(sp, decomp)
 
     per_level = collections.Counter(covering.levels)
+    piece_sizes = covering.U.getnnz(axis=1).tolist()
     print(f"grid_quadrant(48), o = corner, kappa = {kappa}")
     print(f"  {covering.n_pieces} pieces over levels {sorted(per_level)}")
     for lv in sorted(per_level):
-        sizes = [len(U) for (U, _, _), l in zip(covering.triples, covering.levels) if l == lv]
+        sizes = [k for k, l in zip(piece_sizes, covering.levels) if l == lv]
         print(f"  level {lv:2d}: {per_level[lv]} piece(s), sizes {sizes}")
 
     val = validate_covering(covering, sp)

@@ -5,8 +5,8 @@ shells A(o, kappa^(i-1), kappa^i) (half-open, so shells partition the
 space), then merges components that never reach the outer radius of their
 shell into an adjacent piece one level down.  It is held as one label
 array `owner` (vertex -> piece, -1 for o and truncated vertices).
-Expanding each piece by its closure-neighbors yields the (U, U*, U#)
-triples of a good covering.
+Expanding each piece by its closure-neighbors yields a good covering:
+membership matrices whose row i marks the nested sets U_i, U*_i, U#_i.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class KappaDecomposition:
 
 @dataclass
 class GoodCovering:
-    """Triples (U, U*, U#) with piece adjacency.
+    """Nested sets U, U*, U# per piece with piece adjacency.
 
     `adjacency` holds the pairs (i, j), i < j, of pieces whose closures
     touch (share a vertex or an ambient edge), one per row.  The designated
@@ -47,7 +47,9 @@ class GoodCovering:
     computed from `adjacency` when not given; `kappa` is the decomposition's.
     """
 
-    triples: list  # list of (U, Ustar, Usharp) index arrays
+    U: csr_matrix  # (pieces x n) bool; row i marks U_i, indices ascending
+    star: csr_matrix  # likewise U*_i
+    sharp: csr_matrix  # likewise U#_i
     levels: list
     adjacency: np.ndarray
     excluded: np.ndarray = ()
@@ -62,7 +64,7 @@ class GoodCovering:
 
     @property
     def n_pieces(self):
-        return len(self.triples)
+        return self.U.shape[0]
 
 
 @dataclass
@@ -163,31 +165,28 @@ def kappa_decomposition(space, o, kappa):
     return KappaDecomposition(pieces, owner, truncated, kappa)
 
 
-def _membership(n, sets):
-    """Binary (len(sets), n) matrix whose row i marks the vertices of sets[i]."""
-    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    cols = np.concatenate([np.empty(0, dtype=np.int64), *sets])
-    return csr_matrix((np.ones(len(cols), dtype=bool), (rows, cols)), shape=(len(sets), n))
-
-
 def _within(X, Y):
     """Per row i of the membership matrices X and Y: is X_i a subset of Y_i?"""
     return np.asarray(X.multiply(Y).sum(axis=1)).ravel() == np.diff(X.indptr)
 
 
-def _touching_pairs(space, sets):
-    """(m, 2) array of the pairs (i, j), i < j, of sets whose closures touch.
+def set_masses(M, meas):
+    """Per row of the membership matrix M, numpy's sum of meas over its indices: bit for
+    bit meas[U_i].sum() for a row marking U_i, which a CSR mat-vec is not."""
+    return np.array([meas[M.indices[a:b]].sum() for a, b in zip(M.indptr[:-1], M.indptr[1:])])
+
+
+def _touching_pairs(space, M):
+    """(m, 2) array of the pairs (i, j), i < j, of rows of M whose sets touch.
 
     Two sets touch when they share a vertex or an ambient edge joins them,
     i.e. when entry (i, j) of M (A + I) M^T is nonzero, with M the
     membership matrix and A the adjacency.  Sorted by i, then j.
     """
-    M = _membership(space.n, sets)
     closure = space.adjacency.astype(bool) + identity(space.n, dtype=bool)
     touch = triu(M @ closure @ M.T, k=1, format="csr")
     touch.sort_indices()
-    rows = np.repeat(np.arange(len(sets)), np.diff(touch.indptr))
-    return np.column_stack((rows, touch.indices))
+    return np.column_stack(touch.nonzero())
 
 
 def _piece_distances(n, adjacency):
@@ -198,23 +197,21 @@ def _piece_distances(n, adjacency):
 
 
 def expand_covering(space, decomp):
-    """Grow each piece into (U, U*, U#) triples.
+    """Read U from `owner` and grow each piece U_i into U*_i and U#_i.
 
     U* is the union of U over closure-adjacent pieces (including itself),
     and U# the union of pieces within 4 hops, which contains the U* of
-    every piece whose U* touches U*_i.
+    every piece whose U* touches U*_i: each is a hop mask times U.
     """
     n = len(decomp.pieces)
-    adj = _touching_pairs(space, [p.members for p in decomp.pieces])
+    kept = np.flatnonzero(decomp.owner >= 0)
+    U = csr_matrix((np.ones(len(kept), dtype=bool), (decomp.owner[kept], kept)), shape=(n, space.n))
+    adj = _touching_pairs(space, U)
     hops = _piece_distances(n, adj)
-    # the appended column, read by owner -1 (o and truncated), is never near
-    padded = np.hstack([hops, np.full((n, 1), np.inf)])
-    triples = []
-    for i, p in enumerate(decomp.pieces):
-        near = padded[i][decomp.owner]
-        triples.append((p.members, np.flatnonzero(near <= 1), np.flatnonzero(near <= 4)))
-    levels = [p.level for p in decomp.pieces]
-    return GoodCovering(triples, levels, adj, np.flatnonzero(decomp.owner < 0), hops, decomp.kappa)
+    # (U^T H)^T is H U for the symmetric hop mask H; converting it to CSR sorts each row
+    star, sharp = ((U.T.tocsr() @ csr_matrix(hops <= h)).T.tocsr() for h in (1, 4))
+    return GoodCovering(U, star, sharp, [p.level for p in decomp.pieces], adj,
+                        np.flatnonzero(decomp.owner < 0), hops, decomp.kappa)
 
 
 def validate_covering(covering, space, mu=None):
@@ -229,7 +226,7 @@ def validate_covering(covering, space, mu=None):
     m = space.measure
     mu = m if mu is None else mu
     n = covering.n_pieces
-    U, star, sharp = (_membership(space.n, [t[j] for t in covering.triples]) for j in range(3))
+    U, star, sharp = covering.U, covering.star, covering.sharp
     a, b = covering.adjacency.T
     k = np.minimum(a, b)
     ends, ks = np.concatenate([a, b]), np.concatenate([k, k])
@@ -248,8 +245,7 @@ def validate_covering(covering, space, mu=None):
     # the min keeps U_a on ties and NaN, and fmax skips NaN ratios.
     Q2_emp = 0.0
     for meas in (m, mu):
-        mass = np.array([meas[Ui].sum() for Ui, _, _ in covering.triples])
-        star_mass = np.array([meas[Us].sum() for _, Us, _ in covering.triples])
+        mass, star_mass = set_masses(U, meas), set_masses(star, meas)
         denom = np.where(mass[b] < mass[a], mass[b], mass[a])
         pos = denom > 0
         Q2_emp = np.fmax.reduce(star_mass[k][pos] / denom[pos], initial=Q2_emp)

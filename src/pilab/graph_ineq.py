@@ -22,6 +22,7 @@ import scipy.sparse as sparse
 from scipy.optimize import linprog, minimize
 from scipy.sparse.csgraph import connected_components
 
+from .covering import set_masses
 from .errors import ExponentOutOfRange, NoBoundary, PilabError, ZeroMass
 
 
@@ -79,7 +80,7 @@ def build_covering_graph(space, covering, mu=None):
         raise NoBoundary(f"kappa {covering.kappa} puts every covering piece on the boundary "
                          f"level {levels[0]}, so no piece is interior")
     mu = space.measure if mu is None else mu
-    vmass = np.array([mu[U].sum() for U, _, _ in covering.triples])
+    vmass = set_masses(covering.U, mu)
     if np.any(vmass <= 0):
         raise ZeroMass("a covering piece has zero mu-mass")
     a, b = covering.adjacency.T
@@ -186,7 +187,8 @@ def poincare_constant(graph, t):
     the generalized eigenvalue of mass versus Laplacian, else the ratio of
     the f >= 0 that one descent of log(sum w|Df|^t / sum m f^t) reaches from
     the t=2 ground state.  The energy is convex in f^t (hidden convexity),
-    so every local minimum of the quotient is the component's optimum.
+    so every local minimum of the quotient is the component's optimum.  A
+    component with no boundary edge (1 has zero gradient) raises NoBoundary.
     """
     if not 1 <= t < math.inf:
         raise ExponentOutOfRange(f"t={t} must be finite and >= 1")
@@ -200,6 +202,8 @@ def poincare_constant(graph, t):
     n, labels = connected_components(L, directed=False)
     best = 0.0
     for part in (np.flatnonzero(labels == c) for c in range(n)):
+        if not (D[:, part] @ np.ones(len(part))).any():
+            raise NoBoundary("an interior vertex has no path to the boundary layer")
         vals, vecs = scipy.linalg.eigh(np.diag(vm[part]), L[part][:, part].toarray())
         if t == 2:
             best = max(best, math.sqrt(vals[-1]))

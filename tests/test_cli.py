@@ -549,15 +549,38 @@ def test_verify_flagged_report_bytes_are_pinned(tmp_path, gen, extra, code, row)
     assert _report(tmp_path, gen, extra) == (code, f"{_HEADER}\n{row}\n")
 
 
-def _report(tmp_path, gen, extra):
-    """Exit code and CSV report of a deterministic `pilab verify` run on
-    the space `gen` = (kind, n, eta)."""
+def _report(tmp_path, gen, extra, resolution="0.25", base=0, kappa="2"):
+    """Exit code and CSV report of a deterministic `pilab verify` run at
+    `kappa` on the space `gen` = (kind, n, eta) at `resolution`, from the
+    vertex `base` or, if it is a function, `base(space)`."""
     kind, n, eta = gen
     space = tmp_path / "s.json"
-    run("gen", "--kind", kind, "--n", n, "--eta", eta, "-o", str(space))
+    run("gen", "--kind", kind, "--n", n, "--eta", eta, "--resolution", resolution, "-o", str(space))
+    if callable(base):
+        base = base(load_space(space))
     rep = tmp_path / "rep.csv"
-    code = run("verify", "--space", str(space), *extra, "--deterministic-output", "-o", str(rep))
+    code = run("verify", "--space", str(space), *extra, "--base", str(base), "--kappa", kappa,
+               "--deterministic-output", "-o", str(rep))
     return code, rep.read_text()
+
+
+@pytest.mark.parametrize(
+    "ineq, extra, row",
+    [
+        ("hardy", [],
+         "hardy,1,1,1.2,96,23,7.26619618856e+36,35.2583768291,3.52632362289,1.04265587486e+46,"
+         "radial_power[0.2500],True,,0"),
+        ("weighted-sobolev", ["--s", "1", "--t", "2"],
+         "weighted-sobolev,1,2,1.2,96,23,8.51164403736e+34,9909.53396721,3.78621056076,"
+         '1.01225351642e+46,"indicator_smooth[257,16.0000,4.0000]",True,,0'),
+    ],
+)
+def test_verify_report_bytes_are_pinned_on_many_pieces(tmp_path, ineq, extra, row):
+    # sector_union(1.0) has 1 616 vertices and 117 covering pieces at
+    # kappa 1.2 around its origin, where every row above sits on at most 8
+    code, text = _report(tmp_path, ["sector_union", "0", "2"], ["--ineq", ineq, *extra],
+                         resolution="1.0", base=sector_union_origin, kappa="1.2")
+    assert (code, text) == (0, f"{_HEADER}\n{row}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from pilab import covering
 from pilab.constants import layer_bound, theoretical_Q1, theoretical_Q2
@@ -7,10 +8,31 @@ from pilab.covering import (
     GoodCovering,
     expand_covering,
     kappa_decomposition,
+    set_masses,
     validate_covering,
 )
 from pilab.errors import KappaOutOfRange, NoBasePoint
-from pilab.gallery import build_space, grid_quadrant, path_space, radial_profile
+from pilab.gallery import (
+    build_space,
+    cone_grid,
+    grid_quadrant,
+    path_space,
+    radial_profile,
+    sector_union,
+    sector_union_origin,
+)
+
+
+def _membership(n, sets):
+    """Boolean CSR matrix whose row i marks the vertices of sets[i]."""
+    rows = [i for i, s in enumerate(sets) for _ in s]
+    cols = [int(v) for s in sets for v in s]
+    return csr_matrix((np.ones(len(cols), dtype=bool), (rows, cols)), shape=(len(sets), n))
+
+
+def _rows(M):
+    """The column indices of each row of the CSR matrix M."""
+    return [M.indices[a:b] for a, b in zip(M.indptr[:-1], M.indptr[1:])]
 
 
 def test_kappa_and_base_point_validation():
@@ -127,7 +149,7 @@ def test_expand_nesting_and_validation():
     sp = grid_quadrant(16)
     dec = kappa_decomposition(sp, 0, 2.0)
     cov = expand_covering(sp, dec)
-    for U, Ustar, Usharp in cov.triples:
+    for U, Ustar, Usharp in zip(_rows(cov.U), _rows(cov.star), _rows(cov.sharp)):
         assert set(U) <= set(Ustar) <= set(Usharp)
     val = validate_covering(cov, sp)
     assert val.all_pass
@@ -153,10 +175,11 @@ def test_covering_excludes_what_the_decomposition_leaves_out(sp):
     val = validate_covering(cov, sp)
     assert val.all_pass and len(val.uncovered) == 0
     # every other vertex counts only through its U
-    for i, (U, Ustar, Usharp) in enumerate(cov.triples):
-        triples = list(cov.triples)
-        triples[i] = (U[:-1], Ustar, Usharp)
-        dropped = GoodCovering(triples, cov.levels, cov.adjacency, cov.excluded)
+    for i, U in enumerate(_rows(cov.U)):
+        sets = _rows(cov.U)
+        sets[i] = U[:-1]
+        dropped = GoodCovering(_membership(sp.n, sets), cov.star, cov.sharp, cov.levels,
+                               cov.adjacency, cov.excluded)
         val = validate_covering(dropped, sp)
         assert not val.axioms_pass["axiom2_cover"]
         assert val.uncovered.tolist() == [U[-1]]
@@ -167,9 +190,9 @@ def test_adjacent_pieces_share_star():
     cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))
     for pair in cov.adjacency:
         k = min(pair)
-        star = set(cov.triples[k][1])
+        star = set(_rows(cov.star)[k])
         for a in pair:
-            assert set(cov.triples[a][0]) <= star
+            assert set(_rows(cov.U)[a]) <= star
 
 
 def _hand_covering(**change):
@@ -178,11 +201,13 @@ def _hand_covering(**change):
     sets = {"U0": [0, 1], "U1": [2, 3], "S0": [0, 1, 2, 3], "S1": [0, 1, 2, 3]}
     sets.update(change)
     full = [0, 1, 2, 3]
-    triples = [
-        (np.array(sets["U0"]), np.array(sets["S0"]), np.array(sets.get("H0", full))),
-        (np.array(sets["U1"]), np.array(sets["S1"]), np.array(sets.get("H1", full))),
-    ]
-    return GoodCovering(triples=triples, levels=[1, 1], adjacency=[(0, 1)])
+    return GoodCovering(
+        U=_membership(4, [sets["U0"], sets["U1"]]),
+        star=_membership(4, [sets["S0"], sets["S1"]]),
+        sharp=_membership(4, [sets.get("H0", full), sets.get("H1", full)]),
+        levels=[1, 1],
+        adjacency=[(0, 1)],
+    )
 
 
 @pytest.mark.parametrize(
@@ -205,7 +230,7 @@ def test_annulus_piece_adjacency_matches_pairwise_oracle():
     # _touching_pairs against a loop over every pair of U sets and every edge
     sp = grid_quadrant(16)
     cov = expand_covering(sp, kappa_decomposition(sp, 0, 2.0))
-    sets = [set(int(v) for v in U) for U, _, _ in cov.triples]
+    sets = [set(int(v) for v in U) for U in _rows(cov.U)]
     edges = [(int(u), int(v)) for u, v in sp.edges]
     expected = []
     for i in range(len(sets)):
@@ -230,7 +255,38 @@ def test_piece_hops_are_computed_once_per_covering(monkeypatch):
     cov = expand_covering(sp, decomp)
     val = validate_covering(cov, sp)
     assert len(calls) == 1
-    hand = GoodCovering(cov.triples, cov.levels, cov.adjacency, cov.excluded)
+    hand = GoodCovering(cov.U, cov.star, cov.sharp, cov.levels, cov.adjacency, cov.excluded)
     assert len(calls) == 2 and np.array_equal(hand.hops, cov.hops)
     assert validate_covering(hand, sp).Q1_emp == val.Q1_emp
     assert np.array_equal(cov.hops, hops(cov.n_pieces, cov.adjacency))
+
+
+@pytest.mark.parametrize(
+    "sp, base",
+    [(grid_quadrant(16), 0), (cone_grid(20, 2), 0), (sector_union(1.0), sector_union_origin)],
+    ids=["grid16", "cone20", "sector1"],
+)
+def test_membership_matrices_match_piece_unions(sp, base):
+    # row i of U is piece i; rows of U* and U# are unions of the pieces
+    # within 1 and 4 hops, built here one piece at a time; a set's mass is
+    # numpy's sum over its ascending vertices, bit for bit
+    o = base(sp) if callable(base) else base
+    dec = kappa_decomposition(sp, o, 1.2)
+    cov = expand_covering(sp, dec)
+    n = len(dec.pieces)
+    assert n > 1
+    for M in (cov.U, cov.star, cov.sharp):
+        assert M.shape == (n, sp.n) and M.dtype == bool and M.has_sorted_indices
+    mu = sp.measure / (1.0 + sp.dist_from(o))
+    U, star, sharp = _rows(cov.U), _rows(cov.star), _rows(cov.sharp)
+    U_mass, star_mass, sharp_mass = (set_masses(M, mu) for M in (cov.U, cov.star, cov.sharp))
+    for i in range(n):
+        assert U[i].tolist() == dec.pieces[i].members.tolist()
+        assert U_mass[i] == mu[dec.pieces[i].members].sum()
+        for rows, mass, reach in ((star, star_mass, 1), (sharp, sharp_mass, 4)):
+            union = set()
+            for j in range(n):
+                if cov.hops[i, j] <= reach:
+                    union |= set(dec.pieces[j].members.tolist())
+            assert rows[i].tolist() == sorted(union)
+            assert mass[i] == mu[sorted(union)].sum()

@@ -115,6 +115,15 @@ def test_interior_cut_off_from_boundary_raises():
         isoperimetric_constant(g)
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_poincare_on_interior_cut_off_from_boundary_raises(t):
+    # vertex 3's Laplacian block is zero; at t >= 2 eigh would raise a bare
+    # LinAlgError on it, so the component is refused first
+    g = make_graph(5, [(0, 1), (1, 2), (2, 4)])
+    with pytest.raises(NoBoundary, match="no path to the boundary layer"):
+        poincare_constant(g, t)
+
+
 def test_neumann_weighted_constant():
     # 2^s N max(N - 1, 1)^(s - 1) K^2
     assert neumann_constant(2, 2.0, 1) == 16.0
