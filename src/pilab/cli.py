@@ -243,13 +243,12 @@ def _cmd_render(args):
     if space.coords is None:
         print("render: space has no 2D coords", file=sys.stderr)
         return 1
-    color = ["#333333"] * space.n
+    owner = np.full(space.n, -1)
     if args.kappa is not None:
         kappa = _resolve_kappa(args, space, args.o)
-        decomp = cov.kappa_decomposition(space, args.o, kappa)
-        for idx, piece in enumerate(decomp.pieces):
-            for v in piece.members:
-                color[int(v)] = _PALETTE[idx % len(_PALETTE)]
+        owner = cov.kappa_decomposition(space, args.o, kappa).owner
+    # piece i takes the i-th palette colour, cyclically; o and the truncated tail grey
+    color = np.array([*_PALETTE, "#333333"])[np.where(owner >= 0, owner % len(_PALETTE), -1)]
     xy = space.coords
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)

@@ -298,5 +298,6 @@ def profile_rows(space):
     for _ in range(count):
         d = space.dist_from(x, limit=limit)
         yield x, d
-        near = np.minimum(near, np.where(d <= limit, d, np.inf))
-        x = int(np.argmax(near))
+        np.minimum(near, d, out=near)
+        far = near > limit  # each is farthest: past the limit a distance counts as inf
+        x = int(np.argmax(far if far.any() else near))

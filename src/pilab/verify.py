@@ -4,7 +4,8 @@ Each check is a ratio of the two sides of its inequality and a constant:
 `_verdict` sweeps the ratio over a deterministic family of test functions
 and judges the worst one against the constant that `pilab.constants`
 assembles from measured profile data; the report carries both.  A member
-is finished only when a cheap upper bound on its ratio beats the best so far.
+is finished only when a cheap upper bound on its ratio beats the best so far,
+and a function of d(o, .) is bounded on o's distance classes before it is built.
 """
 
 from __future__ import annotations
@@ -120,10 +121,11 @@ def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
     not positive.  f is read where num reads it, at `at` and at the
     neighbours of `at`; `terms` are passed to _energy_floor.
 
-    This is the sweep's one skip rule: given a `best`, as _verdict passes
-    it, the ratio returns 0.0 when num(f) over the energy floor shows that
-    it cannot exceed best.  It returns 0.0 rather than the bound, which a
-    caller that rescales the ratio could round above its best.
+    This is the sweep's skip rule for a built member: given a `best`, as
+    _verdict passes it, the ratio returns 0.0 when num(f) over the energy
+    floor shows that it cannot exceed best.  It returns 0.0 rather than the
+    bound, which a caller that rescales the ratio could round above its
+    best.  _radial_bound takes the same bound on o's distance classes.
     """
     m = space.measure if at is None else space.measure[at]
     floor = slope = None  # each built when first needed
@@ -143,26 +145,53 @@ def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
     return ratio
 
 
-def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0):
+def _radial_bound(d, mu, s, t, first):
+    """g -> _slope_ratio's bound on (sum |f|^t mu)^(1/t) / ||lip f||_{L^s} at
+    f = g(d), d the row of o, read from g(u) at the distinct values u of d:
+    |g(u)|^t times each class's mu-mass, over _energy_floor's terms summed per
+    class pair (of x, of y) of `first`, the (x, y, w) at every vertex.  Both
+    regroup sums of terms >= 0, so they differ from the dense ones far below SLACK."""
+    u, cls = np.unique(d, return_inverse=True)
+    mass = np.bincount(cls, mu)
+    x, y, w = first
+    pairs, at = np.unique(cls[x] * len(u) + cls[y], return_inverse=True)
+    a, b = np.divmod(pairs, len(u))
+    weight = np.bincount(at, w)
+
+    def bound(g):
+        v = g(u)
+        den = (float(np.abs(v[a] - v[b]) ** s @ weight) * (1.0 - SLACK)) ** (1.0 / s)
+        num = float((np.abs(v) ** t * mass).sum()) ** (1.0 / t)
+        return num / den if den > 0 else math.inf
+
+    return bound
+
+
+def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0, profile=None,
+             radial=lambda g: math.inf):
     """Report of a check begun at perf_counter() = t0: the largest ratio(f)
     over the (id, f) pairs of the family, witnessed by its id (0 and "" when
     no ratio is positive), judged against the Constant constant(Q, C_P)
-    within relative tolerance `tol`.  Q and C_P come from one Profile pass
-    over the space, whose rows the family's tents and indicators read as
-    the pass reads them; reading the fits finishes the pass.
+    within relative tolerance `tol`.  Q and C_P come from one pass of
+    `profile`, Profile(space, s) when None, whose rows the family's tents
+    and indicators read as the pass reads them; reading the fits finishes
+    the pass.
 
     `ratio(f, best=b)` may return any value <= b once a bound shows the
     ratio is <= b: a ratio counts only when strictly above the best, so
-    this is exact.  NaN or inf never skips.
+    this is exact.  NaN or inf never skips.  So a lazy member g
+    (Family.members) whose bound `radial(g)` is <= best is skipped unbuilt.
 
     A non-finite constant certifies nothing, so the check fails and is
     flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
     fails too.
     """
-    profile = Profile(space, s)
+    profile = profile or Profile(space, s)
     best, witness = 0.0, ""
     for fid, f in family.members(profile):
-        r = ratio(f, best=best)
+        if callable(f) and radial(f) <= best:
+            continue
+        r = ratio(f() if callable(f) else f, best=best)
         if r > best:
             best, witness = r, fid
     const = constant(*profile.fits)
@@ -206,7 +235,8 @@ def make_family(space, o, seed, count=200):
 class Family:
     """Four generators: radial powers d(o,.)^beta near the critical
     exponents take two fifths; annulus cutoffs at dyadic radii, tents and
-    smoothed ball indicators take a fifth each.
+    smoothed ball indicators take a fifth each.  Iterating the family
+    yields (id, values) pairs; `members` yields the first two lazily.
 
     The k-th tent and the k-th indicator sit at the (k mod count)-th center
     of a Profile's pass, with a width and a radius that `seed` draws from
@@ -225,11 +255,14 @@ class Family:
         return 5 * max(1, self.count // 5)
 
     def __iter__(self):
-        return self.members(Profile(self.space))
+        for fid, f in self.members(Profile(self.space)):
+            yield fid, f() if callable(f) else f
 
     def members(self, profile):
         """The (id, values) pairs, the tents and indicators read from the
-        rows of `profile`, a Profile of the space, as its pass reads them."""
+        rows of `profile`, a Profile of the space, as its pass reads them.
+        A radial member g(d(o, .)) comes as g: g() builds its values, and
+        g(u) equals them bit for bit at every vertex where d(o, .) = u."""
         space = self.space
         rng = np.random.default_rng(self.seed)
         d = space.dist_from(self.o)
@@ -237,7 +270,7 @@ class Family:
         per = len(self) // 5
 
         for beta in np.linspace(0.25, 2.5, 2 * per):
-            yield f"radial_power[{beta:.4f}]", d**beta
+            yield f"radial_power[{beta:.4f}]", lambda v=d, beta=beta: v**beta
 
         dyadic = [space.resolution * 2**j for j in range(int(math.log2(diam / space.resolution)) + 1)]
         for _ in range(per):
@@ -247,7 +280,8 @@ class Family:
                 i = int(rng.integers(len(dyadic) - 1))
                 j = int(rng.integers(i + 1, len(dyadic)))
                 r, R = dyadic[i], dyadic[j]
-            yield f"annulus_cutoff[{r:.4f},{R:.4f}]", np.clip((R - d) / (R - r), 0.0, 1.0)
+            yield f"annulus_cutoff[{r:.4f},{R:.4f}]", (
+                lambda v=d, r=r, R=R: np.clip((R - v) / (R - r), 0.0, 1.0))
 
         radii = profile.radii
         # the doubled radius too: 2 max(radii) is still within the row limit
@@ -292,11 +326,12 @@ class Profile:
     center's (x, row) once the row has fed its line of `masses`, m(B_r(x))
     at r in radii + [2 max(radii)], and, when `s` is given, at every j-th
     center, j = max(1, count // 16), its Poincare balls (17 centers on the
-    gallery's benchmark spaces).  Reading a result finishes the pass.
+    gallery's benchmark spaces), their floors read from `first` when given
+    (_first_neighbours at every vertex).  Reading a result finishes the pass.
     """
 
-    def __init__(self, space, s=None):
-        self.space, self.s = space, s
+    def __init__(self, space, s=None, first=None):
+        self.space, self.s, self._first = space, s, first
         self.count, self.radii, _ = default_profile_samples(space)
         self._lines, self._best = [], 0.0
         self._rows = self._pass()
@@ -309,7 +344,7 @@ class Profile:
         grid = radii + [2 * radii[-1]]
         if s is not None:
             # every vertex has a first neighbour once a ball holds two vertices
-            first = _first_neighbours(space, s, np.arange(space.n))[1:]
+            first = (self._first or _first_neighbours(space, s, np.arange(space.n)))[1:]
         for i, (x, d) in enumerate(profile_rows(space)):
             self._lines.append(_row_masses(space, d, grid))
             if s is not None and i % max(1, self.count // 16) == 0:
@@ -539,8 +574,11 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
             Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
         )
 
-    ratio = _slope_ratio(space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s)
-    return _verdict(name, space, s, t, kappa, family, ratio, constant, REL_TOL, flags, t0)
+    first = _first_neighbours(space, s, np.arange(space.n))
+    ratio = _slope_ratio(space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s, terms=first)
+    radial = _radial_bound(space.dist_from(o), mu, s, t, first)
+    return _verdict(name, space, s, t, kappa, family, ratio, constant, REL_TOL, flags, t0,
+                    Profile(space, s, first), radial)
 
 
 def weighted_sobolev_check(space, o, s, t, family, kappa=2.0):

@@ -18,7 +18,7 @@ from pilab.covering import kappa_decomposition
 from pilab.errors import NoBoundary, NotAhlfors
 from pilab.gallery import cone_grid, grid_quadrant, radial_profile
 from pilab.space import FiniteMetricMeasureSpace, default_profile_samples, profile_rows
-from pilab.verify import ahlfors_fit
+from pilab.verify import Profile, _radial_bound, ahlfors_fit
 from pilab.weights import weight_density
 
 
@@ -231,6 +231,38 @@ def test_tent_bound_is_not_for_other_members():
     assert all((f[far] > 0).all() for f in powers)
 
 
+def _radial_class_mismatches(sp, o=0, seed=1, count=200):
+    """The lazy members g of make_family(...).members, the radial powers and
+    annulus cutoffs, and the ids of those whose values g(u) at the distinct
+    distances u of o's row, gathered back to the vertices, differ in any bit
+    from g(), the values the sweep builds, or from the family's iteration."""
+    d = sp.dist_from(o)
+    u, cls = np.unique(d, return_inverse=True)
+    family = verify.make_family(sp, o, seed, count)
+    built = dict(family)
+    lazy = [(fid, g) for fid, g in family.members(Profile(sp)) if callable(g)]
+    bad = [
+        fid for fid, g in lazy
+        if g(u)[cls].tobytes() != g().tobytes() or g().tobytes() != built[fid].tobytes()
+    ]
+    return [fid for fid, _ in lazy], bad
+
+
+@pytest.mark.parametrize(
+    "make", [*SMALL_GALLERY, _heavy_looped_end], ids=[*SMALL_GALLERY_IDS, "heavy_looped_end"]
+)
+def test_radial_members_on_classes_are_bit_identical_gallery(make):
+    lazy, bad = _radial_class_mismatches(make())
+    assert len(lazy) == 120 and all(fid.startswith(("radial_power", "annulus_cutoff")) for fid in lazy)
+    assert bad == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+def test_radial_members_on_classes_are_bit_identical_random(sp):
+    assert _radial_class_mismatches(sp)[1] == []
+
+
 def _scaled_floor(factor):
     floor = verify._energy_floor
     return lambda *args, **kw: (lambda g: lambda f: factor * g(f))(floor(*args, **kw))
@@ -244,8 +276,16 @@ def _short_rows(space):
         yield x, np.where(d <= radii[-1], d, np.inf)
 
 
+def _heavy_class_pairs(d, mu, s, t, first):
+    """verify._radial_bound with every first-neighbour weight, and so every
+    class-pair weight of its floor, taken 4 times."""
+    x, y, w = first
+    return _radial_bound(d, mu, s, t, (x, y, 4.0 * w))
+
+
 MUTANTS = {
     "slope_bound_x4": ("_energy_floor", _scaled_floor(4.0)),
+    "class_floor_x4": ("_radial_bound", _heavy_class_pairs),
     "row_limit_short": ("profile_rows", _short_rows),
 }
 

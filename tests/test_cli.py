@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -175,6 +176,18 @@ def test_render_svg(tmp_path):
     run("gen", "--kind", "grid_quadrant", "--n", "8", "-o", str(space))
     assert run("render", "--space", str(space), "--kappa", "2.0", "--out", str(svg)) == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_render_svg_bytes_are_pinned_on_many_pieces(tmp_path):
+    # sector_union(1.0) at kappa 1.2 around its origin: 117 pieces share the
+    # palette cyclically, and o and the truncated tail stay grey
+    space = tmp_path / "s.json"
+    svg = tmp_path / "s.svg"
+    run("gen", "--kind", "sector_union", "--resolution", "1.0", "-o", str(space))
+    base = sector_union_origin(load_space(space))
+    assert run("render", "--space", str(space), "--base", str(base), "--kappa", "1.2", "-o", str(svg)) == 0
+    digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+    assert digest == "07eb3762cd4aed0c56759c9aa4200917c39543ecaed22d24f7df6a0caafd4ba9"
 
 
 @pytest.mark.parametrize(

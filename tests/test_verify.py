@@ -1,5 +1,7 @@
 import math
+import pathlib
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -197,6 +199,51 @@ def test_bounded_sweep_finishes_few_members(monkeypatch):
     rep = hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 200))
     assert rep.witness == "radial_power[0.2500]"
     assert 1 <= len(slopes) <= 10
+
+
+def test_weighted_sweep_builds_few_radial_members(monkeypatch):
+    # grid_quadrant(32), hardy, seed 1: the bound on o's distance classes
+    # builds at most 2 of the 120 radial powers and annulus cutoffs, and the
+    # sweep reads each member it builds through the check's ratio; a sweep
+    # that builds every member passes all 120 to it
+    sp = grid_quadrant(32)
+    radial = {
+        f.tobytes() for fid, f in make_family(sp, 0, 1, 200)
+        if fid.startswith(("radial_power", "annulus_cutoff"))
+    }
+    swept = []
+    slope_ratio = verify._slope_ratio
+
+    def recording_ratio(*args, **kwargs):
+        ratio = slope_ratio(*args, **kwargs)
+        return lambda f, best=None: swept.append(np.asarray(f).tobytes()) or ratio(f, best=best)
+
+    monkeypatch.setattr(verify, "_slope_ratio", recording_ratio)
+    rep = hardy_check(sp, 0, 1.0, make_family(sp, 0, 1, 200))
+    assert rep.witness == "radial_power[0.2500]"
+    assert 1 <= sum(f in radial for f in swept) <= 2
+
+
+# The RuntimeWarnings, as (file, message), of weighted-sobolev on
+# radial_profile(256, 120), whose weighted masses overflow in float64: the
+# same kinds as when the sweep built every member.
+OVERFLOW_WARNINGS = {
+    ("verify.py", "overflow encountered in multiply"),
+    ("verify.py", "invalid value encountered in multiply"),
+    ("covering.py", "invalid value encountered in divide"),
+    ("graph_ineq.py", "invalid value encountered in divide"),
+    ("graph_ineq.py", "divide by zero encountered in divide"),
+}
+
+
+def test_overflowing_weight_warns_as_before():
+    sp = radial_profile(256, 120.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = weighted_sobolev_check(sp, 0, 1.0, 2.0, make_family(sp, 0, 1, 200))
+    assert (rep.empirical_best, rep.witness) == (math.inf, "radial_power[0.2500]")
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert {(pathlib.Path(w.filename).name, str(w.message)) for w in caught} <= OVERFLOW_WARNINGS
 
 
 # grid_quadrant's edges have one length, so its rows come from breadth-first
