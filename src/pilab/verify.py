@@ -16,7 +16,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -145,21 +145,24 @@ def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
     return ratio
 
 
-def _radial_bound(d, mu, s, t, first):
-    """g -> _slope_ratio's bound on (sum |f|^t mu)^(1/t) / ||lip f||_{L^s} at
-    f = g(d), d the row of o, read from g(u) at the distinct values u of d:
+def _radial_bound(mu, s, t, first):
+    """f -> _slope_ratio's bound on (sum |f|^t mu)^(1/t) / ||lip f||_{L^s} at a
+    lazy member f = partial(g, d) of Family.members, read from g(u) at the
+    distinct values u of d, the row f reads (taken again when it changes):
     |g(u)|^t times each class's mu-mass, over _energy_floor's terms summed per
     class pair (of x, of y) of `first`, the (x, y, w) at every vertex.  Both
     regroup sums of terms >= 0, so they differ from the dense ones far below SLACK."""
-    u, cls = np.unique(d, return_inverse=True)
-    mass = np.bincount(cls, mu)
     x, y, w = first
-    pairs, at = np.unique(cls[x] * len(u) + cls[y], return_inverse=True)
-    a, b = np.divmod(pairs, len(u))
-    weight = np.bincount(at, w)
+    row = classes = None
 
-    def bound(g):
-        v = g(u)
+    def bound(f):
+        nonlocal row, classes
+        if f.args[0] is not row:
+            u, cls = np.unique(row := f.args[0], return_inverse=True)
+            pairs, at = np.unique(cls[x] * len(u) + cls[y], return_inverse=True)
+            classes = u, np.bincount(cls, mu), *np.divmod(pairs, len(u)), np.bincount(at, w)
+        u, mass, a, b, weight = classes
+        v = f.func(u)
         den = (float(np.abs(v[a] - v[b]) ** s @ weight) * (1.0 - SLACK)) ** (1.0 / s)
         num = float((np.abs(v) ** t * mass).sum()) ** (1.0 / t)
         return num / den if den > 0 else math.inf
@@ -168,7 +171,7 @@ def _radial_bound(d, mu, s, t, first):
 
 
 def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0, profile=None,
-             radial=lambda g: math.inf):
+             radial=lambda f: math.inf):
     """Report of a check begun at perf_counter() = t0: the largest ratio(f)
     over the (id, f) pairs of the family, witnessed by its id (0 and "" when
     no ratio is positive), judged against the Constant constant(Q, C_P)
@@ -179,8 +182,8 @@ def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0, 
 
     `ratio(f, best=b)` may return any value <= b once a bound shows the
     ratio is <= b: a ratio counts only when strictly above the best, so
-    this is exact.  NaN or inf never skips.  So a lazy member g
-    (Family.members) whose bound `radial(g)` is <= best is skipped unbuilt.
+    this is exact.  NaN or inf never skips.  So a lazy member f
+    (Family.members) whose bound `radial(f)` is <= best is skipped unbuilt.
 
     A non-finite constant certifies nothing, so the check fails and is
     flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
@@ -261,8 +264,8 @@ class Family:
     def members(self, profile):
         """The (id, values) pairs, the tents and indicators read from the
         rows of `profile`, a Profile of the space, as its pass reads them.
-        A radial member g(d(o, .)) comes as g: g() builds its values, and
-        g(u) equals them bit for bit at every vertex where d(o, .) = u."""
+        A radial member g(d), d = d(o, .), comes as partial(g, d): calling it
+        builds its values, and g(u) equals them bit for bit where d = u."""
         space = self.space
         rng = np.random.default_rng(self.seed)
         d = space.dist_from(self.o)
@@ -270,7 +273,7 @@ class Family:
         per = len(self) // 5
 
         for beta in np.linspace(0.25, 2.5, 2 * per):
-            yield f"radial_power[{beta:.4f}]", lambda v=d, beta=beta: v**beta
+            yield f"radial_power[{beta:.4f}]", partial(lambda v, beta=beta: v**beta, d)
 
         dyadic = [space.resolution * 2**j for j in range(int(math.log2(diam / space.resolution)) + 1)]
         for _ in range(per):
@@ -280,8 +283,8 @@ class Family:
                 i = int(rng.integers(len(dyadic) - 1))
                 j = int(rng.integers(i + 1, len(dyadic)))
                 r, R = dyadic[i], dyadic[j]
-            yield f"annulus_cutoff[{r:.4f},{R:.4f}]", (
-                lambda v=d, r=r, R=R: np.clip((R - v) / (R - r), 0.0, 1.0))
+            yield f"annulus_cutoff[{r:.4f},{R:.4f}]", partial(
+                lambda v, r=r, R=R: np.clip((R - v) / (R - r), 0.0, 1.0), d)
 
         radii = profile.radii
         # the doubled radius too: 2 max(radii) is still within the row limit
@@ -326,12 +329,13 @@ class Profile:
     center's (x, row) once the row has fed its line of `masses`, m(B_r(x))
     at r in radii + [2 max(radii)], and, when `s` is given, at every j-th
     center, j = max(1, count // 16), its Poincare balls (17 centers on the
-    gallery's benchmark spaces), their floors read from `first` when given
-    (_first_neighbours at every vertex).  Reading a result finishes the pass.
+    gallery's benchmark spaces), their floors read from `first`, the
+    _first_neighbours at every vertex.  Reading a result finishes the pass.
     """
 
-    def __init__(self, space, s=None, first=None):
-        self.space, self.s, self._first = space, s, first
+    def __init__(self, space, s=None):
+        self.space, self.s = space, s
+        self.first = None if s is None else _first_neighbours(space, s, np.arange(space.n))
         self.count, self.radii, _ = default_profile_samples(space)
         self._lines, self._best = [], 0.0
         self._rows = self._pass()
@@ -340,15 +344,13 @@ class Profile:
         return self._rows
 
     def _pass(self):
-        space, s, radii = self.space, self.s, self.radii
+        space, s, radii, first = self.space, self.s, self.radii, self.first
         grid = radii + [2 * radii[-1]]
-        if s is not None:
-            # every vertex has a first neighbour once a ball holds two vertices
-            first = (self._first or _first_neighbours(space, s, np.arange(space.n)))[1:]
         for i, (x, d) in enumerate(profile_rows(space)):
             self._lines.append(_row_masses(space, d, grid))
             if s is not None and i % max(1, self.count // 16) == 0:
-                self._best = _poincare_balls(space, s, d, radii, self._lines[-1], self._best, first)
+                # every vertex has a first neighbour once a ball holds two vertices
+                self._best = _poincare_balls(space, s, d, radii, self._lines[-1], self._best, first[1:])
             yield x, d
 
     def _finish(self):
@@ -574,11 +576,11 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
             Q, C_P, kappa, C_disc, gp.A, gp.B, val.Q1_emp, val.Q2_emp, s, t, flags, **scale
         )
 
-    first = _first_neighbours(space, s, np.arange(space.n))
-    ratio = _slope_ratio(space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s, terms=first)
-    radial = _radial_bound(space.dist_from(o), mu, s, t, first)
+    profile = Profile(space, s)
+    ratio = _slope_ratio(
+        space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s, terms=profile.first)
     return _verdict(name, space, s, t, kappa, family, ratio, constant, REL_TOL, flags, t0,
-                    Profile(space, s, first), radial)
+                    profile, _radial_bound(mu, s, t, profile.first))
 
 
 def weighted_sobolev_check(space, o, s, t, family, kappa=2.0):

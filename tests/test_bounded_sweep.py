@@ -99,18 +99,20 @@ def _cases(sp, o, kappa=2.0):
         )
 
 
-def _mismatches(sp, o, seed, count, family=verify.Family):
-    """The checks whose (empirical_best, witness) differ from the oracle's,
-    and those that refuse the space, or fail to, against expectation: a
-    covering whose pieces all sit on one level has no interior, so every
-    weighted check raises NoBoundary on it, and only there."""
-    members = [(fid, np.asarray(f, dtype=float)) for fid, f in family(sp, o, seed, count)]
+def _mismatches(sp, o, seed, count, family=verify.Family, base=None):
+    """The checks at o whose (empirical_best, witness) differ from the
+    oracle's, and those that refuse the space, or fail to, against
+    expectation: a covering whose pieces all sit on one level has no
+    interior, so every weighted check raises NoBoundary on it, and only
+    there.  The family's radial members read the row of `base` (o when None)."""
+    base = o if base is None else base
+    members = [(fid, np.asarray(f, dtype=float)) for fid, f in family(sp, base, seed, count)]
     one_level = len({p.level for p in kappa_decomposition(sp, o, 2.0).pieces}) == 1
     bad = []
     for name, run, ratio in _cases(sp, o):
         refuses = one_level and name not in ("annulus", "local-sobolev")
         try:
-            rep = run(family(sp, o, seed, count))
+            rep = run(family(sp, base, seed, count))
         except NoBoundary:
             if not refuses:
                 bad.append((name, "NoBoundary"))
@@ -141,6 +143,14 @@ GALLERY = {
 @pytest.mark.parametrize("make", list(GALLERY.values()), ids=list(GALLERY))
 def test_bounded_sweep_matches_full_sweep_oracle(make, seed, family):
     assert _mismatches(make(), 0, seed, 200, family) == []
+
+
+@pytest.mark.parametrize("make", list(GALLERY.values()), ids=list(GALLERY))
+def test_bounded_sweep_matches_oracle_on_a_family_made_elsewhere(make):
+    # the checks at 0 sweep the radial members of a family made at the far
+    # end, so each member must be bounded on the row it reads, not on 0's
+    sp = make()
+    assert _mismatches(sp, 0, 1, 200, base=sp.n - 1) == []
 
 
 @st.composite
@@ -232,10 +242,11 @@ def test_tent_bound_is_not_for_other_members():
 
 
 def _radial_class_mismatches(sp, o=0, seed=1, count=200):
-    """The lazy members g of make_family(...).members, the radial powers and
-    annulus cutoffs, and the ids of those whose values g(u) at the distinct
-    distances u of o's row, gathered back to the vertices, differ in any bit
-    from g(), the values the sweep builds, or from the family's iteration."""
+    """The lazy members partial(g, d) of make_family(...).members, the radial
+    powers and annulus cutoffs, and the ids of those whose values g(u) at the
+    distinct distances u of o's row, gathered back to the vertices, differ in
+    any bit from g(d), the values the sweep builds, or from the family's
+    iteration."""
     d = sp.dist_from(o)
     u, cls = np.unique(d, return_inverse=True)
     family = verify.make_family(sp, o, seed, count)
@@ -243,7 +254,7 @@ def _radial_class_mismatches(sp, o=0, seed=1, count=200):
     lazy = [(fid, g) for fid, g in family.members(Profile(sp)) if callable(g)]
     bad = [
         fid for fid, g in lazy
-        if g(u)[cls].tobytes() != g().tobytes() or g().tobytes() != built[fid].tobytes()
+        if g.func(u)[cls].tobytes() != g().tobytes() or g().tobytes() != built[fid].tobytes()
     ]
     return [fid for fid, _ in lazy], bad
 
@@ -276,11 +287,11 @@ def _short_rows(space):
         yield x, np.where(d <= radii[-1], d, np.inf)
 
 
-def _heavy_class_pairs(d, mu, s, t, first):
+def _heavy_class_pairs(mu, s, t, first):
     """verify._radial_bound with every first-neighbour weight, and so every
     class-pair weight of its floor, taken 4 times."""
     x, y, w = first
-    return _radial_bound(d, mu, s, t, (x, y, 4.0 * w))
+    return _radial_bound(mu, s, t, (x, y, 4.0 * w))
 
 
 MUTANTS = {
