@@ -22,12 +22,13 @@ def main():
     decomp = kappa_decomposition(sp, o, kappa)
     covering = expand_covering(sp, decomp)
 
-    per_level = collections.Counter(covering.levels)
+    levels = covering.levels.tolist()
+    per_level = collections.Counter(levels)
     piece_sizes = covering.U.getnnz(axis=1).tolist()
     print(f"grid_quadrant(48), o = corner, kappa = {kappa}")
     print(f"  {covering.n_pieces} pieces over levels {sorted(per_level)}")
     for lv in sorted(per_level):
-        sizes = [k for k, l in zip(piece_sizes, covering.levels) if l == lv]
+        sizes = [k for k, l in zip(piece_sizes, levels) if l == lv]
         print(f"  level {lv:2d}: {per_level[lv]} piece(s), sizes {sizes}")
 
     val = validate_covering(covering, sp)

@@ -64,7 +64,7 @@ def _positive_kappa(text):
 
 def _levels(space, o, kappa):
     """How many levels the kappa-pieces span; two leave the covering graph an interior."""
-    return len({p.level for p in cov.kappa_decomposition(space, o, kappa).pieces})
+    return len(np.unique(cov.kappa_decomposition(space, o, kappa).pieces))
 
 
 @contextlib.contextmanager
@@ -137,8 +137,8 @@ def _cmd_decompose(args):
     val = cov.validate_covering(covering, space)
     print(f"kappa {kappa:.6g}")
     print(f"pieces {len(decomp.pieces)}")
-    print(f"levels {len({p.level for p in decomp.pieces})}")
-    print(f"truncated {len(decomp.truncated)}")
+    print(f"levels {len(np.unique(decomp.pieces))}")
+    print(f"truncated {(decomp.owner < 0).sum() - 1}")
     print(f"Q1_emp {val.Q1_emp}")
     print(f"Q2_emp {val.Q2_emp:.6g}")
     for name, ok in val.axioms_pass.items():

@@ -4,7 +4,8 @@ The decomposition splits a space into connected components of dyadic-like
 shells A(o, kappa^(i-1), kappa^i) (half-open, so shells partition the
 space), then merges components that never reach the outer radius of their
 shell into an adjacent piece one level down.  It is held as one label
-array `owner` (vertex -> piece, -1 for o and truncated vertices).
+array `owner` (vertex -> piece, -1 for o and truncated vertices) and one
+level per piece.
 Expanding each piece by its closure-neighbors yields a good covering:
 membership matrices whose row i marks the nested sets U_i, U*_i, U#_i.
 """
@@ -21,16 +22,9 @@ from .errors import KappaOutOfRange
 
 
 @dataclass
-class Piece:
-    level: int
-    members: np.ndarray
-
-
-@dataclass
 class KappaDecomposition:
-    pieces: list
-    owner: np.ndarray  # vertex -> index into pieces; -1 for o and truncated
-    truncated: np.ndarray  # vertices beyond the last complete level
+    owner: np.ndarray  # vertex -> piece index; -1 for o and truncated vertices
+    pieces: np.ndarray  # (k,) int64, the level of each piece
     kappa: float
 
 
@@ -50,13 +44,14 @@ class GoodCovering:
     U: csr_matrix  # (pieces x n) bool; row i marks U_i, indices ascending
     star: csr_matrix  # likewise U*_i
     sharp: csr_matrix  # likewise U#_i
-    levels: list
+    levels: np.ndarray  # (pieces,) int64, the decomposition's piece levels
     adjacency: np.ndarray
     excluded: np.ndarray = ()
     hops: np.ndarray = None
     kappa: float = None
 
     def __post_init__(self):
+        self.levels = np.asarray(self.levels, dtype=np.int64)
         self.adjacency = np.asarray(self.adjacency, dtype=np.int64).reshape(-1, 2)
         self.excluded = np.asarray(self.excluded, dtype=np.int64)
         if self.hops is None:
@@ -104,11 +99,10 @@ def kappa_decomposition(space, o, kappa):
     lev = _vertex_levels(d, kappa)
     i_top = int(math.floor(math.log(d_max) / math.log(kappa) + 1e-9)) if d_max > 0 else 0
     keep = (d > 0) & (lev <= i_top)
-    truncated = np.flatnonzero((d > 0) & (lev > i_top))
     kept = np.flatnonzero(keep)
     owner = np.full(n, -1, dtype=np.int64)
     if len(kept) == 0:
-        return KappaDecomposition([], owner, truncated, kappa)
+        return KappaDecomposition(owner, np.zeros(0, dtype=np.int64), kappa)
     levels = np.unique(lev[kept]).tolist()
 
     # Raw pieces are the components of each shell, numbered by (level,
@@ -158,11 +152,7 @@ def kappa_decomposition(space, o, kappa):
 
     alive = np.flatnonzero(target == np.arange(n_raw))
     owner[kept] = np.searchsorted(alive, target[owner[kept]])
-    by_owner = np.argsort(owner, kind="stable")[n - len(kept):]
-    sizes = np.bincount(owner[kept], minlength=len(alive))
-    members = np.split(by_owner, np.cumsum(sizes)[:-1])
-    pieces = [Piece(level=i, members=m) for i, m in zip(plevel[alive].tolist(), members)]
-    return KappaDecomposition(pieces, owner, truncated, kappa)
+    return KappaDecomposition(owner, plevel[alive], kappa)
 
 
 def _within(X, Y):
@@ -210,8 +200,8 @@ def expand_covering(space, decomp):
     hops = _piece_distances(n, adj)
     # (U^T H)^T is H U for the symmetric hop mask H; converting it to CSR sorts each row
     star, sharp = ((U.T.tocsr() @ csr_matrix(hops <= h)).T.tocsr() for h in (1, 4))
-    return GoodCovering(U, star, sharp, [p.level for p in decomp.pieces], adj,
-                        np.flatnonzero(decomp.owner < 0), hops, decomp.kappa)
+    return GoodCovering(U, star, sharp, decomp.pieces, adj, np.flatnonzero(decomp.owner < 0),
+                        hops, decomp.kappa)
 
 
 def validate_covering(covering, space, mu=None):

@@ -28,15 +28,18 @@ from .errors import ExponentOutOfRange, NoBoundary, PilabError, ZeroMass
 
 @dataclass
 class CoveringGraph:
-    n: int
     edges: np.ndarray  # (m, 2) int64 vertex pairs
     vmass: np.ndarray
     emass: np.ndarray
     boundary: np.ndarray  # bool mask, Dirichlet layer
-    levels: list
+    levels: np.ndarray  # (n,) int64 piece levels
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+
+    @property
+    def n(self):
+        return len(self.vmass)
 
     @property
     def interior(self):
@@ -75,21 +78,21 @@ def build_covering_graph(space, covering, mu=None):
     """
     if covering.n_pieces == 0:
         raise NoBoundary("the covering has no pieces")
-    levels = list(covering.levels)
-    if min(levels) == max(levels):
+    levels = covering.levels
+    top = levels.max()
+    if levels.min() == top:
         raise NoBoundary(f"kappa {covering.kappa} puts every covering piece on the boundary "
-                         f"level {levels[0]}, so no piece is interior")
+                         f"level {top}, so no piece is interior")
     mu = space.measure if mu is None else mu
     vmass = set_masses(covering.U, mu)
     if np.any(vmass <= 0):
         raise ZeroMass("a covering piece has zero mu-mass")
     a, b = covering.adjacency.T
     return CoveringGraph(
-        n=covering.n_pieces,
         edges=covering.adjacency,
         vmass=vmass,
         emass=np.minimum(vmass[a], vmass[b]),
-        boundary=np.asarray(levels) == max(levels),
+        boundary=levels == top,
         levels=levels,
     )
 
@@ -187,8 +190,11 @@ def poincare_constant(graph, t):
     the generalized eigenvalue of mass versus Laplacian, else the ratio of
     the f >= 0 that one descent of log(sum w|Df|^t / sum m f^t) reaches from
     the t=2 ground state.  The energy is convex in f^t (hidden convexity),
-    so every local minimum of the quotient is the component's optimum.  A
-    component with no boundary edge (1 has zero gradient) raises NoBoundary.
+    so every local minimum of the quotient is the component's optimum, but
+    the value returned is where L-BFGS-B stops at its default tolerances,
+    not a certified optimum: slightly low (3e-4 relative at t=1.5 on a
+    145-vertex interior).  A component with no boundary edge (1 has zero
+    gradient) raises NoBoundary.
     """
     if not 1 <= t < math.inf:
         raise ExponentOutOfRange(f"t={t} must be finite and >= 1")

@@ -72,12 +72,11 @@ def _graph(n, edges, vmass, emass, boundary):
     b = np.zeros(n, dtype=bool)
     b[list(boundary)] = True
     return CoveringGraph(
-        n=n,
         edges=[tuple(e) for e in edges],
         vmass=np.asarray(vmass, dtype=float),
         emass=np.asarray(emass, dtype=float),
         boundary=b,
-        levels=[0] * n,
+        levels=np.zeros(n, dtype=np.int64),
     )
 
 

@@ -107,7 +107,7 @@ def _mismatches(sp, o, seed, count, family=verify.Family, base=None):
     there.  The family's radial members read the row of `base` (o when None)."""
     base = o if base is None else base
     members = [(fid, np.asarray(f, dtype=float)) for fid, f in family(sp, base, seed, count)]
-    one_level = len({p.level for p in kappa_decomposition(sp, o, 2.0).pieces}) == 1
+    one_level = len(np.unique(kappa_decomposition(sp, o, 2.0).pieces)) == 1
     bad = []
     for name, run, ratio in _cases(sp, o):
         refuses = one_level and name not in ("annulus", "local-sobolev")

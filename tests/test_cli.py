@@ -69,11 +69,28 @@ def test_decompose_rejects_bad_kappa(tmp_path):
     assert run("decompose", "--space", str(out), "--kappa", "0.5") == 1
 
 
+# `pilab decompose` stdout, pinned at the commit before a decomposition
+# became its owner array and one level per piece
+DECOMPOSE_OUTPUT = {
+    (("grid_quadrant", "--n", "16"), "2"):
+        "kappa 2\npieces 6\nlevels 5\ntruncated 1\nQ1_emp 6\nQ2_emp 8\n",
+    (("cone_grid", "--n", "20", "--eta", "2"), "2"):
+        "kappa 2\npieces 4\nlevels 4\ntruncated 360\nQ1_emp 4\nQ2_emp 6\n",
+    (("sector_union", "--resolution", "1.0"), "1.2"):
+        "kappa 1.2\npieces 117\nlevels 18\ntruncated 10\nQ1_emp 96\nQ2_emp 23\n",
+}
+AXIOMS_PASS = "".join(f"{name} pass\n" for name in
+                      ("axiom1_nested", "axiom2_cover", "axiom4_measure", "eq_Q1", "eq_Q12"))
+
+
 def test_decompose_runs(tmp_path, capsys):
-    out = tmp_path / "g.json"
-    run("gen", "--kind", "grid_quadrant", "--n", "16", "-o", str(out))
-    assert run("decompose", "--space", str(out), "--kappa", "2.0") == 0
-    assert "Q1_emp" in capsys.readouterr().out
+    for (gen, kappa), text in DECOMPOSE_OUTPUT.items():
+        out = tmp_path / f"{gen[0]}.json"
+        run("gen", "--kind", *gen, "-o", str(out))
+        base = sector_union_origin(load_space(out)) if gen[0] == "sector_union" else 0
+        capsys.readouterr()
+        assert run("decompose", "--space", str(out), "--base", str(base), "--kappa", kappa) == 0
+        assert capsys.readouterr().out == text + AXIOMS_PASS
 
 
 def test_graph_command(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -35,6 +37,16 @@ def _rows(M):
     return [M.indices[a:b] for a, b in zip(M.indptr[:-1], M.indptr[1:])]
 
 
+def _members(dec):
+    """The vertices of each piece of a decomposition, ascending."""
+    return [np.flatnonzero(dec.owner == i) for i in range(len(dec.pieces))]
+
+
+def _truncated(dec, o):
+    """The vertices beyond the last complete level: owner < 0, without o."""
+    return np.setdiff1d(np.flatnonzero(dec.owner < 0), [o])
+
+
 def test_kappa_and_base_point_validation():
     sp = path_space(8)
     with pytest.raises(KappaOutOfRange):
@@ -46,19 +58,19 @@ def test_kappa_and_base_point_validation():
 def test_pieces_partition_vertices():
     for sp, o in ((grid_quadrant(16), 0), (radial_profile(100, 2.0), 0)):
         dec = kappa_decomposition(sp, o, 2.0)
-        seen = [o] + list(dec.truncated)
-        for p in dec.pieces:
-            seen.extend(int(v) for v in p.members)
+        seen = [o] + list(_truncated(dec, o))
+        for members in _members(dec):
+            seen.extend(int(v) for v in members)
         assert sorted(seen) == list(range(sp.n))
 
 
 def test_level_assignment_half_open():
     sp = path_space(10)
     dec = kappa_decomposition(sp, 0, 2.0)
-    for p in dec.pieces:
-        d = sp.dist_from(0)[p.members]
+    for level, members in zip(dec.pieces, _members(dec)):
+        d = sp.dist_from(0)[members]
         # merged members may sit one level up, but never below the level floor
-        assert d.min() >= 2.0 ** (p.level - 1)
+        assert d.min() >= 2.0 ** (level - 1)
 
 
 def test_thin_component_merged_inward():
@@ -67,15 +79,12 @@ def test_thin_component_merged_inward():
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 5, 1.0), (5, 6, 1.0)]
     sp = build_space(7, edges, np.ones(7))
     dec = kappa_decomposition(sp, 0, 2.0)
-    by_vertex = {}
-    for p in dec.pieces:
-        for v in p.members:
-            by_vertex[int(v)] = p
+    piece = dec.owner[6]
     # stub vertex 6 sits at distance 2 (level 2) but cannot reach distance
     # near 4, so it merges into the level-1 piece of vertex 5
-    assert by_vertex[6].level == 1
-    assert 5 in set(int(v) for v in by_vertex[6].members)
-    assert 4 in dec.truncated  # distance 4 lies beyond the last full level
+    assert dec.pieces[piece] == 1
+    assert 5 in set(int(v) for v in np.flatnonzero(dec.owner == piece))
+    assert 4 in _truncated(dec, 0)  # distance 4 lies beyond the last full level
 
 
 def _random_tree_graph(seed):
@@ -115,21 +124,46 @@ def test_merged_pieces_partition_and_stay_connected():
         sp, o, kappa = _random_tree_graph(seed)
         dec = kappa_decomposition(sp, o, kappa)
         d = sp.dist_from(o)
-        seen = [o] + [int(v) for v in dec.truncated]
-        for p in dec.pieces:
-            seen.extend(int(v) for v in p.members)
-            assert _is_connected(sp, p.members)
+        seen = [o] + [int(v) for v in _truncated(dec, o)]
+        for members in _members(dec):
+            seen.extend(int(v) for v in members)
+            assert _is_connected(sp, members)
         assert sorted(seen) == list(range(sp.n))
         # a piece holding a vertex beyond its own shell absorbed a thin one
-        merging += any(d[p.members].max() >= kappa**p.level for p in dec.pieces)
+        merging += any(d[members].max() >= kappa**level
+                       for level, members in zip(dec.pieces, _members(dec)))
     assert merging >= 20
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*range(40), "grid16", "cone20", "radial100", "sector1"],
+)
+def test_piece_level_is_its_lowest_vertex_level(case):
+    # a merge only absorbs higher levels, so a piece keeps the level of its
+    # nearest vertex: the smallest floor(log_kappa d(o, v)) + 1 over v
+    if isinstance(case, int):
+        sp, o, kappa = _random_tree_graph(case)
+    else:
+        sp, o, kappa = {
+            "grid16": (grid_quadrant(16), 0, 2.0),
+            "cone20": (cone_grid(20, 2), 0, 2.0),
+            "radial100": (radial_profile(100, 2.0), 0, 2.0),
+            "sector1": (sector_union(1.0), None, 1.2),
+        }[case]
+        o = sector_union_origin(sp) if o is None else o
+    dec = kappa_decomposition(sp, o, kappa)
+    d = sp.dist_from(o)
+    assert len(dec.pieces) > 0 and dec.pieces.dtype == np.int64
+    for level, members in zip(dec.pieces.tolist(), _members(dec)):
+        assert level == min(math.floor(math.log(d[v]) / math.log(kappa)) + 1 for v in members)
 
 
 def test_truncation_drop():
     sp = path_space(9)  # distances 0..8, levels 1..3 complete
     dec = kappa_decomposition(sp, 0, 2.0)
-    assert list(dec.truncated) == [8]
-    assert max(p.level for p in dec.pieces) == 3
+    assert list(_truncated(dec, 0)) == [8]
+    assert max(dec.pieces) == 3
 
 
 def test_layer_bound_values():
@@ -171,7 +205,7 @@ def test_validation_with_weight():
 def test_covering_excludes_what_the_decomposition_leaves_out(sp):
     dec = kappa_decomposition(sp, 0, 2.0)
     cov = expand_covering(sp, dec)
-    assert set(cov.excluded.tolist()) == {0, *dec.truncated.tolist()}
+    assert set(cov.excluded.tolist()) == {0, *_truncated(dec, 0).tolist()}
     val = validate_covering(cov, sp)
     assert val.all_pass and len(val.uncovered) == 0
     # every other vertex counts only through its U
@@ -280,13 +314,14 @@ def test_membership_matrices_match_piece_unions(sp, base):
     mu = sp.measure / (1.0 + sp.dist_from(o))
     U, star, sharp = _rows(cov.U), _rows(cov.star), _rows(cov.sharp)
     U_mass, star_mass, sharp_mass = (set_masses(M, mu) for M in (cov.U, cov.star, cov.sharp))
+    members = _members(dec)
     for i in range(n):
-        assert U[i].tolist() == dec.pieces[i].members.tolist()
-        assert U_mass[i] == mu[dec.pieces[i].members].sum()
+        assert U[i].tolist() == members[i].tolist()
+        assert U_mass[i] == mu[members[i]].sum()
         for rows, mass, reach in ((star, star_mass, 1), (sharp, sharp_mass, 4)):
             union = set()
             for j in range(n):
                 if cov.hops[i, j] <= reach:
-                    union |= set(dec.pieces[j].members.tolist())
+                    union |= set(members[j].tolist())
             assert rows[i].tolist() == sorted(union)
             assert mass[i] == mu[sorted(union)].sum()
