@@ -336,7 +336,7 @@ def build_parser():
     ve.add_argument("--count", type=_family_count, default=200)
     ve.add_argument("--format", choices=["csv", "json"], default="csv")
     ve.add_argument("--deterministic-output", action="store_true")
-    ve.add_argument("--threads", type=int, default=0, help="worker cap (0 = auto)")
+    ve.add_argument("--threads", type=int, default=0, help="accepted and ignored: execution is sequential")
     ve.add_argument("-o", "--out", dest="out", default=None)
     ve.set_defaults(fn=_cmd_verify)
 

@@ -3,8 +3,8 @@
 A space is a connected edge-weighted graph together with a positive vertex
 measure.  The metric is the shortest-path distance, so every space is
 graph-geodesic by construction; an edge listed twice keeps its shorter
-length, a self-loop is dropped, and the resolution and the profile grid
-read the lengths that remain.  Queries (balls, annuli) are pure and cheap.
+length, a self-loop is dropped, and the resolution, the step and every
+row read the lengths that remain.  Queries (balls, annuli) are pure and cheap.
 Distances are never materialized all-pairs: each source's row is computed
 on demand, by breadth-first search when every edge has one length and by
 Dijkstra otherwise, run directed on the adjacency (symmetric by
@@ -12,10 +12,6 @@ construction, so scipy builds no transpose per row).  A full row is kept
 in a least-recently-used cache capped in bytes, so memory stays bounded
 however many rows are read.  A row asked for only up to a `limit` is cut
 from a cached full row, or else stops its search there and is not cached.
-The module ends with the profile grid, `default_profile_samples`, and the
-row stream that `pilab.verify.Profile` reads, `profile_rows`: the profile
-centers in farthest-point order, each row read once, only as far as the
-profile's balls reach.
 """
 
 from __future__ import annotations
@@ -30,12 +26,10 @@ from .errors import DisconnectedGraph, NoBasePoint, NonPositiveLength, NonPositi
 
 # Byte cap of the per-source distance row cache; the least recently used
 # rows are evicted first.  Truncated rows are never cached (they are cut from
-# a cached row when there is one), and a check holds one profile row at a
-# time, which its doubling masses, Poincare balls, tents and indicators all
-# read.  So the checks hold few rows: hardy plus weighted-sobolev leave the
-# diameter's rows and o's, 4, 7 and 3 full rows (0.14, 1.41 and 0.49 MB), on
-# grid_quadrant(64), sector_union(0.25) and cone_grid(101, 2), and the cap
-# leaves room for reuse across checks.
+# a cached row when there is one), so only full rows count: hardy plus
+# weighted-sobolev leave the diameter's rows and o's, 4, 7 and 3 full rows
+# (0.14, 1.41 and 0.49 MB), on grid_quadrant(64), sector_union(0.25) and
+# cone_grid(101, 2), and the cap leaves room for reuse across checks.
 ROW_CACHE_BYTES = 256 * 2**20
 
 
@@ -258,46 +252,3 @@ def build_space(vertices, edges, measure, coords=None):
         lens = np.empty(0)
     return FiniteMetricMeasureSpace(vertices, e, lens, measure, coords)
 
-
-def default_profile_samples(space):
-    """(count, radii, limit) of the profile grid.
-
-    `count` centers, taken by `profile_rows`: n / max(1, n // 64) rounded
-    up, 65 on the gallery's benchmark spaces.  Radii run dyadically from 4x
-    the resolution (smaller radii alias the lattice) up to a quarter of the
-    diameter, so the doubled ball stays below diameter/2.  Each center's row
-    is read up to `limit` = 2 max(radii) + the longest edge of the
-    adjacency, as far as the doubled balls and the neighbours of every
-    doubled ball reach.
-    """
-    diam = space.diameter()
-    r = 4.0 * space.resolution
-    radii = []
-    while r <= diam / 4 + 1e-12:
-        radii.append(r)
-        r *= 2.0
-    radii = radii or [max(space.resolution, diam / 4)]
-    data = space.adjacency.data
-    longest = float(data.max()) if len(data) else 0.0
-    return -(-space.n // max(1, space.n // 64)), radii, 2.0 * radii[-1] + longest
-
-
-def profile_rows(space):
-    """(x, row of x) for each profile center x, every row read once, to the
-    grid's limit.
-
-    The centers come in farthest-point order from vertex 0: each next one
-    is the first vertex farthest from those before, as their rows read it
-    (past the limit a distance counts as inf), so the centers spread over
-    the space within 2x of the best covering radius (T. Gonzalez, Theor.
-    Comput. Sci. 1985).  The order is a running minimum over the rows.
-    """
-    count, _, limit = default_profile_samples(space)
-    near = np.full(space.n, np.inf)
-    x = 0
-    for _ in range(count):
-        d = space.dist_from(x, limit=limit)
-        yield x, d
-        np.minimum(near, d, out=near)
-        far = near > limit  # each is farthest: past the limit a distance counts as inf
-        x = int(np.argmax(far if far.any() else near))

@@ -32,7 +32,7 @@ from .covering import expand_covering, kappa_decomposition, validate_covering
 from .errors import EmptyPiece, NotAhlfors, NotConnected, NotInAnnulus
 from .gallery import space_document
 from .graph_ineq import build_covering_graph, graph_profile, isoperimetric_constant
-from .space import FiniteMetricMeasureSpace, default_profile_samples, profile_rows
+from .space import FiniteMetricMeasureSpace
 from .weights import weight_density
 
 REL_TOL = 1e-6
@@ -96,30 +96,33 @@ def cheeger_energy(space, f, s):
     return float((lip(space, f) ** s * space.measure).sum())
 
 
-def _first_neighbours(space, s, at):
-    """(x, y, w): the vertices x of the index array `at` that have a
-    neighbour, the first neighbour y of each in space.adjacency, and
-    m(x) / d(x, y)^s."""
+def _first_neighbours(space, s):
+    """(x, y, w): the vertices x that have a neighbour, the first neighbour y
+    of each in space.adjacency, and m(x) / d(x, y)^s."""
     ptr = space.adjacency.indptr
-    x = at[ptr[at] < ptr[at + 1]]
+    x = np.flatnonzero(ptr[:-1] < ptr[1:])
     return x, space.adjacency.indices[ptr[x]], space.measure[x] / space.adjacency.data[ptr[x]] ** s
 
 
-def _energy_floor(space, s, at=None, terms=None):
+def _energy_floor(profile, at=None):
     """f -> a lower bound on the float slope energy sum m lip(f)^s over `at`
-    (all vertices when None): it adds m(x) / d(x, y)^s |f(x) - f(y)|^s, y the
-    first neighbour of x in space.adjacency, one of the quotients that
-    lip(f)(x) maximizes.  `terms`, when given, are _first_neighbours at `at`."""
-    x, y, w = terms or _first_neighbours(space, s, np.arange(space.n) if at is None else np.asarray(at))
-    every = at is None and len(x) == space.n  # x is 0..n-1
-    return lambda f: float(np.abs((f if every else f.take(x)) - f.take(y)) ** s @ w) * (1.0 - SLACK)
+    (all vertices when None), s = profile.s: it adds m(x) / d(x, y)^s
+    |f(x) - f(y)|^s, y the first neighbour of x in space.adjacency, one of the
+    quotients that lip(f)(x) maximizes, its terms gathered from profile.first
+    at `at`.  An `at` holds two or more vertices of a connected space, so
+    every vertex has a neighbour and the table is indexed by vertex."""
+    x, y, w = profile.first
+    every = at is None and len(x) == profile.space.n  # x is 0..n-1
+    if at is not None:
+        x, y, w = at, y[at], w[at]
+    return lambda f: float(np.abs((f if every else f.take(x)) - f.take(y)) ** profile.s @ w) * (1.0 - SLACK)
 
 
-def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
-    """f -> num(f) / (scale ||lip f||_{L^s(at)}), the norm over every vertex
-    when `at` is None and in the base measure; 0.0 when the denominator is
-    not positive.  f is read where num reads it, at `at` and at the
-    neighbours of `at`; `terms` are passed to _energy_floor.
+def _slope_ratio(profile, num, at=None, scale=1.0):
+    """f -> num(f) / (scale ||lip f||_{L^s(at)}), s = profile.s, the norm over
+    every vertex when `at` is None and in the base measure; 0.0 when the
+    denominator is not positive.  f is read where num reads it, at `at` and
+    at the neighbours of `at`.
 
     This is the sweep's skip rule for a built member: given a `best`, as
     _verdict passes it, the ratio returns 0.0 when num(f) over the energy
@@ -127,6 +130,7 @@ def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
     bound, which a caller that rescales the ratio could round above its
     best.  _radial_bound takes the same bound on o's distance classes.
     """
+    space, s = profile.space, profile.s
     m = space.measure if at is None else space.measure[at]
     floor = slope = None  # each built when first needed
 
@@ -134,7 +138,7 @@ def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
         nonlocal floor, slope
         f = np.asarray(f, dtype=float)
         if best is not None:
-            floor = floor or _energy_floor(space, s, at, terms)
+            floor = floor or _energy_floor(profile, at)
             den = scale * floor(f) ** (1.0 / s)
             if (num(f) / den if den > 0 else math.inf) <= best:
                 return 0.0
@@ -145,14 +149,14 @@ def _slope_ratio(space, num, s, at=None, scale=1.0, terms=None):
     return ratio
 
 
-def _radial_bound(mu, s, t, first):
+def _radial_bound(profile, mu, t):
     """f -> _slope_ratio's bound on (sum |f|^t mu)^(1/t) / ||lip f||_{L^s} at a
     lazy member f = partial(g, d) of Family.members, read from g(u) at the
     distinct values u of d, the row f reads (taken again when it changes):
     |g(u)|^t times each class's mu-mass, over _energy_floor's terms summed per
-    class pair (of x, of y) of `first`, the (x, y, w) at every vertex.  Both
-    regroup sums of terms >= 0, so they differ from the dense ones far below SLACK."""
-    x, y, w = first
+    class pair (of x, of y) of profile.first.  Both regroup sums of terms
+    >= 0, so they differ from the dense ones far below SLACK."""
+    (x, y, w), s = profile.first, profile.s
     row = classes = None
 
     def bound(f):
@@ -170,15 +174,14 @@ def _radial_bound(mu, s, t, first):
     return bound
 
 
-def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0, profile=None,
+def _verdict(name, profile, t, kappa, family, ratio, constant, tol, flags, t0,
              radial=lambda f: math.inf):
     """Report of a check begun at perf_counter() = t0: the largest ratio(f)
     over the (id, f) pairs of the family, witnessed by its id (0 and "" when
     no ratio is positive), judged against the Constant constant(Q, C_P)
-    within relative tolerance `tol`.  Q and C_P come from one pass of
-    `profile`, Profile(space, s) when None, whose rows the family's tents
-    and indicators read as the pass reads them; reading the fits finishes
-    the pass.
+    within relative tolerance `tol`.  Q and C_P come from one pass of the
+    check's Profile(space, s), whose rows the family's tents and indicators
+    read as the pass reads them; reading the fits finishes the pass.
 
     `ratio(f, best=b)` may return any value <= b once a bound shows the
     ratio is <= b: a ratio counts only when strictly above the best, so
@@ -189,7 +192,6 @@ def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0, 
     flagged `constant_nonfinite`; a check flagged `covering_axiom_failed`
     fails too.
     """
-    profile = profile or Profile(space, s)
     best, witness = 0.0, ""
     for fid, f in family.members(profile):
         if callable(f) and radial(f) <= best:
@@ -204,23 +206,23 @@ def _verdict(name, space, s, t, kappa, family, ratio, constant, tol, flags, t0, 
     passed = finite and "covering_axiom_failed" not in flags and best <= const.value * (1 + tol)
     # the fields in the order of the CSV columns
     return InequalityReport(
-        name, s, t, kappa, const.Q1, const.Q2, const.C1, const.C2, best, const.value,
+        name, profile.s, t, kappa, const.Q1, const.Q2, const.C1, const.C2, best, const.value,
         witness, passed, ";".join(flags), time.perf_counter() - t0,
     )
 
 
-def _oscillation_ratio(space, A, E, R, s, t, terms=None):
+def _oscillation_ratio(profile, A, E, R, t):
     """f -> ||f - f_A||_{L^t(A)} / (R m(A)^(1/t - 1/s) ||lip f||_{L^s(E)}),
-    a _slope_ratio: the mean f_A and both norms use the base measure, and f
-    is read only at A, E and the neighbours of E."""
-    mA = space.measure[A]
+    s = profile.s, a _slope_ratio: the mean f_A and both norms use the base
+    measure, and f is read only at A, E and the neighbours of E."""
+    mA = profile.space.measure[A]
     mass = float(mA.sum())
 
     def num(f):
         fA = float((f[A] * mA).sum() / mass)
         return float((np.abs(f[A] - fA) ** t * mA).sum()) ** (1.0 / t)
 
-    return _slope_ratio(space, num, s, E, R * mass ** (1.0 / t - 1.0 / s), terms)
+    return _slope_ratio(profile, num, E, R * mass ** (1.0 / t - 1.0 / profile.s))
 
 
 # -- test-function families ------------------------------------------------
@@ -322,39 +324,68 @@ class AhlforsParams:
 
 
 class Profile:
-    """The profile data of a space from one pass over profile_rows(space),
-    the only reader of its rows, on the grid (`count`, `radii`) of
-    default_profile_samples, whose radii are positive: every ball holds its
-    center and has positive mass.  Iterating the record yields each
-    center's (x, row) once the row has fed its line of `masses`, m(B_r(x))
-    at r in radii + [2 max(radii)], and, when `s` is given, at every j-th
-    center, j = max(1, count // 16), its Poincare balls (17 centers on the
-    gallery's benchmark spaces), their floors read from `first`, the
-    _first_neighbours at every vertex.  Reading a result finishes the pass.
+    """The profile data of a space from one pass over its rows, on one grid:
+    `count` centers, n / max(1, n // 64) rounded up (65 on the gallery's
+    benchmark spaces), and dyadic `radii` from 4x the resolution (smaller
+    radii alias the lattice) up to a quarter of the diameter, so that the
+    doubled ball stays below diameter/2.  The radii are positive, so every
+    ball holds its center and has positive mass.  Each center's row is read
+    up to `limit` = 2 max(radii) + the longest edge of the adjacency, as far
+    as the doubled balls and the neighbours of every doubled ball reach.
+
+    Given s, `first` is the sweep's one floor table, the _first_neighbours of
+    the space.  Iterating the record yields each center's (x, row) once the
+    row has fed its line of `masses`, m(B_r(x)) at r in radii + [2 max(radii)],
+    and, given s, at every j-th center, j = max(1, count // 16), its Poincare
+    balls (17 centers on the gallery's benchmark spaces).  Reading a result
+    finishes the pass.
     """
 
     def __init__(self, space, s=None):
         self.space, self.s = space, s
-        self.first = None if s is None else _first_neighbours(space, s, np.arange(space.n))
-        self.count, self.radii, _ = default_profile_samples(space)
+        self.first = None if s is None else _first_neighbours(space, s)
+        diam = space.diameter()
+        r, radii = 4.0 * space.resolution, []
+        while r <= diam / 4 + 1e-12:
+            radii.append(r)
+            r *= 2.0
+        self.radii = radii or [max(space.resolution, diam / 4)]
+        self.limit = 2.0 * self.radii[-1] + float(space.adjacency.data.max(initial=0.0))
+        self.count = -(-space.n // max(1, space.n // 64))
         self._lines, self._best = [], 0.0
-        self._rows = self._pass()
+        self._pass = self._read()
 
     def __iter__(self):
-        return self._rows
+        return self._pass
 
-    def _pass(self):
-        space, s, radii, first = self.space, self.s, self.radii, self.first
-        grid = radii + [2 * radii[-1]]
-        for i, (x, d) in enumerate(profile_rows(space)):
-            self._lines.append(_row_masses(space, d, grid))
-            if s is not None and i % max(1, self.count // 16) == 0:
-                # every vertex has a first neighbour once a ball holds two vertices
-                self._best = _poincare_balls(space, s, d, radii, self._lines[-1], self._best, first[1:])
+    def rows(self):
+        """(x, row of x) for each center x, every row read once, to `limit`.
+
+        The centers come in farthest-point order from vertex 0: each next one
+        is the first vertex farthest from those before, as their rows read it
+        (past the limit a distance counts as inf), so the centers spread over
+        the space within 2x of the best covering radius (T. Gonzalez, Theor.
+        Comput. Sci. 1985).  The order is a running minimum over the rows.
+        """
+        near = np.full(self.space.n, np.inf)
+        x = 0
+        for _ in range(self.count):
+            d = self.space.dist_from(x, limit=self.limit)
+            yield x, d
+            np.minimum(near, d, out=near)
+            far = near > self.limit  # each is farthest: past the limit a distance counts as inf
+            x = int(np.argmax(far if far.any() else near))
+
+    def _read(self):
+        grid = self.radii + [2 * self.radii[-1]]
+        for i, (x, d) in enumerate(self.rows()):
+            self._lines.append(_row_masses(self.space, d, grid))
+            if self.s is not None and i % max(1, self.count // 16) == 0:
+                self._best = _poincare_balls(self, d, self._lines[-1], self._best)
             yield x, d
 
     def _finish(self):
-        for _ in self._rows:
+        for _ in self._pass:
             pass
 
     @cached_property
@@ -424,25 +455,24 @@ def _row_masses(space, d, radii):
     return [mB[dB < r].sum() for r in radii]
 
 
-def _poincare_balls(space, s, dx, radii, line, best, first):
+def _poincare_balls(profile, dx, line, best):
     """The larger of `best` and the ratios on the balls B = B_r(x), r in
-    radii, read from the row dx of x and its mass line (Profile.masses):
-    the oscillation ratio on (B, 2B) times (m(2B)/m(B))^(1/s), both masses
-    taken from the line, which turns both norms into averages, swept over
-    the row d(x, .), the tent 1 - d(x, .)/r and, when the space has
-    coordinates, their sum x + y.  As in _verdict, a candidate is finished
+    profile.radii, s = profile.s, read from the row dx of x and its mass line
+    (Profile.masses): the oscillation ratio on (B, 2B) times
+    (m(2B)/m(B))^(1/s), both masses taken from the line, which turns both
+    norms into averages, swept over the row d(x, .), the tent 1 - d(x, .)/r
+    and, when the space has coordinates, their sum x + y.  As in _verdict, a candidate is finished
     only when its bound can beat the best so far, and only a larger ratio
-    counts, so NaN never does.  The energy floor of each 2B gathers its
-    terms from `first`, the (y, w) of _first_neighbours at every vertex."""
+    counts, so NaN never does."""
+    space, s = profile.space, profile.s
     coord_sum = [] if space.coords is None else [space.coords[:, 0] + space.coords[:, 1]]
-    y, w = first
-    for r, mB, m2B in zip(radii, line, line[1:]):
+    for r, mB, m2B in zip(profile.radii, line, line[1:]):
         B = np.flatnonzero(dx < r)
         if len(B) < 2:
             continue
         B2 = np.flatnonzero(dx < 2.0 * r)
         scale = float(m2B / mB) ** (1.0 / s)
-        osc = _oscillation_ratio(space, B, B2, r, s, s, (B2, y[B2], w[B2]))
+        osc = _oscillation_ratio(profile, B, B2, r, s)
         for f in [dx, np.maximum(0.0, 1.0 - dx / r), *coord_sum]:
             ratio = scale * osc(f, best=best / scale)
             if ratio > best:
@@ -508,9 +538,10 @@ def local_sobolev_check(space, a, R, s, t, family):
         C_s = local_sobolev_constant(Q, C_P, 2.0, s, flags)
         return Constant(C_P, C_s, 0.0, 0.0, C_s)
 
-    ratio = _oscillation_ratio(space, B, B, R, s, t)
+    profile = Profile(space, s)
+    ratio = _oscillation_ratio(profile, B, B, R, t)
     tol = REL_TOL + 3.0 * space.resolution / R
-    return _verdict("local-sobolev", space, s, t, 0.0, family, ratio, constant, tol, flags, t0)
+    return _verdict("local-sobolev", profile, t, 0.0, family, ratio, constant, tol, flags, t0)
 
 
 def _require_in_annulus(space, o, R, alpha, A):
@@ -540,14 +571,15 @@ def annulus_piece_check(space, o, R, alpha, delta, A, s, t, family, flavor="poin
 
     rho = delta * R
     fat = np.flatnonzero(space.dist_to_set(A, limit=rho) < rho)
-    ratio = _oscillation_ratio(space, A, fat, R, s, t)
+    profile = Profile(space, s)
+    ratio = _oscillation_ratio(profile, A, fat, R, t)
     flags = []
 
     def constant(Q, C_P):
         return annulus_constant(Q, C_P, alpha, delta, s, t, flavor, flags)
 
     tol = REL_TOL + 3.0 * space.resolution / R
-    return _verdict(f"annulus-{flavor}", space, s, t, 0.0, family, ratio, constant, tol, flags, t0)
+    return _verdict(f"annulus-{flavor}", profile, t, 0.0, family, ratio, constant, tol, flags, t0)
 
 
 # -- headline weighted checks ---------------------------------------------
@@ -577,10 +609,9 @@ def _weighted_check(space, o, s, t, family, kappa, weight, name, **scale):
         )
 
     profile = Profile(space, s)
-    ratio = _slope_ratio(
-        space, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t), s, terms=profile.first)
-    return _verdict(name, space, s, t, kappa, family, ratio, constant, REL_TOL, flags, t0,
-                    profile, _radial_bound(mu, s, t, profile.first))
+    ratio = _slope_ratio(profile, lambda f: float((np.abs(f) ** t * mu).sum()) ** (1.0 / t))
+    return _verdict(name, profile, t, kappa, family, ratio, constant, REL_TOL, flags, t0,
+                    _radial_bound(profile, mu, t))
 
 
 def weighted_sobolev_check(space, o, s, t, family, kappa=2.0):

@@ -6,6 +6,8 @@ list, so it shares neither the bounds nor the slope code with the code
 under test.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -17,7 +19,7 @@ from pilab.cli import _largest_annulus_component
 from pilab.covering import kappa_decomposition
 from pilab.errors import NoBoundary, NotAhlfors
 from pilab.gallery import cone_grid, grid_quadrant, radial_profile
-from pilab.space import FiniteMetricMeasureSpace, default_profile_samples, profile_rows
+from pilab.space import FiniteMetricMeasureSpace
 from pilab.verify import Profile, _radial_bound, ahlfors_fit
 from pilab.weights import weight_density
 
@@ -192,7 +194,8 @@ def _centered_excess(sp, o=0, seed=1, count=200):
     (Floyd-Warshall, not Dijkstra), with widths and radii drawn from the
     profile radii; or that are nonzero past their center's row limit."""
     dense = csgraph.shortest_path(sp.adjacency, method="FW", directed=False)
-    _, radii, limit = default_profile_samples(sp)
+    profile = Profile(sp)
+    radii, limit = profile.radii, profile.limit
     exact = {f"{r:.4f}": r for r in [*radii, 2 * radii[-1]]}
     bad = []
     for fid, f in verify.make_family(sp, o, seed, count):
@@ -234,8 +237,7 @@ def test_tent_bound_holds_random(sp):
 def test_tent_bound_is_not_for_other_members():
     # the radial powers read o's full row, past the row limit
     sp = grid_quadrant(8)
-    _, _, limit = default_profile_samples(sp)
-    far = sp.dist_from(0) > limit
+    far = sp.dist_from(0) > Profile(sp).limit
     powers = [f for fid, f in verify.make_family(sp, 0, 1, 200) if fid.startswith("radial_power")]
     assert far.any() and len(powers) == 80
     assert all((f[far] > 0).all() for f in powers)
@@ -279,25 +281,26 @@ def _scaled_floor(factor):
     return lambda *args, **kw: (lambda g: lambda f: factor * g(f))(floor(*args, **kw))
 
 
-def _short_rows(space):
-    """verify.profile_rows with every row cut at the largest profile radius,
+class _ShortRows(Profile):
+    """verify.Profile with its row limit cut to the largest profile radius,
     short of the doubled balls and of the widest tents."""
-    _, radii, _ = default_profile_samples(space)
-    for x, d in profile_rows(space):
-        yield x, np.where(d <= radii[-1], d, np.inf)
+
+    def __init__(self, space, s=None):
+        super().__init__(space, s)
+        self.limit = self.radii[-1]
 
 
-def _heavy_class_pairs(mu, s, t, first):
+def _heavy_class_pairs(profile, mu, t):
     """verify._radial_bound with every first-neighbour weight, and so every
     class-pair weight of its floor, taken 4 times."""
-    x, y, w = first
-    return _radial_bound(mu, s, t, (x, y, 4.0 * w))
+    x, y, w = profile.first
+    return _radial_bound(SimpleNamespace(s=profile.s, first=(x, y, 4.0 * w)), mu, t)
 
 
 MUTANTS = {
     "slope_bound_x4": ("_energy_floor", _scaled_floor(4.0)),
     "class_floor_x4": ("_radial_bound", _heavy_class_pairs),
-    "row_limit_short": ("profile_rows", _short_rows),
+    "row_limit_short": ("Profile", _ShortRows),
 }
 
 

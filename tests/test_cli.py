@@ -8,7 +8,7 @@ import pytest
 from pilab import gallery, verify
 from pilab.cli import main
 from pilab.gallery import load_space, sector_union_origin
-from pilab.space import FiniteMetricMeasureSpace, default_profile_samples
+from pilab.space import FiniteMetricMeasureSpace
 from test_verify import SEARCH_IDS, SEARCH_SPACES, _count_searches
 
 
@@ -54,7 +54,7 @@ def test_profile_reads_each_center_row_once(tmp_path, monkeypatch, make):
     # besides them, only the diameter's rows and o's full row are searched
     probe = make()
     probe.diameter()
-    count, _, _ = default_profile_samples(probe)
+    count = verify.Profile(probe).count
     out = tmp_path / "s.json"
     gallery.save_space(make(), out)
     searches = []

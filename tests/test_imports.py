@@ -1,7 +1,8 @@
 """Every name a pilab module imports is referenced in that module, every
 private helper pilab defines has a caller, every public function and class
 is reached from the package, the demos or the benchmark, only `verify` draws
-random numbers, and every name the benchmark's tracer wraps exists."""
+random numbers, only `verify.Profile` reads truncated distance rows, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
 import collections
@@ -231,6 +232,41 @@ def test_random_draws_finds_and_exempts():
 )
 def test_no_random_draws_outside_verify(path):
     assert random_draws(path.read_text()) == []
+
+
+def truncated_row_reads(source):
+    """(class, line) of every `dist_from` call in a module text that passes a
+    `limit`, by keyword or as a second argument; the class is the top-level
+    class the call sits in, "" when none."""
+    return [
+        (top.name if isinstance(top, ast.ClassDef) else "", node.lineno)
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dist_from"
+        and (len(node.args) > 1 or any(k.arg == "limit" for k in node.keywords))
+    ]
+
+
+def test_truncated_row_reads_finds_and_exempts():
+    source = (
+        "class Profile:\n    def rows(self):\n        return self.space.dist_from(0, limit=2.0)\n"
+        "def full(sp):\n    return sp.dist_from(0)\n"
+        "def cut(sp):\n    return sp.dist_from(0, 2.0)\n"
+    )
+    assert truncated_row_reads(source) == [("Profile", 3), ("", 7)]
+
+
+# The profile grid decides how far a truncated row reaches, so the Profile
+# that owns the grid is the only reader of such rows.
+def test_only_the_profile_reads_truncated_rows():
+    reads = [
+        (path.stem, cls)
+        for path in sorted(SRC.glob("*.py"))
+        for cls, _ in truncated_row_reads(path.read_text())
+    ]
+    assert reads == [("verify", "Profile")]
 
 
 def test_tracer_targets_resolve():

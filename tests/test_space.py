@@ -24,7 +24,7 @@ from pilab.gallery import (
     radial_profile,
     sector_union,
 )
-from pilab.space import FiniteMetricMeasureSpace, build_space, default_profile_samples, profile_rows
+from pilab.space import FiniteMetricMeasureSpace, build_space
 from pilab.verify import (
     _slope_on,
     ahlfors_fit,
@@ -149,7 +149,7 @@ def test_edges_outside_the_metric_change_no_grid_or_verdict():
     # row limit, and the Hardy verdict stays the plain path's
     spaces = [_path_with([]), _path_with([(7, 7, 0.001)]), _path_with([(5, 6, 50.0)])]
     assert [sp.resolution for sp in spaces] == [1.0] * 3
-    grids = [default_profile_samples(sp) for sp in spaces]
+    grids = [(p.count, p.radii, p.limit) for p in map(verify.Profile, spaces)]
     reports = [
         dataclasses.replace(hardy_check(sp, 0, 1.0, make_family(sp, 0, 1)), seconds=0.0)
         for sp in spaces
@@ -471,7 +471,8 @@ def _sampled_poincare(sp, s):
 
 def _centers(sp):
     """(centers, radii) of the profile grid."""
-    return [x for x, _ in profile_rows(sp)], default_profile_samples(sp)[1]
+    profile = verify.Profile(sp)
+    return [x for x, _ in profile.rows()], profile.radii
 
 
 def _dense_doubling(sp):
@@ -557,9 +558,9 @@ def test_profile_pass_equals_the_standalone_fits(make, s, monkeypatch):
     calls, passes = [], []
     balls, profile = verify._poincare_balls, verify.Profile
 
-    def recording(space, s, dx, radii, line, best, first):
-        out = balls(space, s, dx, radii, line, best, first)
-        calls.append((dx.tobytes(), radii, line, best, out))
+    def recording(prof, dx, line, best):
+        out = balls(prof, dx, line, best)
+        calls.append((dx.tobytes(), prof.radii, line, best, out))
         return out
 
     def kept(space, s=None):
@@ -580,7 +581,8 @@ def _assert_farthest_point_order(sp):
     """Each profile center after the first is a vertex farthest from the
     centers before it, by a dense all-pairs matrix cut at the row limit."""
     dense = _dense(sp)
-    count, _, limit = default_profile_samples(sp)
+    profile = verify.Profile(sp)
+    count, limit = profile.count, profile.limit
     centers, _ = _centers(sp)
     assert centers[0] == 0
     assert len(centers) == len(set(centers)) == min(count, sp.n)

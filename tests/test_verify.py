@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csgraph
 
 from pilab import verify
+from pilab.cli import _largest_annulus_component
 from pilab.constants import (
     ahlfors_factor,
     annulus_constant,
@@ -26,7 +27,7 @@ from pilab.gallery import (
     sector_union,
     sector_union_origin,
 )
-from pilab.space import FiniteMetricMeasureSpace, default_profile_samples
+from pilab.space import FiniteMetricMeasureSpace
 from pilab.verify import (
     ahlfors_sobolev_check,
     annulus_piece_check,
@@ -278,22 +279,22 @@ def test_profile_searches_each_center_once(monkeypatch, make):
     sp = make()
     sp.diameter()
     searches, passes = [], []
-    rows = verify.profile_rows
+    rows = verify.Profile.rows
 
-    def counting_rows(space):
-        cached = set(space._dist_cache)
+    def counting_rows(profile):
+        cached = set(profile.space._dist_cache)
         searches.clear()
         centers = []
-        for x, d in rows(space):
+        for x, d in rows(profile):
             centers.append(x)
             yield x, d
         passes.append((cached, centers, list(searches)))
 
     _count_searches(monkeypatch, searches)
-    monkeypatch.setattr(verify, "profile_rows", counting_rows)
+    monkeypatch.setattr(verify.Profile, "rows", counting_rows)
     weighted_sobolev_check(sp, 0, 1.0, 2.0, make_family(sp, 0, 1, 200))
     ((cached, centers, searched),) = passes
-    assert 0 in cached and len(centers) == default_profile_samples(sp)[0]
+    assert 0 in cached and len(centers) == verify.Profile(sp).count
     assert searched == [x for x in centers if x not in cached]
 
 
@@ -305,7 +306,7 @@ def test_family_starts_no_search_of_its_own(monkeypatch, check, make):
     # rows of the profile centers as the profile pass reads them
     probe = make()
     probe.diameter()
-    count, _, _ = default_profile_samples(probe)
+    count = verify.Profile(probe).count
     searches = []
     _count_searches(monkeypatch, searches)
     sp = make()
@@ -317,11 +318,49 @@ def test_family_starts_no_search_of_its_own(monkeypatch, check, make):
     assert len(searches) <= count + len(probe._dist_cache) + 1
 
 
+# One call of each check on grid_quadrant(16), given (space, family); the
+# annulus piece and radii are those of `pilab verify`.
+def _annulus_on(sp, fam):
+    R = max(sp.diameter() / 8.0, 4 * sp.resolution)
+    A = _largest_annulus_component(sp, 0, R, 2.0)
+    return annulus_piece_check(sp, 0, R, 2.0, 0.5, A, 1.0, 1.0, fam)
+
+
+ONE_CALL = {
+    "hardy": lambda sp, fam: hardy_check(sp, 0, 1.0, fam),
+    "weighted-sobolev": lambda sp, fam: weighted_sobolev_check(sp, 0, 1.0, 2.0, fam),
+    "local-sobolev": lambda sp, fam: local_sobolev_check(sp, 0, sp.diameter() / 4, 1.0, 2.0, fam),
+    "annulus": _annulus_on,
+    "ahlfors": lambda sp, fam: ahlfors_sobolev_check(sp, 0, 1.0, 2.0, fam),
+}
+
+
+@pytest.mark.parametrize("check", list(ONE_CALL))
+def test_each_check_builds_one_floor_table_and_one_profile(monkeypatch, check):
+    # every check hands its one Profile, and the Profile's one floor table,
+    # to the sweep; the Ahlfors check (t != s) runs a second, table-less
+    # Profile pass for its Ahlfors fit before the check's
+    sp = grid_quadrant(16)
+    fam = make_family(sp, 0, 1, 200)
+    tables, profiles = [], []
+    first = verify._first_neighbours
+
+    class Counted(verify.Profile):
+        def __init__(self, *args, **kwargs):
+            profiles.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_first_neighbours", lambda *args: tables.append(args) or first(*args))
+    monkeypatch.setattr(verify, "Profile", Counted)
+    ONE_CALL[check](sp, fam)
+    assert (len(tables), len(profiles)) == ((1, 2) if check == "ahlfors" else (1, 1))
+
+
 def test_slope_ratio_returns_zero_for_a_member_it_skips():
     # returning the bound instead could round above the best once the
     # sampled Poincare estimate multiplies the ratio by a ball's scale
     sp = grid_quadrant(8)
-    ratio = verify._slope_ratio(sp, lambda f: 1.0, 1.0, scale=3.0)
+    ratio = verify._slope_ratio(verify.Profile(sp, 1.0), lambda f: 1.0, scale=3.0)
     d = sp.dist_from(0)
     assert ratio(d) > 0.0
     assert ratio(d, best=0.0) == ratio(d)
